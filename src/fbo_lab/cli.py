@@ -25,7 +25,7 @@ from .evolution import (
     picard_solve,
     solve_reference,
 )
-from .norms import EstimateParams, admissible_b_prime_bound
+from .norms import EstimateParams, admissible_omega, s_threshold
 from .spectral import BUMP_PROFILE, FrequencyGrid, _l2_raw, make_test_field
 
 ENV_THREADS = "FBO_LAB_THREADS"
@@ -192,18 +192,10 @@ _SUMMARY_HEADER = "kind,alpha,s,b,b_prime,sup_or_inf,n_samples,resolution,seed"
 
 
 def _build_params(config: ExperimentConfig, alpha: float, s: float | None = None) -> EstimateParams:
-    omega = 1.0 / alpha - 0.5
-    b_prime = config.b_prime
-    if b_prime is None:
-        b_prime = admissible_b_prime_bound(alpha, config.epsilon)
-    b = config.b
-    if b is None:
-        b = 0.5 + 0.6 * (b_prime + 0.5)
-    if s is None:
-        s = config.s[0] if config.s else -0.75 * (alpha - 1.0) + config.epsilon
-    admissible = s >= -0.75 * (alpha - 1.0) + config.epsilon - 1e-9
-    return EstimateParams(
-        alpha, s, omega, b, b_prime, config.epsilon, admissible=admissible
+    if s is None and config.s:
+        s = config.s[0]
+    return EstimateParams.default_admissible(
+        alpha, config.epsilon, s=s, b=config.b, b_prime=config.b_prime
     )
 
 
@@ -226,7 +218,7 @@ def _run_simulate(config: ExperimentConfig) -> int:
     u0 = _initial_field(config, grid)
     traj = solve_reference(u0, config.t_span, config.dt, alpha)
     drift = l2_drift(traj)
-    omega = (1.0 / alpha - 0.5) if config.zero_mean else 0.0
+    omega = admissible_omega(alpha) if config.zero_mean else 0.0
     report = apriori_check(traj, omega)
     export_trajectory_csv(traj, os.path.join(config.out, "traj.csv"), config.retained_modes)
     export_trajectory_binary(traj, os.path.join(config.out, "traj.bin"))
@@ -313,7 +305,7 @@ def _run_verify_estimate(config: ExperimentConfig) -> int:
 def _run_sweep(config: ExperimentConfig) -> int:
     points = []
     for alpha in config.alpha:
-        threshold = -0.75 * (alpha - 1.0)
+        threshold = s_threshold(alpha)
         if config.s is not None:
             s_values = list(config.s)
         else:

@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Trajectory, _dealias_mask
+from .evolution import Trajectory, _dealias_mask, _dealiased_square
 from .norms import sobolev_norm
-from .spectral import (
-    SpectralField,
-    _forward_raw,
-    _inverse_raw,
-    _is_hermitian,
-    _l2_raw,
-    _require_zero_mean,
-    bump,
-)
+from .spectral import SpectralField, _l2_raw, _require_zero_mean, bump
 
 
 @dataclass(frozen=True)
@@ -80,12 +72,7 @@ def forcing_ratio(state: SpectralField, omega: float) -> float:
     l2 = _l2_raw(state.coeffs, grid.spacing)
     if l2 == 0.0:
         return 0.0
-    mask = _dealias_mask(grid)
-    c = np.where(mask, state.coeffs, 0.0)
-    samples = _inverse_raw(c, grid.box_length)
-    if _is_hermitian(c, 1e-10):
-        samples = samples.real
-    squared = _forward_raw((samples * samples).astype(complex), grid.box_length)
+    squared = _dealiased_square(state.coeffs, grid, _dealias_mask(grid))
     xi = grid.frequencies
     # |xi|^(1-omega) is regular at 0 for omega < 1, no special case needed
     weights = bump(xi) * np.abs(xi) ** (1.0 - omega)

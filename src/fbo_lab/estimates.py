@@ -25,6 +25,7 @@ from .evolution import Trajectory
 from .norms import (
     EstimateParams,
     SpaceTimeField,
+    _padded_time_dft,
     bourgain_norm,
     bourgain_weights,
     localized_lift,
@@ -472,23 +473,6 @@ def _physical_on_extended(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray
     return _inverse_raw(ext, grid.box_length, axis=1)
 
 
-def _windowed_time_dft(rows: np.ndarray, times: np.ndarray, n_slots: int) -> tuple:
-    """Zero-pad time samples into n_slots and transform; returns (coeffs, time_grid)."""
-    dt = float(times[1] - times[0])
-    window = n_slots * dt
-    m = n_slots // 2
-    signal = np.zeros((n_slots, rows.shape[1]), dtype=complex)
-    j0 = m + int(round(float(times[0]) / dt))
-    for i in range(times.size):
-        j = j0 + i
-        if 0 <= j < n_slots:
-            signal[j] = rows[i]
-        elif np.any(rows[i]):
-            raise ValueError("time samples extend beyond the padded window")
-    coeffs = _forward_raw(signal, window, axis=0)
-    return coeffs, FrequencyGrid(n_slots, window)
-
-
 def product_derivative_field(
     traj1: Trajectory, traj2: Trajectory, T: float, n_slots: int
 ) -> SpaceTimeField:
@@ -504,7 +488,7 @@ def product_derivative_field(
     f2 = _physical_on_extended(psi * traj2.coeffs, traj2.grid)
     ext = _extended_grid(traj1.grid)
     rows = _forward_raw(f1 * f2, ext.box_length, axis=1)
-    coeffs, time_grid = _windowed_time_dft(rows, traj1.times, n_slots)
+    coeffs, time_grid = _padded_time_dft(rows, traj1.times, n_slots)
     coeffs = coeffs * (1j * ext.frequencies)[None, :]
     return SpaceTimeField(ext, time_grid, coeffs)
 

@@ -19,7 +19,6 @@ from .spectral import (
     SpectralField,
     _forward_raw,
     _inverse_raw,
-    _is_hermitian,
     _l2_raw,
     bump,
     dispersion_symbol,
@@ -102,13 +101,14 @@ def _dealias_mask(grid: FrequencyGrid) -> np.ndarray:
     return np.abs(k) <= limit
 
 
+def _dealiased_square(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
+    """F(u^2) of the masked field; the complex square serves real and complex u alike."""
+    samples = _inverse_raw(np.where(mask, c, 0.0), grid.box_length)
+    return _forward_raw(samples * samples, grid.box_length)
+
+
 def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
-    ct = np.where(mask, c, 0.0)
-    samples = _inverse_raw(ct, grid.box_length)
-    if _is_hermitian(ct, 1e-10):
-        samples = samples.real
-    squared = _forward_raw((samples * samples).astype(complex), grid.box_length)
-    squared = np.where(mask, squared, 0.0)
+    squared = np.where(mask, _dealiased_square(c, grid, mask), 0.0)
     return -0.5j * grid.frequencies * squared
 
 
@@ -143,6 +143,40 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_roots: int = 32):
     return q, f1, f2, f3
 
 
+def _stepper(grid: FrequencyGrid, dt: float, alpha: float, scheme: str, nonlinear: bool):
+    """One step of size dt (signed) as a function of the current coefficients."""
+    if scheme not in ("split_step", "exponential_integrator"):
+        raise ValueError(
+            f"unknown scheme {scheme!r}; use 'split_step' or 'exponential_integrator'"
+        )
+    lin = 1j * dispersion_symbol(grid.frequencies, alpha)
+    if not nonlinear:
+        phase = np.exp(dt * lin)
+        return lambda c: phase * c
+    mask = _dealias_mask(grid)
+
+    def nl(c):
+        return _nonlinearity_raw(c, grid, mask)
+
+    half = np.exp(0.5 * dt * lin)
+    if scheme == "split_step":
+        return lambda c: half * _rk4(nl, half * c, dt)
+    full = np.exp(dt * lin)
+    q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
+
+    def etdrk4(c):
+        n0 = nl(c)
+        a = half * c + q * n0
+        na = nl(a)
+        b = half * c + q * na
+        nb = nl(b)
+        cc = half * a + q * (2.0 * nb - n0)
+        nc = nl(cc)
+        return full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+
+    return etdrk4
+
+
 def _integrate(
     c0: np.ndarray,
     grid: FrequencyGrid,
@@ -154,61 +188,19 @@ def _integrate(
     blowup_factor: float,
 ) -> np.ndarray:
     """March n_steps of size dt (signed), returning all states incl. the first."""
-    mask = _dealias_mask(grid)
-    lin = 1j * dispersion_symbol(grid.frequencies, alpha)
+    step = _stepper(grid, dt, alpha, scheme, nonlinear)
+    limit = blowup_factor * max(_l2_raw(c0, grid.spacing), np.finfo(float).tiny)
     out = np.empty((n_steps + 1, grid.n_modes), dtype=complex)
     out[0] = c0
-    l2_ref = _l2_raw(c0, grid.spacing)
-    floor = np.finfo(float).tiny
-
-    def nl(c):
-        return _nonlinearity_raw(c, grid, mask)
-
-    if not nonlinear:
-        phase = np.exp(dt * lin)
-        c = c0.copy()
-        for i in range(n_steps):
-            c = phase * c
-            out[i + 1] = c
-        return out
-
-    if scheme == "split_step":
-        half = np.exp(0.5 * dt * lin)
-        c = c0.copy()
-        for i in range(n_steps):
-            c = half * c
-            c = _rk4(nl, c, dt)
-            c = half * c
-            out[i + 1] = c
-            if _l2_raw(c, grid.spacing) > blowup_factor * max(l2_ref, floor):
-                raise BlowUpError(
-                    f"L2 norm grew past {blowup_factor}x the initial value at "
-                    f"t={dt * (i + 1):.6g}"
-                )
-    elif scheme == "exponential_integrator":
-        e_full = np.exp(dt * lin)
-        e_half = np.exp(0.5 * dt * lin)
-        q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
-        c = c0.copy()
-        for i in range(n_steps):
-            n0 = nl(c)
-            a = e_half * c + q * n0
-            na = nl(a)
-            b = e_half * c + q * na
-            nb = nl(b)
-            cc = e_half * a + q * (2.0 * nb - n0)
-            nc = nl(cc)
-            c = e_full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-            out[i + 1] = c
-            if _l2_raw(c, grid.spacing) > blowup_factor * max(l2_ref, floor):
-                raise BlowUpError(
-                    f"L2 norm grew past {blowup_factor}x the initial value at "
-                    f"t={dt * (i + 1):.6g}"
-                )
-    else:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; use 'split_step' or 'exponential_integrator'"
-        )
+    c = c0
+    for i in range(n_steps):
+        c = step(c)
+        out[i + 1] = c
+        if _l2_raw(c, grid.spacing) > limit:
+            raise BlowUpError(
+                f"L2 norm grew past {blowup_factor}x the initial value at "
+                f"t={dt * (i + 1):.6g}"
+            )
     return out
 
 
@@ -355,8 +347,8 @@ def export_trajectory_csv(traj: Trajectory, path, max_modes: int | None = None) 
     xi = traj.grid.frequencies[idx]
     header = ["t"]
     for f in xi:
-        header.append(f"abs[xi={f!r}]")
-        header.append(f"phase[xi={f!r}]")
+        header.append(f"abs[xi={float(f)!r}]")
+        header.append(f"phase[xi={float(f)!r}]")
     lines = [",".join(header)]
     sub = traj.coeffs[:, idx]
     mags = np.abs(sub)

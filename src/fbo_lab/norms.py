@@ -33,12 +33,25 @@ from .spectral import (
 )
 
 
+#: Slack allowed when checking the admissibility constraints.
+_ADMISSIBLE_TOL = 1e-9
+
+
+def admissible_omega(alpha: float) -> float:
+    """The low-frequency exponent omega = 1/alpha - 1/2 tied to alpha."""
+    return 1.0 / alpha - 0.5
+
+
+def s_threshold(alpha: float) -> float:
+    """Regularity threshold -(3/4)(alpha-1); admissible s lies epsilon above it."""
+    return -0.75 * (alpha - 1.0)
+
+
 def admissible_b_prime_bound(alpha: float, epsilon: float) -> float:
     """Largest admissible b': min{-1/4, -omega, -1/2+eps/3, -1/2+(3/4)(alpha-1)-eps}."""
-    omega = 1.0 / alpha - 0.5
     return min(
         -0.25,
-        -omega,
+        -admissible_omega(alpha),
         -0.5 + epsilon / 3.0,
         -0.5 + 0.75 * (alpha - 1.0) - epsilon,
     )
@@ -72,8 +85,8 @@ class EstimateParams:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not self.admissible:
             return
-        tol = 1e-9
-        target = 1.0 / self.alpha - 0.5
+        tol = _ADMISSIBLE_TOL
+        target = admissible_omega(self.alpha)
         if abs(self.omega - target) > tol:
             raise ValueError(
                 f"admissible omega is 1/alpha - 1/2 = {target:.12g}, got {self.omega}"
@@ -82,7 +95,7 @@ class EstimateParams:
             raise ValueError(
                 f"epsilon must not exceed (alpha-1)/4 = {(self.alpha - 1.0) / 4.0:.12g}"
             )
-        s_min = -0.75 * (self.alpha - 1.0) + self.epsilon
+        s_min = s_threshold(self.alpha) + self.epsilon
         if self.s < s_min - tol:
             raise ValueError(f"s must be at least {s_min:.12g}, got {self.s}")
         cap = admissible_b_prime_bound(self.alpha, self.epsilon)
@@ -103,19 +116,24 @@ class EstimateParams:
         epsilon: float = 0.1,
         s: float | None = None,
         b: float | None = None,
+        b_prime: float | None = None,
     ) -> "EstimateParams":
-        """Admissible parameters with b' at its ceiling and s at its floor.
+        """Parameters with each unset exponent at its rule: s at its floor,
+        b' at its ceiling and b = 1/2 + 0.6 (b' + 1/2).
 
         At alpha=1.5, epsilon=0.1 this yields omega=1/6, s=-0.275,
-        b'=-0.4666..., b=0.52.
+        b'=-0.4666..., b=0.52.  A given s below the floor gives a bundle with
+        admissible=False, so sub-threshold points stay evaluable.
         """
-        omega = 1.0 / alpha - 0.5
+        s_min = s_threshold(alpha) + epsilon
         if s is None:
-            s = -0.75 * (alpha - 1.0) + epsilon
-        b_prime = admissible_b_prime_bound(alpha, epsilon)
+            s = s_min
+        if b_prime is None:
+            b_prime = admissible_b_prime_bound(alpha, epsilon)
         if b is None:
             b = 0.5 + 0.6 * (b_prime + 0.5)
-        return cls(alpha, s, omega, b, b_prime, epsilon, admissible=True)
+        admissible = s >= s_min - _ADMISSIBLE_TOL
+        return cls(alpha, s, admissible_omega(alpha), b, b_prime, epsilon, admissible)
 
     def replace(self, **changes) -> "EstimateParams":
         kwargs = {
@@ -207,19 +225,27 @@ def localized_lift(traj: Trajectory, T: float, pad_factor: float = 4.0) -> Space
     n_time = 2 * m
     if n_time < 8:
         raise ValueError("time window holds fewer than 8 samples; decrease dt")
-    window = n_time * dt
-    # padded samples t_j = -window/2 + j*dt align with the trajectory grid
-    signal = np.zeros((n_time, traj.grid.n_modes), dtype=complex)
-    psi = bump(t / T)
-    j0 = m + int(round(float(t[0]) / dt))  # slot of the first trajectory sample
-    for i in range(traj.n_times):
-        j = j0 + i
-        if 0 <= j < n_time:
-            signal[j] = psi[i] * traj.coeffs[i]
-        elif psi[i] != 0.0:
-            raise ValueError("cutoff support extends beyond the padded window")
-    coeffs = _forward_raw(signal, window, axis=0)
-    return SpaceTimeField(traj.grid, FrequencyGrid(n_time, window), coeffs)
+    rows = bump(t / T)[:, None] * traj.coeffs
+    coeffs, time_grid = _padded_time_dft(rows, t, n_time)
+    return SpaceTimeField(traj.grid, time_grid, coeffs)
+
+
+def _padded_time_dft(rows: np.ndarray, times: np.ndarray, n_slots: int) -> tuple:
+    """Zero-pad time samples into n_slots and transform; returns (coeffs, time_grid).
+
+    Padded slot j holds time -window/2 + j*dt, aligned with the samples' own
+    uniform grid; a nonzero sample that falls outside the window is rejected.
+    """
+    dt = float(times[1] - times[0])
+    time_grid = FrequencyGrid(n_slots, n_slots * dt)
+    j0 = n_slots // 2 + int(round(float(times[0]) / dt))  # slot of the first sample
+    lo = max(0, -j0)
+    hi = max(lo, min(times.size, n_slots - j0))
+    if np.any(rows[:lo]) or np.any(rows[hi:]):
+        raise ValueError("time samples extend beyond the padded window")
+    signal = np.zeros((n_slots, rows.shape[1]), dtype=complex)
+    signal[j0 + lo : j0 + hi] = rows[lo:hi]
+    return _forward_raw(signal, time_grid.box_length, axis=0), time_grid
 
 
 def bourgain_weights(

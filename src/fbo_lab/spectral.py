@@ -20,6 +20,7 @@ a pure function, so everything here is safe to use concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -177,42 +178,41 @@ def _is_hermitian(coeffs: np.ndarray, rtol: float = 1e-12) -> bool:
     return err <= rtol * scale
 
 
-# Index layout conversions between numpy fft order [0..N/2-1, -N/2..-1]
-# and the ascending order [-N/2+1 .. N/2] used here (the -N/2 slot of the
-# fft layout is relabelled +N/2; on the grid both label the same mode).
+# The plan of a size N caches the slot permutation between ascending mode
+# order and numpy's fft order and the (-1)^k phase of the half-box origin;
+# coefficients stay ascending at the API because every symbol, weight and
+# export indexes them by xi.
 
 
-def _np_to_grid_order(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.roll(np.fft.fftshift(a, axes=axis), -1, axis=axis)
+@functools.lru_cache(maxsize=64)
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(numpy slot k mod N of each ascending mode k, its inverse, (-1)^k)."""
+    k = np.arange(-n // 2 + 1, n // 2 + 1)
+    fft_slot = k % n
+    signs = np.where(k % 2 == 0, 1.0, -1.0)
+    return _freeze(fft_slot), _freeze(np.argsort(fft_slot)), _freeze(signs)
 
 
-def _grid_to_np_order(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.fft.ifftshift(np.roll(a, 1, axis=axis), axes=axis)
-
-
-def _alt_signs(n: int) -> np.ndarray:
-    # (-1)^k in numpy fft layout: the phase exp(i*xi_k*L/2) for the
-    # half-box origin offset.
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    return np.where(k % 2 == 0, 1.0, -1.0)
+def _along(vector: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    shape = [1] * ndim
+    shape[axis] = vector.size
+    return vector.reshape(shape)
 
 
 def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
     n = samples.shape[axis]
-    raw = np.fft.fft(samples, axis=axis)
-    shape = [1] * samples.ndim
-    shape[axis] = n
-    raw = raw * _alt_signs(n).reshape(shape)
-    raw *= box_length / (n * math.sqrt(TWO_PI))
-    return _np_to_grid_order(raw, axis=axis)
+    fft_slot, _, signs = _plan(n)
+    # +-1 times the scale is exact, so this rounds as sign-then-scale does
+    scaled_signs = signs * (box_length / (n * math.sqrt(TWO_PI)))
+    raw = np.take(np.fft.fft(samples, axis=axis), fft_slot, axis=axis)
+    raw *= _along(scaled_signs, samples.ndim, axis)
+    return raw
 
 
 def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
     n = coeffs.shape[axis]
-    raw = _grid_to_np_order(coeffs, axis=axis)
-    shape = [1] * coeffs.ndim
-    shape[axis] = n
-    raw = raw * _alt_signs(n).reshape(shape)
+    _, grid_slot, signs = _plan(n)
+    raw = np.take(coeffs * _along(signs, coeffs.ndim, axis), grid_slot, axis=axis)
     out = np.fft.ifft(raw, axis=axis)
     out *= n * math.sqrt(TWO_PI) / box_length
     return out

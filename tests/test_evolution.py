@@ -100,12 +100,13 @@ class TestSolveReference:
         err = np.max(np.abs(traj2.coeffs[-1] - scaled)) / np.max(np.abs(scaled))
         assert err <= 1e-4
 
-    def test_blowup_sentinel(self):
+    @pytest.mark.parametrize("scheme", ["split_step", "exponential_integrator"])
+    def test_blowup_sentinel(self, scheme):
         g = make_grid(64, 16.0)
         u0 = make_test_field(g, "gaussian", amplitude=80.0)
         with pytest.warns(RuntimeWarning):
-            with pytest.raises(BlowUpError):
-                solve_reference(u0, 5.0, 0.05, 1.5)
+            with pytest.raises(BlowUpError, match="t=0.05$"):
+                solve_reference(u0, 5.0, 0.05, 1.5, scheme=scheme)
 
     def test_cfl_warning(self):
         g = make_grid(128, 16.0)
@@ -118,6 +119,10 @@ class TestSolveReference:
         u0 = make_test_field(g, "gaussian")
         with pytest.raises(ValueError):
             solve_reference(u0, 0.1, 0.2, 1.5)
+        # the scheme is checked before any step, even when it would go unused
+        for nonlinear in (True, False):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                solve_reference(u0, 0.1, 0.05, 1.5, scheme="euler", nonlinear=nonlinear)
 
 
 class TestDuhamel:
@@ -252,8 +257,8 @@ class TestExports:
         assert header[0] == "t"
         assert len(header) == 1 + 2 * 4
         assert len(lines) == 1 + traj.n_times
-        assert header[1].startswith("abs[xi=")
-        assert header[2].startswith("phase[xi=")
+        xi = [-math.pi / 4, 0.0, math.pi / 4, math.pi / 2]  # smallest |xi|, ascending
+        assert header[1:] == [f"{part}[xi={x!r}]" for x in xi for part in ("abs", "phase")]
 
     def test_binary_round_trip(self, tmp_path):
         traj = self.make_traj()

@@ -18,8 +18,8 @@ from fbo_lab import (
     propagate,
     sobolev_norm,
 )
-from fbo_lab.norms import admissible_b_prime_bound
-from fbo_lab.spectral import dispersion_symbol
+from fbo_lab.norms import _padded_time_dft, admissible_b_prime_bound
+from fbo_lab.spectral import _forward_raw, dispersion_symbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +103,12 @@ class TestEstimateParams:
         with pytest.raises(ValueError):
             EstimateParams(1.5, -0.2, 1 / 6, 0.5, -0.4667, 0.1, admissible=True)
 
+    def test_given_exponents_kept_and_s_below_floor_not_admissible(self):
+        p = EstimateParams.default_admissible(1.5, s=-0.5, b_prime=-0.48)
+        assert (p.s, p.b_prime) == (-0.5, -0.48)
+        assert p.b == pytest.approx(0.5 + 0.6 * 0.02)
+        assert not p.admissible
+
     def test_non_admissible_allows_free_exponents(self):
         p = EstimateParams(1.5, -2.0, 0.0, -0.52, -0.9, 0.0)
         assert p.b == -0.52
@@ -172,6 +178,25 @@ class TestLocalizedLift:
         traj = Trajectory(g, times, np.zeros((41, 32), complex), 1.5)
         with pytest.raises(ValueError):
             localized_lift(traj, 1.0)
+
+    def test_padded_time_dft_places_samples_and_rejects_overflow(self):
+        dt = 0.05
+        times = np.arange(-20, 21) * dt
+        rows = np.zeros((41, 3), complex)
+        rows[15:26] = np.random.default_rng(0).standard_normal((11, 3))  # |t| <= 0.25
+        coeffs, time_grid = _padded_time_dft(rows, times, 16)  # slots t = -0.4 .. 0.35
+        signal = np.zeros((16, 3), complex)
+        for i, t in enumerate(times):
+            j = 8 + int(round(t / dt))
+            if 0 <= j < 16:
+                signal[j] = rows[i]
+        assert time_grid.box_length == pytest.approx(16 * dt)
+        assert np.array_equal(coeffs, _forward_raw(signal, time_grid.box_length, axis=0))
+        for outside in (0, 40):
+            bad = rows.copy()
+            bad[outside, 1] = 1.0
+            with pytest.raises(ValueError, match="beyond the padded window"):
+                _padded_time_dft(bad, times, 16)
 
     def test_pad_factor_floor(self):
         g = make_grid(32, 10.0)

@@ -18,6 +18,7 @@ from fbo_lab import (
     split_frequencies,
 )
 from fbo_lab.norms import sobolev_norm
+from fbo_lab.spectral import _forward_raw
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +91,20 @@ class TestTransform:
         g = make_grid(64, 20.0)
         f = forward_transform(np.random.default_rng(2).standard_normal(64), g)
         assert f.is_conjugate_symmetric()
+
+    @pytest.mark.parametrize("n", [8, 10, 30, 256])
+    def test_matches_direct_riemann_sum(self, n):
+        # c_k = (2*pi)^(-1/2) sum_j u_j exp(-i xi_k x_j) dx, for each column
+        # along axis 0 and each row along axis 1
+        g = make_grid(n, 7.3)
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        dx = g.box_length / n
+        kernel = np.exp(-1j * np.outer(g.frequencies, g.nodes())) * dx / math.sqrt(TWO_PI)
+        direct = kernel @ u
+        tol = 1e-12 * np.max(np.abs(direct))
+        assert np.max(np.abs(_forward_raw(u, g.box_length, axis=0) - direct)) <= tol
+        assert np.max(np.abs(_forward_raw(u.T, g.box_length, axis=1) - direct.T)) <= tol
 
 
 class TestMultipliers:
