@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -242,10 +243,45 @@ def _run_simulate(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _steps_match(T: float, dt: float) -> bool:
+    """True when every reference time k*T/m lies on the Picard grid j*W/n.
+
+    The reference solve uses m = round(T/dt) steps over T and the Picard
+    iteration n = round(W/dt) steps over W = 2*max(T, 1); the reference
+    step must then be a whole number q of Picard steps.
+    """
+    window = 2.0 * max(T, 1.0)
+    ratio = (T / max(1, round(T / dt))) / (window / max(1, round(window / dt)))
+    q = round(ratio)
+    return q >= 1 and abs(ratio - q) <= 1e-9 * q
+
+
+def _check_picard_dt(T: float, dt: float) -> None:
+    """Reject a dt whose reference times fall off the Picard grid, naming one that fits."""
+    if not (T > 0.0 and dt > 0.0):
+        raise ConfigError(f"t_span and dt must be positive, got {T}, {dt}")
+    if dt > T:
+        raise ConfigError(f"dt={dt} exceeds t_span={T}; use dt <= {T!r}")
+    if _steps_match(T, dt):
+        return
+    m0 = max(1, round(T / dt))
+    fits = (T / m for d in range(10_000) for m in (m0 - d, m0 + d) if m >= 1)
+    good = next((dt_fit for dt_fit in fits if _steps_match(T, dt_fit)), None)
+    fix = (
+        f"use dt={good!r}, which divides both" if good is not None
+        else "choose dt dividing both"
+    )
+    raise ConfigError(
+        f"dt={dt} puts the reference times off the Picard time grid: the steps "
+        f"must divide t_span={T!r} and 2*max(t_span, 1)={2.0 * max(T, 1.0)!r}; {fix}"
+    )
+
+
 def _run_picard(config: ExperimentConfig) -> int:
+    T = config.t_span
+    _check_picard_dt(T, config.dt)
     grid = FrequencyGrid(config.n_modes, config.box_length)
     alpha = config.alpha[0]
-    T = config.t_span
     u0 = _initial_field(config, grid)
     traj, history = picard_solve(
         u0, T, alpha, tol=config.tol, max_iter=config.max_iter, dt=config.dt
@@ -406,15 +442,36 @@ def _build_argparser() -> argparse.ArgumentParser:
     parser.add_argument("--width", type=float)
     parser.add_argument("--carrier", type=float)
     parser.add_argument("--band", type=float)
-    parser.add_argument("--zero-mean", dest="zero_mean", action="store_true", default=None)
+    parser.add_argument(
+        "--zero-mean", dest="zero_mean", action=argparse.BooleanOptionalAction, default=None
+    )
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-iter", type=int, dest="max_iter")
     parser.add_argument("--retained-modes", type=int, dest="retained_modes")
     return parser
 
 
+#: Flags that take a comma-separated number list.
+_LIST_FLAGS = ("--alpha", "--s")
+
+
+def _bind_number_lists(argv: list[str]) -> list[str]:
+    """Join a list flag to a following value that starts with a negative number.
+
+    argparse takes '-0.5,-0.4' for an option, as it is not one number, so
+    '--s -0.5,-0.4' is passed on as '--s=-0.5,-0.4'.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_config(argv: list[str]) -> ExperimentConfig:
-    args = _build_argparser().parse_args(argv)
+    args = _build_argparser().parse_args(_bind_number_lists(argv))
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))

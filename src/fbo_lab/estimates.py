@@ -26,7 +26,8 @@ from .norms import (
     EstimateParams,
     SpaceTimeField,
     _padded_time_dft,
-    bourgain_norm,
+    _require_vanishing_zero_column,
+    _weighted_norm,
     bourgain_weights,
     localized_lift,
     mixed_lebesgue_norm,
@@ -451,6 +452,51 @@ def _free_cutoff_trajectory(
     return Trajectory(u0.grid, times, phases * u0.coeffs[None, :], alpha)
 
 
+class _FreeLifts:
+    """Free cutoff evolutions on one grid, their lifts and restriction norms.
+
+    Free evolution acts on each spatial frequency alone, so the cutoff lift of
+    u0 is kernel * u0[None, :], the kernel being the lift of the all-ones
+    field, and its squared restriction norm under p is the sum over xi of
+    profile(xi) |u0(xi)|^2, where profile(xi) is the tau sum of
+    w |kernel|^2 dtau dxi with w = bourgain_weights at b = p.b.  A norm then
+    costs O(N) per sample.  One instance serves one resolution of one harness
+    call.
+    """
+
+    def __init__(self, grid: FrequencyGrid, p: EstimateParams, T: float, n_time: int):
+        ones = SpectralField(grid, np.ones(grid.n_modes, dtype=complex))
+        self.paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0)
+        self.kernel = localized_lift(self.paths, T, pad_factor=2.0)
+        mags = np.abs(self.kernel.coeffs)
+        w = bourgain_weights(self.kernel.taus, grid.frequencies, p, p.b)
+        measure = self.kernel.time_grid.spacing * grid.spacing
+        self.profile = np.sum(w * mags**2, axis=0) * measure
+        self.column_max = np.max(mags, axis=0)
+        self.omega = p.omega
+
+    def trajectory(self, u0: SpectralField) -> Trajectory:
+        """The free evolution of u0 on the cutoff's time samples."""
+        paths = self.paths
+        return Trajectory(u0.grid, paths.times, paths.coeffs * u0.coeffs[None, :], paths.alpha)
+
+    def lift(self, u0: SpectralField) -> SpaceTimeField:
+        """localized_lift of the free evolution of u0."""
+        return SpaceTimeField(
+            u0.grid, self.kernel.time_grid, self.kernel.coeffs * u0.coeffs[None, :]
+        )
+
+    def norm(self, u0: SpectralField) -> float:
+        """bourgain_norm of the lift of u0, with its omega > 0 zero-mode check."""
+        mags = np.abs(u0.coeffs)
+        if self.omega > 0.0:
+            z = u0.grid.zero_index
+            _require_vanishing_zero_column(
+                float(self.column_max[z] * mags[z]), float(np.max(self.column_max * mags))
+            )
+        return math.sqrt(float(np.sum(self.profile * mags**2)))
+
+
 def _x_params(p: EstimateParams) -> EstimateParams:
     """The (s=0, omega=0) bundle used by the linear and bilinear space-time scales."""
     return EstimateParams(p.alpha, 0.0, 0.0, p.b, -0.25, 0.0)
@@ -519,30 +565,30 @@ def _strichartz_ratios(p, inputs, seed):
     n_band = max(1, int(math.floor(band / dxi + 1e-9)))
     draws = [_draw_band_modes(rng, n_band) for _ in range(n_samples)]
     gamma = (p.alpha - 1.0) / 4.0
-    p0 = _x_params(p)
     per_resolution = []
+    n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
     for n_modes in resolutions:
         grid = FrequencyGrid(int(n_modes), L)
-        n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
-        ratios = np.empty(n_samples)
-        jweights = japanese_bracket(grid.frequencies) ** gamma
-        for i, modes in enumerate(draws):
-            u0 = _field_from_descriptor(grid, {"family": "random_bandlimited", "modes": modes}, False)
-            traj = _free_cutoff_trajectory(u0, p.alpha, T, n_time, 2.0)
-            psi = bump(traj.times / T)[:, None]
-            cut = Trajectory(grid, traj.times, psi * traj.coeffs * jweights[None, :], p.alpha)
-            lhs = mixed_lebesgue_norm(cut, 4.0, math.inf)
-            rhs = bourgain_norm(localized_lift(traj, T, pad_factor=2.0), p0)
-            ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
-        per_resolution.append((f"N={n_modes}", ratios))
+        per_resolution.append(
+            (f"N={n_modes}", _strichartz_resolution(grid, draws, p, gamma, T, n_time))
+        )
     return per_resolution, draws
 
 
-def _lifted_pair(descs, grid, p, T, n_time, zero_mean):
-    fields = [_field_from_descriptor(grid, d, zero_mean) for d in descs]
-    trajs = [_free_cutoff_trajectory(f, p.alpha, T, n_time, 2.0) for f in fields]
-    lifts = [localized_lift(t, T, pad_factor=2.0) for t in trajs]
-    return trajs, lifts
+def _strichartz_resolution(grid, draws, p, gamma, T, n_time):
+    """Ratios of the L4t Linfx norm of <D>^gamma psi_T W(t) u0 to its lift's norm."""
+    free = _FreeLifts(grid, _x_params(p), T, n_time)
+    times = free.paths.times
+    psi = bump(times / T)[:, None]
+    cut_paths = psi * free.paths.coeffs * (japanese_bracket(grid.frequencies) ** gamma)[None, :]
+    ratios = np.empty(len(draws))
+    for i, modes in enumerate(draws):
+        u0 = _field_from_descriptor(grid, {"family": "random_bandlimited", "modes": modes}, False)
+        cut = Trajectory(grid, times, cut_paths * u0.coeffs[None, :], p.alpha)
+        lhs = mixed_lebesgue_norm(cut, 4.0, math.inf)
+        rhs = free.norm(u0)
+        ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
+    return ratios
 
 
 def _random_spacetime(rng, grid, time_grid, band, tau_fraction=1.0 / 3.0):
@@ -582,31 +628,36 @@ def _bilinear_kind_ratios(kind, p, inputs, seed):
     per_resolution = []
     for n_space, n_time in resolutions:
         grid = FrequencyGrid(int(n_space), L)
+        free = _FreeLifts(grid, p0, T, int(n_time))
+        time_grid = free.kernel.time_grid
+        if kind == "dual_bilinear":
+            w_dual = bourgain_weights(time_grid.frequencies, grid.frequencies, p0, -p.b)
         ratios = np.empty(n_samples)
         for i, pair in enumerate(descs):
-            trajs, lifts = _lifted_pair(pair, grid, p, T, int(n_time), False)
+            u1 = _field_from_descriptor(grid, pair[0], False)
             if kind == "bilinear_str":
-                lhs = bilinear_I(lifts[0], lifts[1], p.alpha / 2.0).l2_norm()
-                rhs = bourgain_norm(lifts[0], p0) * bourgain_norm(lifts[1], p0)
+                u2 = _field_from_descriptor(grid, pair[1], False)
+                lhs = bilinear_I(free.lift(u1), free.lift(u2), p.alpha / 2.0).l2_norm()
+                rhs = free.norm(u1) * free.norm(u2)
             else:  # dual_bilinear
                 rng_i = np.random.default_rng(int(dual_seeds[i]))
-                u2 = _random_spacetime(rng_i, grid, lifts[0].time_grid, band)
-                lhs = bourgain_norm(
-                    bilinear_K(lifts[0], u2, p.alpha), p0, b=-p.b
-                )
-                rhs = bourgain_norm(lifts[0], p0) * u2.l2_norm()
+                v = _random_spacetime(rng_i, grid, time_grid, band)
+                lhs = _weighted_norm(bilinear_K(free.lift(u1), v, p.alpha), w_dual, p0.omega)
+                rhs = free.norm(u1) * v.l2_norm()
             ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
         per_resolution.append((f"{n_space}x{n_time}", ratios))
     return per_resolution, descs
 
 
-def _dominant_regions(lhs_field, lifts, p, top_cells):
-    """Classify the dominant convolution cells of the heaviest output cells."""
+def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
+    """Classify the dominant convolution cells of the heaviest output cells.
+
+    w_out is the b' weight table on the output lattice.  The dominant cell is
+    an argmax over products of the two lifts' coefficients, so near-ties
+    between the two factors' terms are broken by roundoff.
+    """
     U1, U2 = lifts
-    w = bourgain_weights(
-        lhs_field.taus, lhs_field.space_grid.frequencies, p, p.b_prime
-    )
-    contrib = w * np.abs(lhs_field.coeffs) ** 2
+    contrib = w_out * np.abs(lhs_field.coeffs) ** 2
     flat = np.argsort(contrib, axis=None)[::-1][:top_cells]
     m_out, n_out = contrib.shape
     z_x_out = lhs_field.space_grid.zero_index
@@ -730,18 +781,25 @@ def _main_bilinear_ratios(p, inputs, seed):
             pairs = [_draw_pair(rng_r, families, band_r, dxi) for _ in range(n_samples)]
         else:
             pairs = descs
+        free = _FreeLifts(grid, p, T, int(n_time))
+        # the product field lives on the lifts' tau grid and the doubled xi grid
+        w_out = bourgain_weights(
+            free.kernel.taus, _extended_grid(grid).frequencies, p, p.b_prime
+        )
         ratios = np.empty(n_samples)
         d_hist = {name: 0 for name in _D_PARTS}
         a_hist = {name: 0 for name in _A_PARTS}
         for i, pair in enumerate(pairs):
-            trajs, lifts = _lifted_pair(pair, grid, p, T, int(n_time), zero_mean)
-            lhs_field = product_derivative_field(trajs[0], trajs[1], T, int(n_time))
-            lhs = bourgain_norm(lhs_field, p, b=p.b_prime)
-            norms = [bourgain_norm(u, p, b=p.b) for u in lifts]
-            rhs = 2.0 * norms[0] * norms[1]
+            u1, u2 = (_field_from_descriptor(grid, d, zero_mean) for d in pair)
+            lhs_field = product_derivative_field(
+                free.trajectory(u1), free.trajectory(u2), T, int(n_time)
+            )
+            lhs = _weighted_norm(lhs_field, w_out, p.omega)
+            rhs = 2.0 * free.norm(u1) * free.norm(u2)
             ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
             if finest and rhs > 0.0:
-                for label in _dominant_regions(lhs_field, lifts, p, top_cells):
+                lifts = (free.lift(u1), free.lift(u2))
+                for label in _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
                     d_hist[label.d_part] += 1
                     a_hist[label.a_part] += 1
         if finest:

@@ -280,16 +280,29 @@ def bourgain_norm(U: SpaceTimeField, p: EstimateParams, b: float | None = None) 
     """
     if b is None:
         b = p.b
-    if p.omega > 0.0:
-        col = U.coeffs[:, U.space_grid.zero_index]
-        scale = float(np.max(np.abs(U.coeffs))) if U.coeffs.size else 0.0
-        if scale > 0.0 and float(np.max(np.abs(col))) > 1e-13 * scale:
-            raise ValueError(
-                "bourgain norm with omega > 0 requires a vanishing zero spatial mode"
-            )
     w = bourgain_weights(U.taus, U.space_grid.frequencies, p, b)
-    total = float(np.sum(w * np.abs(U.coeffs) ** 2))
+    return _weighted_norm(U, w, p.omega)
+
+
+def _weighted_norm(U: SpaceTimeField, w: np.ndarray, omega: float) -> float:
+    """bourgain_norm of U with its weight table w on U's lattice already built."""
+    mags = np.abs(U.coeffs)
+    if omega > 0.0 and mags.size:
+        _require_vanishing_zero_column(
+            float(np.max(mags[:, U.space_grid.zero_index])), float(np.max(mags))
+        )
+    total = float(np.sum(w * mags**2))
     return math.sqrt(total * U.time_grid.spacing * U.space_grid.spacing)
+
+
+def _require_vanishing_zero_column(zero_max: float, scale: float) -> None:
+    """The omega > 0 check: the field's largest magnitude on the xi = 0 column,
+    zero_max, must not exceed 1e-13 of its largest magnitude overall, scale.
+    """
+    if scale > 0.0 and zero_max > 1e-13 * scale:
+        raise ValueError(
+            "bourgain norm with omega > 0 requires a vanishing zero spatial mode"
+        )
 
 
 def _trapezoid(values: np.ndarray, dt: float) -> float:

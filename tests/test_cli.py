@@ -46,6 +46,21 @@ class TestConfig:
         assert config.alpha == (1.1,)
         assert config.seed == 9
 
+    def test_no_zero_mean_overrides_config_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("zero_mean=true\n")
+        assert build_config(["simulate", "--config", str(path)]).zero_mean is True
+        config = build_config(["simulate", "--config", str(path), "--no-zero-mean"])
+        assert config.zero_mean is False
+        assert build_config(["simulate", "--zero-mean"]).zero_mean is True
+
+    def test_number_list_starting_negative(self):
+        config = build_config(["sweep", "--alpha", "1.2", "--s", "-0.5,-0.4"])
+        assert config.s == (-0.5, -0.4)
+        assert build_config(["sweep", "--s", "-0.5"]).s == (-0.5,)
+        assert build_config(["sweep", "--s=-0.5,-0.4"]).s == (-0.5, -0.4)
+        assert build_config(["sweep", "--s", "none"]).s is None
+
     def test_conflicting_subcommand_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("subcommand=picard\n")
@@ -236,6 +251,27 @@ class TestPicardCommand:
         rows = read(out / "picard_vs_reference.csv").strip().split("\n")
         assert rows[0] == "t,l2_gap_vs_reference"
         assert len(rows) > 10
+
+
+    def test_mismatched_dt_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        import fbo_lab.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("no solve may start before the dt check")
+
+        monkeypatch.setattr(cli, "picard_solve", never)
+        monkeypatch.setattr(cli, "solve_reference", never)
+        argv = ["picard", "--n-modes", "32", "--box-length", "16", "--amplitude", "0.1"]
+        out = str(tmp_path / "pic")
+        rc = main(argv + ["--t-span", "0.3", "--dt", "0.007", "--out", out])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "off the Picard time grid" in err
+        fit = err.split("use dt=")[1].split(",")[0]
+        assert main(argv + ["--t-span", "0.3", "--dt", "0.5", "--out", out]) == EXIT_CONFIG
+        assert "exceeds t_span" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(argv + ["--t-span", "0.3", "--dt", fit, "--out", out]) == EXIT_OK
 
 
 class TestSweep:

@@ -18,8 +18,14 @@ from fbo_lab import (
     resonance_infimum,
     spacetime_inner,
 )
-from fbo_lab.estimates import _classify_arrays
-from fbo_lab.spectral import FrequencyGrid
+from fbo_lab.estimates import (
+    _classify_arrays,
+    _free_cutoff_trajectory,
+    _FreeLifts,
+    _x_params,
+)
+from fbo_lab.norms import localized_lift
+from fbo_lab.spectral import FrequencyGrid, SpectralField, make_test_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -340,6 +346,109 @@ class TestEstimateRatio:
             seed=1,
         )
         assert np.isfinite(report.sup_ratio)
+
+
+class TestFreeLifts:
+    """One kernel per resolution stands for the per-sample lift and norm."""
+
+    GRIDS = ((FrequencyGrid(32, 16.0), 64), (FrequencyGrid(48, 12.0), 96))
+    T = 0.5
+
+    def fields(self, grid, zero_mean):
+        real = make_test_field(grid, "random_bandlimited", seed=3, band=3.0, zero_mean=zero_mean)
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)
+        if zero_mean:
+            c[grid.zero_index] = 0.0
+        return real, SpectralField(grid, c)
+
+    def direct_lift(self, u0, alpha, n_time):
+        traj = _free_cutoff_trajectory(u0, alpha, self.T, n_time, 2.0)
+        return traj, localized_lift(traj, self.T, pad_factor=2.0)
+
+    @pytest.mark.parametrize("grid_index", [0, 1])
+    def test_kernel_times_u0_is_the_lift(self, grid_index):
+        grid, n_time = self.GRIDS[grid_index]
+        p = EstimateParams.default_admissible(1.5)
+        free = _FreeLifts(grid, p, self.T, n_time)
+        for u0 in self.fields(grid, zero_mean=False):
+            traj, lift = self.direct_lift(u0, p.alpha, n_time)
+            assert np.array_equal(free.trajectory(u0).coeffs, traj.coeffs)
+            ours = free.lift(u0)
+            assert ours.time_grid == lift.time_grid
+            err = np.max(np.abs(ours.coeffs - lift.coeffs))
+            assert err <= 1e-13 * np.max(np.abs(lift.coeffs))
+
+    @pytest.mark.parametrize("grid_index", [0, 1])
+    def test_profile_norm_is_the_restriction_norm(self, grid_index):
+        grid, n_time = self.GRIDS[grid_index]
+        p = EstimateParams.default_admissible(1.5)
+        assert p.omega > 0.0
+        at_b_prime = p.replace(b=p.b_prime, admissible=False)
+        for params, zero_mean in ((p, True), (at_b_prime, True), (_x_params(p), False)):
+            free = _FreeLifts(grid, params, self.T, n_time)
+            for u0 in self.fields(grid, zero_mean):
+                _, lift = self.direct_lift(u0, p.alpha, n_time)
+                expected = bourgain_norm(lift, params)
+                assert free.norm(u0) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_mode_check_matches_bourgain_norm(self):
+        grid, n_time = self.GRIDS[0]
+        p = EstimateParams.default_admissible(1.5)
+        free = _FreeLifts(grid, p, self.T, n_time)
+        u0, _ = self.fields(grid, zero_mean=True)
+        scale = np.max(np.abs(u0.coeffs))
+        for zero_mode, rejected in ((1e-3 * scale, True), (1e-17 * scale, False)):
+            c = np.array(u0.coeffs)
+            c[grid.zero_index] = zero_mode
+            field = SpectralField(grid, c)
+            _, lift = self.direct_lift(field, p.alpha, n_time)
+            if rejected:
+                for norm in (lambda: free.norm(field), lambda: bourgain_norm(lift, p)):
+                    with pytest.raises(ValueError, match="vanishing zero spatial mode"):
+                        norm()
+            else:
+                assert free.norm(field) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
+
+
+# Trends of small fixed configs, recorded before the free lifts were factored
+# through one kernel per resolution; the factoring changes them by roundoff.
+_RECORDED_TRENDS = {
+    "strichartz": (
+        {"n_samples": 4, "resolutions": (32, 64), "box_length": 16.0, "band": 4.0, "T": 0.5},
+        3,
+        (0.4296610358757873, 0.45033228008413506),
+    ),
+    "bilinear_str": (
+        {"n_samples": 4, "resolutions": ((32, 32), (48, 48)), "band": 3.0},
+        4,
+        (1.3327469669293912, 1.442934631796948),
+    ),
+    "dual_bilinear": (
+        {"n_samples": 4, "resolutions": ((32, 32), (48, 48)), "band": 3.0},
+        4,
+        (0.3711618097301418, 0.3308027190410253),
+    ),
+    "main_bilinear": (
+        {"n_samples": 6, "resolutions": ((32, 256), (40, 320)), "band": 4.0},
+        6,
+        (0.056313983012743256, 0.056313564849340754),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDED_TRENDS))
+def test_trend_matches_recorded_values(kind):
+    inputs, seed, expected = _RECORDED_TRENDS[kind]
+    report = estimate_ratio(kind, inputs, EstimateParams.default_admissible(1.5), seed)
+    values = tuple(v for _, v in report.refinement_trend)
+    assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if kind == "main_bilinear":
+        hist = report.region_histogram
+        assert hist["d_part"] == {"D11": 30, "D12": 0, "D21": 18, "D22": 0}
+        # A1 and A2 trade labels where the two factors' terms tie to roundoff
+        assert hist["a_part"]["A"] == 40
+        assert hist["a_part"]["A1"] + hist["a_part"]["A2"] == 8
 
 
 class TestRatioReport:
