@@ -26,7 +26,7 @@ from .evolution import (
     picard_solve,
     solve_reference,
 )
-from .norms import EstimateParams, admissible_omega, s_threshold
+from .norms import _ADMISSIBLE_TOL, EstimateParams, admissible_omega, epsilon_ceiling, s_threshold
 from .spectral import BUMP_PROFILE, FrequencyGrid, _l2_raw, make_test_field
 
 ENV_THREADS = "FBO_LAB_THREADS"
@@ -192,12 +192,26 @@ def _estimate_summary_row(report: RatioReport, p: EstimateParams | None) -> str:
 _SUMMARY_HEADER = "kind,alpha,s,b,b_prime,sup_or_inf,n_samples,resolution,seed"
 
 
-def _build_params(config: ExperimentConfig, alpha: float, s: float | None = None) -> EstimateParams:
-    if s is None and config.s:
-        s = config.s[0]
+def _build_params(config: ExperimentConfig, alpha: float, s: float | None) -> EstimateParams:
     return EstimateParams.default_admissible(
         alpha, config.epsilon, s=s, b=config.b, b_prime=config.b_prime
     )
+
+
+def _check_epsilon(config: ExperimentConfig, points) -> None:
+    """Before any compute: epsilon <= (alpha-1)/4 at every (alpha, s) point
+    whose s is at or above its floor, else name an --epsilon that fits all."""
+    eps, tol = config.epsilon, _ADMISSIBLE_TOL
+    over = [
+        a for a, s in points
+        if eps > epsilon_ceiling(a) + tol and (s is None or s >= s_threshold(a) + eps - tol)
+    ]
+    if over:
+        fits = epsilon_ceiling(min(a for a, _ in points))
+        raise ConfigError(
+            f"epsilon={eps!r} exceeds (alpha-1)/4 = {epsilon_ceiling(min(over)):.12g} at "
+            f"alpha={min(over)!r}; pass --epsilon {fits:.12g} or smaller"
+        )
 
 
 def _initial_field(config: ExperimentConfig, grid: FrequencyGrid):
@@ -287,13 +301,8 @@ def _run_picard(config: ExperimentConfig) -> int:
         u0, T, alpha, tol=config.tol, max_iter=config.max_iter, dt=config.dt
     )
     reference = solve_reference(u0, T, config.dt, alpha)
-    gaps = []
-    for i in range(reference.n_times):
-        t = float(reference.times[i])
-        j = traj.index_of_time(t)
-        gaps.append(
-            _l2_raw(traj.coeffs[j] - reference.coeffs[i], grid.spacing)
-        )
+    on_picard_grid = [traj.index_of_time(float(t)) for t in reference.times]
+    gaps = _l2_raw(traj.coeffs[on_picard_grid] - reference.coeffs, grid.spacing).tolist()
     payload = {
         "iterate_differences": list(history.iterate_differences),
         "converged": history.converged,
@@ -327,8 +336,9 @@ def _run_verify_resonance(config: ExperimentConfig) -> int:
 
 
 def _run_verify_estimate(config: ExperimentConfig) -> int:
-    alpha = config.alpha[0]
-    p = _build_params(config, alpha)
+    alpha, s = config.alpha[0], (config.s[0] if config.s else None)
+    _check_epsilon(config, [(alpha, s)])
+    p = _build_params(config, alpha, s)
     report = estimate_ratio(config.kind, {"n_samples": config.samples}, p, config.seed)
     _write_json(
         os.path.join(config.out, f"estimate_{config.kind}.json"), report.to_json_dict()
@@ -348,10 +358,10 @@ def _run_sweep(config: ExperimentConfig) -> int:
             s_values = [threshold + delta for delta in (-0.2, -0.1, 0.1, 0.2)]
         for s in s_values:
             points.append((alpha, s, threshold))
+    _check_epsilon(config, [(alpha, s) for alpha, s, _ in points])
+    params = [_build_params(config, alpha, s=s) for alpha, s, _ in points]
 
-    def one(point):
-        alpha, s, threshold = point
-        p = _build_params(config, alpha, s=s)
+    def one(p):
         # the band grows with the grid here so that refinement genuinely
         # enlarges the frequency support being tested around the threshold
         report = estimate_ratio(
@@ -362,7 +372,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
         )
         return report
 
-    reports = _ordered_map(one, points)
+    reports = _ordered_map(one, params)
     rows = [
         "alpha,s,s_threshold,resolution_coarse,ratio_coarse,resolution_fine,"
         "ratio_fine,growth_factor,seed"

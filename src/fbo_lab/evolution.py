@@ -93,6 +93,16 @@ class PicardHistory:
             raise ValueError("iterate differences must be finite")
 
 
+#: Trajectory rows transformed at once by the batched per-time loops: 64 rows
+#: of 512 modes are 512 KB, and no temporary grows with the number of times.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive slices of at most _BLOCK_ROWS rows covering range(n_rows)."""
+    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS)]
+
+
 def _dealias_mask(grid: FrequencyGrid) -> np.ndarray:
     # 2/3 rule, strict: keep |k| < N/3 so that aliases of the quadratic
     # product land strictly outside the retained band.
@@ -266,18 +276,21 @@ def duhamel_apply(
     dt = u_guess.dt
     symbol = dispersion_symbol(grid.frequencies, alpha)
     forcing = np.empty_like(u_guess.coeffs)
-    for i in range(u_guess.n_times):
-        forcing[i] = _nonlinearity_raw(u_guess.coeffs[i], grid, mask)
+    for rows in _row_blocks(u_guess.n_times):
+        forcing[rows] = _nonlinearity_raw(u_guess.coeffs[rows], grid, mask)
     # W(t-t') = W(t) W(-t'): accumulate the t'-integral of W(-t') N(u(t'))
     # cumulatively from t=0 in both directions, then apply W(t) once.
     back_phase = np.exp(-1j * np.outer(t, symbol))
     h = back_phase * forcing
     i0 = u_guess.index_of_time(0.0)
+    # Trapezoid panels outward from the zero row at i0, then running sums
+    # forward and running differences backward: accumulate adds in order,
+    # so each row rounds as a step-by-step sum from t=0 does.
     acc = np.zeros_like(h)
-    for i in range(i0 + 1, u_guess.n_times):
-        acc[i] = acc[i - 1] + (0.5 * dt) * (h[i - 1] + h[i])
-    for i in range(i0 - 1, -1, -1):
-        acc[i] = acc[i + 1] - (0.5 * dt) * (h[i] + h[i + 1])
+    acc[i0 + 1 :] = (0.5 * dt) * (h[i0:-1] + h[i0 + 1 :])
+    acc[:i0] = (0.5 * dt) * (h[:i0] + h[1 : i0 + 1])
+    np.cumsum(acc[i0:], axis=0, out=acc[i0:])
+    np.subtract.accumulate(acc[i0::-1], axis=0, out=acc[i0::-1])
     psi_1 = bump(t)[:, None]
     psi_T = bump(t / T)[:, None]
     out = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
@@ -312,11 +325,8 @@ def picard_solve(
     converged = False
     for _ in range(max_iter):
         new = duhamel_apply(current, u0, T, alpha)
-        gap = max(
-            _l2_raw(new.coeffs[i] - current.coeffs[i], grid.spacing)
-            for i in range(new.n_times)
-        )
-        gaps.append(float(gap))
+        gap = float(np.max(_l2_raw(new.coeffs - current.coeffs, grid.spacing)))
+        gaps.append(gap)
         current = new
         if gap <= tol:
             converged = True
@@ -380,16 +390,27 @@ def export_trajectory_binary(traj: Trajectory, path) -> None:
 
 
 def load_trajectory_binary(path, alpha: float = float("nan")) -> Trajectory:
-    """Read a binary dump.  alpha is not stored in the header; pass it if known."""
+    """Read a binary dump.  alpha is not stored in the header; pass it if known.
+
+    A file whose size does not match its header's count of times and modes
+    (a truncated dump, say) is rejected, naming both byte counts.
+    """
     with open(path, "rb") as fh:
-        magic, version, n_modes, box_length, _dt, count = _HEADER.unpack(
-            fh.read(_HEADER.size)
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"trajectory dump holds {len(raw)} bytes, fewer than its header")
+    magic, version, n_modes, box_length, _dt, count = _HEADER.unpack_from(raw)
+    if magic != _BINARY_MAGIC:
+        raise ValueError(f"not a trajectory dump (magic {magic!r})")
+    if version != _BINARY_VERSION:
+        raise ValueError(f"unsupported trajectory dump version {version}")
+    expected = _HEADER.size + (8 + 16 * n_modes) * count
+    if len(raw) != expected:
+        raise ValueError(
+            f"trajectory dump of {count} times x {n_modes} modes needs {expected} "
+            f"bytes, found {len(raw)}"
         )
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"not a trajectory dump (magic {magic!r})")
-        if version != _BINARY_VERSION:
-            raise ValueError(f"unsupported trajectory dump version {version}")
-        times = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        coeffs = np.frombuffer(fh.read(16 * count * n_modes), dtype="<c16")
+    times = np.frombuffer(raw, "<f8", count, _HEADER.size)
+    coeffs = np.frombuffer(raw, "<c16", count * n_modes, _HEADER.size + 8 * count)
     grid = FrequencyGrid(n_modes, box_length)
-    return Trajectory(grid, times.copy(), coeffs.reshape(count, n_modes).copy(), alpha)
+    return Trajectory(grid, times, coeffs.reshape(count, n_modes), alpha)

@@ -47,6 +47,11 @@ def s_threshold(alpha: float) -> float:
     return -0.75 * (alpha - 1.0)
 
 
+def epsilon_ceiling(alpha: float) -> float:
+    """Largest admissible epsilon, (alpha-1)/4."""
+    return (alpha - 1.0) / 4.0
+
+
 def admissible_b_prime_bound(alpha: float, epsilon: float) -> float:
     """Largest admissible b': min{-1/4, -omega, -1/2+eps/3, -1/2+(3/4)(alpha-1)-eps}."""
     return min(
@@ -91,9 +96,9 @@ class EstimateParams:
             raise ValueError(
                 f"admissible omega is 1/alpha - 1/2 = {target:.12g}, got {self.omega}"
             )
-        if self.epsilon > (self.alpha - 1.0) / 4.0 + tol:
+        if self.epsilon > epsilon_ceiling(self.alpha) + tol:
             raise ValueError(
-                f"epsilon must not exceed (alpha-1)/4 = {(self.alpha - 1.0) / 4.0:.12g}"
+                f"epsilon must not exceed (alpha-1)/4 = {epsilon_ceiling(self.alpha):.12g}"
             )
         s_min = s_threshold(self.alpha) + self.epsilon
         if self.s < s_min - tol:
@@ -155,17 +160,29 @@ def sobolev_norm(u: SpectralField, s: float, omega: float) -> float:
     For omega > 0 the weight is singular at xi = 0, so the field must be
     mean-zero; the zero mode is then excluded from the sum.
     """
+    weights = _sobolev_weights(u.grid.frequencies, s, omega)
+    return float(_sobolev_rows(u.coeffs, u.grid, weights, omega))
+
+
+def _sobolev_weights(xi: np.ndarray, s: float, omega: float) -> np.ndarray:
+    """The squared weight of sobolev_norm, 0 on the zero mode for omega > 0."""
     if not (0.0 <= omega < 0.5):
         raise ValueError(f"omega must lie in [0, 1/2), got {omega}")
-    xi = u.grid.frequencies
-    c2 = np.abs(u.coeffs) ** 2
     weights = japanese_bracket(xi) ** (2.0 * s + 2.0 * omega)
     if omega > 0.0:
-        _require_zero_mean(u.coeffs, u.grid.zero_index, "sobolev norm with omega > 0")
-        keep = xi != 0.0
-        weights = weights[keep] * np.abs(xi[keep]) ** (-2.0 * omega)
-        c2 = c2[keep]
-    return math.sqrt(float(np.sum(weights * c2)) * u.grid.spacing)
+        nz = xi != 0.0
+        weights = np.where(nz, weights * np.abs(np.where(nz, xi, 1.0)) ** (-2.0 * omega), 0.0)
+    return weights
+
+
+def _sobolev_rows(
+    coeffs: np.ndarray, grid: FrequencyGrid, weights: np.ndarray, omega: float, first: int = 0
+) -> np.ndarray:
+    """sobolev_norm of each row of coeffs (rows numbered from first for the
+    mean-zero check), with weights from _sobolev_weights."""
+    if omega > 0.0:
+        _require_zero_mean(coeffs, grid.zero_index, "sobolev norm with omega > 0", first)
+    return np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=-1) * grid.spacing)
 
 
 @dataclass(frozen=True)

@@ -236,11 +236,12 @@ def inverse_transform(u: SpectralField) -> np.ndarray:
 
 def l2_norm(u: SpectralField) -> float:
     """Parseval-normalized L2 norm: sqrt(sum |c_k|^2 * dxi)."""
-    return _l2_raw(u.coeffs, u.grid.spacing)
+    return float(_l2_raw(u.coeffs, u.grid.spacing))
 
 
-def _l2_raw(coeffs: np.ndarray, dxi: float) -> float:
-    return math.sqrt(float(np.sum(np.abs(coeffs) ** 2)) * dxi)
+def _l2_raw(coeffs: np.ndarray, dxi: float) -> np.floating | np.ndarray:
+    """Parseval L2 norm along the last axis: of a field, or of each row of fields."""
+    return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=-1) * dxi)
 
 
 def japanese_bracket(xi: np.ndarray) -> np.ndarray:
@@ -272,12 +273,17 @@ def apply_multiplier(u: SpectralField, kind: str, s: float) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * weights)
 
 
-def _require_zero_mean(coeffs: np.ndarray, zero_index: int, what: str) -> None:
-    scale = float(np.max(np.abs(coeffs)))
-    if scale > 0.0 and abs(coeffs[zero_index]) > 1e-13 * scale:
+def _require_zero_mean(coeffs: np.ndarray, zero_index: int, what: str, first: int = 0) -> None:
+    """Reject a field whose zero mode exceeds 1e-13 of its largest coefficient;
+    for rows of fields, numbered from first, name the first such row."""
+    rows = np.atleast_2d(coeffs)
+    zero = np.abs(rows[:, zero_index])
+    bad = np.flatnonzero(zero > 1e-13 * np.max(np.abs(rows), axis=-1))
+    if bad.size:
+        state = f" at state {first + bad[0]}" if coeffs.ndim == 2 else ""
         raise ValueError(
             f"{what} requires a mean-zero field (singular weight at xi=0); "
-            f"zero-mode amplitude is {abs(coeffs[zero_index]):.3e}"
+            f"zero-mode amplitude is {zero[bad[0]]:.3e}{state}"
         )
 
 

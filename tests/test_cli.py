@@ -106,6 +106,39 @@ class TestExitCodes:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv, alpha, bound, fix",
+        [
+            (["sweep", "--alpha", "1.3,1.5,1.7"], "1.3", "0.075", "0.075"),
+            (["verify-estimate", "--alpha", "1.2"], "1.2", "0.05", "0.05"),
+            # s=-0.06 is below alpha=1.2's floor at epsilon 0.1 but not at 0.075
+            (["sweep", "--alpha", "1.2,1.3", "--s=-0.06"], "1.3", "0.075", "0.05"),
+        ],
+    )
+    def test_epsilon_too_large_names_the_fix(
+        self, tmp_path, monkeypatch, capsys, argv, alpha, bound, fix
+    ):
+        import fbo_lab.cli as cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(kind, options, p, seed):
+            raise Reached(p)
+
+        monkeypatch.setattr(cli, "estimate_ratio", reached)
+        argv = argv + ["--samples", "2", "--out", str(tmp_path / "eps")]
+        assert main(argv) == EXIT_CONFIG  # the default epsilon, 0.1
+        err = capsys.readouterr().err
+        assert f"epsilon=0.1 exceeds (alpha-1)/4 = {bound} at alpha={alpha}" in err
+        assert f"pass --epsilon {fix} or smaller" in err
+        with pytest.raises(Reached) as reached_with:
+            main(argv + ["--epsilon", fix])
+        assert reached_with.value.args[0].epsilon == float(fix)
+        # a point whose s lies below its floor is not bound by epsilon
+        with pytest.raises(Reached):
+            main(argv + ["--s=-0.5"])
+
 
 class TestSimulate:
     def test_zero_amplitude_run(self, tmp_path):

@@ -21,7 +21,8 @@ from fbo_lab import (
     propagate,
     solve_reference,
 )
-from fbo_lab.spectral import _l2_raw
+from fbo_lab.evolution import _BLOCK_ROWS, _dealias_mask, _nonlinearity_raw
+from fbo_lab.spectral import _l2_raw, bump, dispersion_symbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +168,36 @@ class TestDuhamel:
         i0 = out.index_of_time(0.0)
         assert np.max(np.abs(out.coeffs[i0] - u0.coeffs)) <= 1e-13
 
+    def test_bit_identical_to_per_time_loop(self):
+        # t = 0 sits at row 230, 38 rows into its block of 64, and the row
+        # count 441 is no multiple of the block size
+        g = make_grid(64, 16.0)
+        u0 = make_test_field(g, "gaussian", amplitude=0.3)
+        T, alpha = 0.5, 1.5
+        t = np.arange(-230, 211) * 0.01
+        assert 230 % _BLOCK_ROWS not in (0, _BLOCK_ROWS // 2) and t.size % _BLOCK_ROWS
+        rng = np.random.default_rng(5)
+        noisy = rng.standard_normal((t.size, 64)) + 1j * rng.standard_normal((t.size, 64))
+        guess = Trajectory(g, t, 0.05 * noisy, alpha)
+        out = duhamel_apply(guess, u0, T, alpha)
+        dt = guess.dt  # the step the operator reads off the samples
+
+        # the operator as a loop over the time samples
+        mask = _dealias_mask(g)
+        forcing = np.empty_like(guess.coeffs)
+        for i in range(t.size):
+            forcing[i] = _nonlinearity_raw(guess.coeffs[i], g, mask)
+        back_phase = np.exp(-1j * np.outer(t, dispersion_symbol(g.frequencies, alpha)))
+        h = back_phase * forcing
+        acc = np.zeros_like(h)
+        for i in range(231, t.size):
+            acc[i] = acc[i - 1] + (0.5 * dt) * (h[i - 1] + h[i])
+        for i in range(229, -1, -1):
+            acc[i] = acc[i + 1] - (0.5 * dt) * (h[i] + h[i + 1])
+        psi_1, psi_T = bump(t)[:, None], bump(t / T)[:, None]
+        expected = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
+        assert out.coeffs.tobytes() == expected.tobytes()
+
     def test_window_and_grid_validation(self):
         g = make_grid(64, 16.0)
         u0 = make_test_field(g, "gaussian")
@@ -269,6 +300,24 @@ class TestExports:
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.coeffs, traj.coeffs)
         assert back.alpha == traj.alpha
+
+    def test_truncated_binary_rejected_with_byte_counts(self, tmp_path):
+        traj = self.make_traj()
+        path = tmp_path / "traj.bin"
+        export_trajectory_binary(traj, path)
+        raw = path.read_bytes()
+        size = len(raw)
+        assert size == 36 + (8 + 16 * traj.grid.n_modes) * traj.n_times
+        for cut in (size - 1, size - 16 * traj.grid.n_modes, 40):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"needs {size} bytes, found {cut}$"):
+                load_trajectory_binary(path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match=f"needs {size} bytes, found {size + 1}$"):
+            load_trajectory_binary(path)
+        path.write_bytes(raw[:20])
+        with pytest.raises(ValueError, match="holds 20 bytes, fewer than its header"):
+            load_trajectory_binary(path)
 
     def test_binary_header_contract(self, tmp_path):
         import struct
