@@ -153,8 +153,8 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_roots: int = 32):
     return q, f1, f2, f3
 
 
-def _stepper(grid: FrequencyGrid, dt: float, alpha: float, scheme: str, nonlinear: bool):
-    """One step of size dt (signed) as a function of the current coefficients."""
+def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str, nonlinear: bool):
+    """One step of each row of coefficients by its signed step in the column dt."""
     if scheme not in ("split_step", "exponential_integrator"):
         raise ValueError(
             f"unknown scheme {scheme!r}; use 'split_step' or 'exponential_integrator'"
@@ -172,7 +172,9 @@ def _stepper(grid: FrequencyGrid, dt: float, alpha: float, scheme: str, nonlinea
     if scheme == "split_step":
         return lambda c: half * _rk4(nl, half * c, dt)
     full = np.exp(dt * lin)
-    q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
+    # one call per signed step, stacked as rows: broadcasting over the
+    # column rounds differently from the one-direction coefficients
+    q, f1, f2, f3 = np.stack([_etdrk4_coeffs(lin, step) for step in dt[:, 0]], axis=1)
 
     def etdrk4(c):
         n0 = nl(c)
@@ -185,33 +187,6 @@ def _stepper(grid: FrequencyGrid, dt: float, alpha: float, scheme: str, nonlinea
         return full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
 
     return etdrk4
-
-
-def _integrate(
-    c0: np.ndarray,
-    grid: FrequencyGrid,
-    n_steps: int,
-    dt: float,
-    alpha: float,
-    scheme: str,
-    nonlinear: bool,
-    blowup_factor: float,
-) -> np.ndarray:
-    """March n_steps of size dt (signed), returning all states incl. the first."""
-    step = _stepper(grid, dt, alpha, scheme, nonlinear)
-    limit = blowup_factor * max(_l2_raw(c0, grid.spacing), np.finfo(float).tiny)
-    out = np.empty((n_steps + 1, grid.n_modes), dtype=complex)
-    out[0] = c0
-    c = c0
-    for i in range(n_steps):
-        c = step(c)
-        out[i + 1] = c
-        if _l2_raw(c, grid.spacing) > limit:
-            raise BlowUpError(
-                f"L2 norm grew past {blowup_factor}x the initial value at "
-                f"t={dt * (i + 1):.6g}"
-            )
-    return out
 
 
 def solve_reference(
@@ -227,16 +202,21 @@ def solve_reference(
     """Integrate forward and backward from t=0 over [-t_span, t_span].
 
     The linear substeps use the exact propagator phases.  dt is adjusted to
-    the nearest value that divides t_span evenly.
+    the nearest value that divides t_span evenly.  Both directions march
+    together as a pair of rows, one stepping by +dt and one by -dt.  If the
+    L2 norm of either grows past blowup_factor times its initial value,
+    BlowUpError names the signed t of the first step at which that happens,
+    the forward t when both directions cross on the same step.
     """
     if not (t_span > 0.0 and dt > 0.0):
         raise ValueError(f"t_span and dt must be positive, got {t_span}, {dt}")
     if dt > t_span:
         raise ValueError(f"dt={dt} exceeds t_span={t_span}")
+    grid = u0.grid
     n = max(1, int(round(t_span / dt)))
     dt_eff = t_span / n
-    max_u = float(np.max(np.abs(_inverse_raw(u0.coeffs, u0.grid.box_length))))
-    cfl = dt_eff * u0.grid.nyquist * max_u
+    max_u = float(np.max(np.abs(_inverse_raw(u0.coeffs, grid.box_length))))
+    cfl = dt_eff * grid.nyquist * max_u
     if cfl > 1.0:
         warnings.warn(
             f"dt*max|xi|*max|u| = {cfl:.3g} exceeds 1; the nonlinear substep "
@@ -244,11 +224,24 @@ def solve_reference(
             RuntimeWarning,
             stacklevel=2,
         )
-    fwd = _integrate(u0.coeffs, u0.grid, n, dt_eff, alpha, scheme, nonlinear, blowup_factor)
-    bwd = _integrate(u0.coeffs, u0.grid, n, -dt_eff, alpha, scheme, nonlinear, blowup_factor)
-    coeffs = np.vstack([bwd[::-1], fwd[1:]])
+    steps = np.array([[dt_eff], [-dt_eff]])
+    step = _stepper(grid, steps, alpha, scheme, nonlinear)
+    limit = blowup_factor * max(_l2_raw(u0.coeffs, grid.spacing), np.finfo(float).tiny)
+    coeffs = np.empty((2 * n + 1, grid.n_modes), dtype=complex)
+    coeffs[n] = u0.coeffs
+    c = np.stack([u0.coeffs, u0.coeffs])
+    for i in range(n):
+        c = step(c)
+        coeffs[n + 1 + i] = c[0]
+        coeffs[n - 1 - i] = c[1]
+        grown = _l2_raw(c, grid.spacing) > limit
+        if grown.any():
+            t = steps[np.argmax(grown), 0] * (i + 1)
+            raise BlowUpError(
+                f"L2 norm grew past {blowup_factor}x the initial value at t={t:.6g}"
+            )
     times = np.arange(-n, n + 1) * dt_eff
-    return Trajectory(u0.grid, times, coeffs, float(alpha))
+    return Trajectory(grid, times, coeffs, float(alpha))
 
 
 def duhamel_apply(
@@ -385,8 +378,9 @@ def export_trajectory_binary(traj: Trajectory, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(traj.times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(traj.coeffs, dtype="<c16").tobytes())
+        # written straight from the arrays, with no bytes copy of the trajectory
+        np.ascontiguousarray(traj.times, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(traj.coeffs, dtype="<c16").tofile(fh)
 
 
 def load_trajectory_binary(path, alpha: float = float("nan")) -> Trajectory:

@@ -1,7 +1,11 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbo_lab import (
     BlowUpError,
@@ -21,7 +25,14 @@ from fbo_lab import (
     propagate,
     solve_reference,
 )
-from fbo_lab.evolution import _BLOCK_ROWS, _dealias_mask, _nonlinearity_raw
+from fbo_lab.conservation import l2_drift
+from fbo_lab.evolution import (
+    _BLOCK_ROWS,
+    _dealias_mask,
+    _etdrk4_coeffs,
+    _nonlinearity_raw,
+    _rk4,
+)
 from fbo_lab.spectral import _l2_raw, bump, dispersion_symbol
 
 TWO_PI = 2.0 * math.pi
@@ -109,6 +120,43 @@ class TestSolveReference:
             with pytest.raises(BlowUpError, match="t=0.05$"):
                 solve_reference(u0, 5.0, 0.05, 1.5, scheme=scheme)
 
+    def test_blowup_names_first_crossing_in_either_direction(self):
+        # complex data do not conserve L2; for this field the backward norm
+        # passes 1.005 times its initial value well before the forward one
+        g = make_grid(64, 16.0)
+        u0 = make_test_field(
+            g, "random_bandlimited", seed=0, band=3.0, complex_field=True, amplitude=0.3
+        )
+        free = solve_reference(u0, 0.5, 0.01, 1.5, blowup_factor=1e9)
+        norms = _l2_raw(free.coeffs, g.spacing)
+        n = free.n_times // 2
+        grown = norms > 1.005 * norms[n]
+        i_fwd = int(np.argmax(grown[n + 1 :])) + 1
+        i_bwd = int(np.argmax(grown[n - 1 :: -1])) + 1
+        assert grown[n + i_fwd] and grown[n - i_bwd] and i_bwd < i_fwd
+        expected = f"t={free.times[n - i_bwd]:.6g}"
+        assert expected.startswith("t=-")
+        with pytest.raises(BlowUpError, match=re.escape(expected) + "$"):
+            solve_reference(u0, 0.5, 0.01, 1.5, blowup_factor=1.005)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "random_bandlimited"]),
+        seed=st.integers(0, 2**16),
+        amplitude=st.floats(0.05, 1.0),
+        width=st.floats(0.8, 2.5),
+        scheme=st.sampled_from(["split_step", "exponential_integrator"]),
+    )
+    def test_l2_conserved_over_generated_data(self, family, seed, amplitude, width, scheme):
+        # real data, N = 64; criterion 2's relative drift tolerance
+        g = make_grid(64, 16.0)
+        if family == "gaussian":
+            u0 = make_test_field(g, family, amplitude=amplitude, width=width)
+        else:
+            u0 = make_test_field(g, family, seed=seed, band=3.0, amplitude=amplitude)
+        traj = solve_reference(u0, 0.2, 1e-3, 1.5, scheme)
+        assert l2_drift(traj) <= 1e-6
+
     def test_cfl_warning(self):
         g = make_grid(128, 16.0)
         u0 = make_test_field(g, "gaussian", amplitude=5.0)
@@ -124,6 +172,71 @@ class TestSolveReference:
         for nonlinear in (True, False):
             with pytest.raises(ValueError, match="unknown scheme"):
                 solve_reference(u0, 0.1, 0.05, 1.5, scheme="euler", nonlinear=nonlinear)
+
+
+def _march_one_direction(c0, grid, n_steps, dt, alpha, scheme, nonlinear):
+    """n_steps of signed size dt, one field at a time, all states incl. the first."""
+    lin = 1j * dispersion_symbol(grid.frequencies, alpha)
+    mask = _dealias_mask(grid)
+
+    def nl(c):
+        return _nonlinearity_raw(c, grid, mask)
+
+    half, full = np.exp(0.5 * dt * lin), np.exp(dt * lin)
+    q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
+
+    def step(c):
+        if not nonlinear:
+            return full * c
+        if scheme == "split_step":
+            return half * _rk4(nl, half * c, dt)
+        n0 = nl(c)
+        a = half * c + q * n0
+        na = nl(a)
+        b = half * c + q * na
+        nb = nl(b)
+        cc = half * a + q * (2.0 * nb - n0)
+        nc = nl(cc)
+        return full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+
+    out = [c0]
+    for _ in range(n_steps):
+        out.append(step(out[-1]))
+    return np.array(out)
+
+
+class TestPairedMarch:
+    """solve_reference marches both time directions as one pair of rows; it
+    must give, byte for byte, what one march per direction gives."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 5])
+    @settings(max_examples=6, deadline=None)
+    @given(
+        scheme=st.sampled_from(["split_step", "exponential_integrator"]),
+        nonlinear=st.booleans(),
+        family=st.sampled_from(["gaussian", "random_bandlimited"]),
+        n_modes=st.sampled_from([32, 64]),
+        seed=st.integers(0, 2**16),
+        amplitude=st.floats(0.05, 1.0),
+        dt=st.floats(1e-3, 0.02),
+    )
+    def test_bit_identical_to_per_direction_march(
+        self, n_steps, scheme, nonlinear, family, n_modes, seed, amplitude, dt
+    ):
+        g = make_grid(n_modes, 16.0)
+        if family == "gaussian":
+            u0 = make_test_field(g, family, amplitude=amplitude, center=0.3)
+        else:
+            u0 = make_test_field(
+                g, family, seed=seed, band=3.0, amplitude=amplitude, complex_field=True
+            )
+        t_span = n_steps * dt
+        traj = solve_reference(u0, t_span, dt, 1.5, scheme, nonlinear=nonlinear)
+        dt_eff = t_span / n_steps  # the step solve_reference takes
+        fwd = _march_one_direction(u0.coeffs, g, n_steps, dt_eff, 1.5, scheme, nonlinear)
+        bwd = _march_one_direction(u0.coeffs, g, n_steps, -dt_eff, 1.5, scheme, nonlinear)
+        expected = np.vstack([bwd[::-1], fwd[1:]])
+        assert traj.coeffs.tobytes() == expected.tobytes()
 
 
 class TestDuhamel:
@@ -300,6 +413,21 @@ class TestExports:
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.coeffs, traj.coeffs)
         assert back.alpha == traj.alpha
+
+    def test_binary_bytes_match_packed_reference(self, tmp_path):
+        # version 1 layout: header, then times (<f8) and coeffs (<c16, C order)
+        g = make_grid(32, 8.0)
+        u0 = make_test_field(g, "random_bandlimited", seed=2, band=3.0, complex_field=True)
+        traj = solve_reference(u0, 0.1, 0.01, 1.5)
+        path = tmp_path / "traj.bin"
+        export_trajectory_binary(traj, path)
+        header = struct.pack(
+            "<8sIIddI", b"FBOTRAJ\x00", 1, 32, 8.0, traj.dt, traj.n_times
+        )
+        expected = (
+            header + traj.times.astype("<f8").tobytes() + traj.coeffs.astype("<c16").tobytes()
+        )
+        assert path.read_bytes() == expected
 
     def test_truncated_binary_rejected_with_byte_counts(self, tmp_path):
         traj = self.make_traj()

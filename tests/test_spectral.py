@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbo_lab import (
     CutoffProfile,
@@ -107,6 +109,30 @@ class TestTransform:
         assert np.max(np.abs(_forward_raw(u.T, g.box_length, axis=1) - direct.T)) <= tol
 
 
+class TestTransformProperties:
+    """Parseval and the round trip over generated samples, sizes and boxes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_modes=st.sampled_from([8, 10, 30, 64, 256]),
+        box_length=st.floats(0.5, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+        real=st.booleans(),
+    )
+    def test_parseval_and_round_trip(self, n_modes, box_length, seed, scale, real):
+        g = make_grid(n_modes, box_length)
+        rng = np.random.default_rng(seed)
+        u = scale * rng.standard_normal(n_modes)
+        if not real:
+            u = u + 1j * scale * rng.standard_normal(n_modes)
+        f = forward_transform(u, g)
+        physical = math.sqrt(np.sum(np.abs(u) ** 2) * box_length / n_modes)
+        assert l2_norm(f) == pytest.approx(physical, rel=1e-13)
+        back = inverse_transform(f)
+        assert np.max(np.abs(back - u)) <= 1e-13 * np.max(np.abs(u))
+
+
 class TestMultipliers:
     def test_bessel_zero_is_identity(self):
         g = make_grid(32, 9.0)
@@ -193,6 +219,36 @@ class TestPropagate:
             propagate(u, math.nan, 1.5)
         with pytest.raises(ValueError):
             propagate(u, 1.0, math.inf)
+
+
+class TestPropagateProperties:
+    """Unitarity and the group law over generated data, times and alpha.
+
+    The grids keep max|xi| = 4 pi and the data keep |xi| <= 8, as in
+    acceptance criterion 1, whose 1e-12 tolerances these are.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_modes=st.sampled_from([32, 64, 128, 256]),
+        seed=st.integers(0, 2**16),
+        band=st.floats(0.5, 8.0),
+        complex_field=st.booleans(),
+        alpha=st.floats(1.05, 1.95),
+        t1=st.floats(-1.1, 1.1),
+        t2=st.floats(-1.1, 1.1),
+    )
+    def test_unitarity_and_group_law(self, n_modes, seed, band, complex_field, alpha, t1, t2):
+        g = make_grid(n_modes, n_modes / 4.0)
+        u = make_test_field(
+            g, "random_bandlimited", seed=seed, band=band, complex_field=complex_field
+        )
+        ref = l2_norm(u)
+        assert l2_norm(propagate(u, t1, alpha)) == pytest.approx(ref, rel=1e-12)
+        composed = propagate(propagate(u, t1, alpha), t2, alpha)
+        direct = propagate(u, t1 + t2, alpha)
+        scale = np.max(np.abs(u.coeffs))
+        assert np.max(np.abs(composed.coeffs - direct.coeffs)) <= 1e-12 * scale
 
 
 class TestSplitAndCutoff:
