@@ -8,6 +8,8 @@ time-stepping error.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -15,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    TWO_PI,
     FrequencyGrid,
     SpectralField,
-    _forward_raw,
     _inverse_raw,
     _l2_raw,
+    _plan,
     bump,
     dispersion_symbol,
 )
@@ -35,7 +38,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed solution samples on a uniform grid covering [-T_span, T_span]."""
+    """Time-indexed solution samples on a uniform grid covering [-T_span, T_span].
+
+    coeffs is copied, unless it is a read-only complex array that owns its
+    memory, as the solvers hand theirs over: such an array is held as it is.
+    """
 
     grid: FrequencyGrid
     times: np.ndarray
@@ -44,7 +51,10 @@ class Trajectory:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = self.coeffs
+        if not (isinstance(coeffs, np.ndarray) and coeffs.dtype == complex
+                and coeffs.flags.owndata and not coeffs.flags.writeable):
+            coeffs = np.array(coeffs, dtype=complex)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("trajectory needs at least two time samples")
         steps = np.diff(times)
@@ -111,30 +121,60 @@ def _dealias_mask(grid: FrequencyGrid) -> np.ndarray:
     return np.abs(k) <= limit
 
 
+@functools.lru_cache(maxsize=16)
+def _slot_kernel(grid: FrequencyGrid):
+    """(square, nonlinearity) of rows of coefficients in numpy's fft slot order.
+
+    Each writes into out, which must not be c: F(u^2) of the 2/3-dealiased
+    field, or -(1/2) d/dx of it with the square dealiased too.  The steps are
+    those of _inverse_raw, the square and _forward_raw, in their order, so the
+    results are theirs permuted into slots, signed zeros included.
+    """
+    n, box = grid.n_modes, grid.box_length
+    _, grid_slot, signs = _plan(n)
+    dropped = np.flatnonzero(~_dealias_mask(grid)[grid_slot])  # one run of slots
+    drop = slice(int(dropped[0]), int(dropped[-1]) + 1)
+    in_signs, scale = signs[grid_slot] + 0j, n * math.sqrt(TWO_PI) / box
+    # a dropped mode enters as the masked-then-signed zero, not as c * 0
+    dropped_in = (np.zeros(n, complex) * signs)[grid_slot][drop]
+    out_signs = (signs * (box / (n * math.sqrt(TWO_PI))))[grid_slot] + 0j
+    dxi = (-0.5j * grid.frequencies)[grid_slot]
+
+    def square(c, out):
+        np.multiply(c, in_signs, out=out)
+        out[..., drop] = dropped_in
+        np.fft.ifft(out, out=out)
+        out *= scale
+        np.fft.fft(np.multiply(out, out, out=out), out=out)
+        out *= out_signs
+        return out
+
+    def nonlinearity(c, out):
+        square(c, out)[..., drop] = 0.0
+        return np.multiply(dxi, out, out=out)
+
+    return square, nonlinearity
+
+
+def _ascending(kernel, c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    fft_slot, grid_slot, _ = _plan(grid.n_modes)
+    out = kernel(np.take(c, grid_slot, axis=-1), np.empty(np.shape(c), complex))
+    return np.take(out, fft_slot, axis=-1)
+
+
 def _dealiased_square(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
-    """F(u^2) of the masked field; the complex square serves real and complex u alike."""
-    samples = _inverse_raw(np.where(mask, c, 0.0), grid.box_length)
-    return _forward_raw(samples * samples, grid.box_length)
+    """F(u^2) of the masked field; the complex square serves real and complex u
+    alike.  mask is _dealias_mask(grid), the mask the slot kernel applies."""
+    return _ascending(_slot_kernel(grid)[0], c, grid)
 
 
 def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
-    squared = np.where(mask, _dealiased_square(c, grid, mask), 0.0)
-    return -0.5j * grid.frequencies * squared
+    return _ascending(_slot_kernel(grid)[1], c, grid)
 
 
 def nonlinearity(u: SpectralField) -> SpectralField:
     """-(1/2) d/dx (u^2) with 2/3-rule dealiasing of the square."""
-    return SpectralField(
-        u.grid, _nonlinearity_raw(u.coeffs, u.grid, _dealias_mask(u.grid))
-    )
-
-
-def _rk4(f, c: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(c)
-    k2 = f(c + 0.5 * dt * k1)
-    k3 = f(c + 0.5 * dt * k2)
-    k4 = f(c + dt * k3)
-    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return SpectralField(u.grid, _ascending(_slot_kernel(u.grid)[1], u.coeffs, u.grid))
 
 
 def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_roots: int = 32):
@@ -154,37 +194,58 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_roots: int = 32):
 
 
 def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str, nonlinear: bool):
-    """One step of each row of coefficients by its signed step in the column dt."""
+    """Step rows of slot-ordered coefficients in place, each by its signed step
+    in the column dt; products keep the operand order of the ascending schemes,
+    as complex products round differently when swapped."""
     if scheme not in ("split_step", "exponential_integrator"):
         raise ValueError(
             f"unknown scheme {scheme!r}; use 'split_step' or 'exponential_integrator'"
         )
-    lin = 1j * dispersion_symbol(grid.frequencies, alpha)
+    _, grid_slot, _ = _plan(grid.n_modes)
+    lin = 1j * dispersion_symbol(grid.frequencies[grid_slot], alpha)
     if not nonlinear:
         phase = np.exp(dt * lin)
-        return lambda c: phase * c
-    mask = _dealias_mask(grid)
-
-    def nl(c):
-        return _nonlinearity_raw(c, grid, mask)
-
+        return lambda c: np.multiply(phase, c, out=c)
+    nl = _slot_kernel(grid)[1]
     half = np.exp(0.5 * dt * lin)
+    a, b, hc, k0, k1, k2 = (np.empty((dt.shape[0], grid.n_modes), complex) for _ in range(6))
     if scheme == "split_step":
-        return lambda c: half * _rk4(nl, half * c, dt)
+        half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+
+        def split_step(c):
+            # half * rk4(nl, half * c): k0 holds stage 1, then the weighted sum
+            np.multiply(half, c, out=c)
+            nl(c, k0)
+            nl(np.add(c, np.multiply(half_dt, k0, out=a), out=a), k1)
+            np.add(c, np.multiply(half_dt, k1, out=a), out=a)
+            np.add(k0, np.multiply(2.0, k1, out=k1), out=k0)
+            nl(a, k1)
+            np.add(c, np.multiply(dt, k1, out=a), out=a)
+            np.add(k0, np.multiply(2.0, k1, out=k1), out=k0)
+            np.add(k0, nl(a, k1), out=k0)
+            np.add(c, np.multiply(sixth_dt, k0, out=k0), out=k0)
+            np.multiply(half, k0, out=c)
+
+        return split_step
     full = np.exp(dt * lin)
     # one call per signed step, stacked as rows: broadcasting over the
     # column rounds differently from the one-direction coefficients
     q, f1, f2, f3 = np.stack([_etdrk4_coeffs(lin, step) for step in dt[:, 0]], axis=1)
+    two_f2 = 2.0 * f2
 
     def etdrk4(c):
-        n0 = nl(c)
-        a = half * c + q * n0
-        na = nl(a)
-        b = half * c + q * na
-        nb = nl(b)
-        cc = half * a + q * (2.0 * nb - n0)
-        nc = nl(cc)
-        return full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+        # n0, na, nb in k0, k1, k2; a and then cc in a; b and temporaries in b
+        np.multiply(half, c, out=hc)
+        nl(c, k0)
+        np.add(hc, np.multiply(q, k0, out=a), out=a)
+        nl(a, k1)
+        nl(np.add(hc, np.multiply(q, k1, out=b), out=b), k2)
+        np.subtract(np.multiply(2.0, k2, out=b), k0, out=b)
+        np.add(np.multiply(half, a, out=a), np.multiply(q, b, out=b), out=a)
+        np.multiply(full, c, out=c)
+        np.add(c, np.multiply(f1, k0, out=k0), out=c)
+        np.add(c, np.multiply(two_f2, np.add(k1, k2, out=k1), out=k1), out=c)
+        np.add(c, np.multiply(f3, nl(a, k2), out=k2), out=c)
 
     return etdrk4
 
@@ -229,19 +290,22 @@ def solve_reference(
     limit = blowup_factor * max(_l2_raw(u0.coeffs, grid.spacing), np.finfo(float).tiny)
     coeffs = np.empty((2 * n + 1, grid.n_modes), dtype=complex)
     coeffs[n] = u0.coeffs
-    c = np.stack([u0.coeffs, u0.coeffs])
+    # the march runs in fft slot order; each written row is gathered back
+    fft_slot, grid_slot, _ = _plan(grid.n_modes)
+    c = np.stack([u0.coeffs, u0.coeffs])[:, grid_slot]
     for i in range(n):
-        c = step(c)
-        coeffs[n + 1 + i] = c[0]
-        coeffs[n - 1 - i] = c[1]
-        grown = _l2_raw(c, grid.spacing) > limit
+        step(c)
+        # rows n+1+i and n-1-i, forward first, as one view of the trajectory
+        pair = coeffs[n - 1 - i : n + 2 + i : 2 * i + 2][::-1]
+        np.take(c, fft_slot, axis=1, out=pair)
+        grown = _l2_raw(pair, grid.spacing) > limit
         if grown.any():
             t = steps[np.argmax(grown), 0] * (i + 1)
             raise BlowUpError(
                 f"L2 norm grew past {blowup_factor}x the initial value at t={t:.6g}"
             )
-    times = np.arange(-n, n + 1) * dt_eff
-    return Trajectory(grid, times, coeffs, float(alpha))
+    coeffs.setflags(write=False)
+    return Trajectory(grid, np.arange(-n, n + 1) * dt_eff, coeffs, float(alpha))
 
 
 def duhamel_apply(
@@ -287,6 +351,7 @@ def duhamel_apply(
     psi_1 = bump(t)[:, None]
     psi_T = bump(t / T)[:, None]
     out = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
+    out.setflags(write=False)
     return Trajectory(grid, t, out, float(alpha))
 
 
@@ -347,23 +412,16 @@ def retained_mode_indices(grid: FrequencyGrid, max_modes: int | None) -> np.ndar
 def export_trajectory_csv(traj: Trajectory, path, max_modes: int | None = None) -> None:
     """CSV columns: t, then |coeff| and phase per retained mode, xi ascending."""
     idx = retained_mode_indices(traj.grid, max_modes)
-    xi = traj.grid.frequencies[idx]
     header = ["t"]
-    for f in xi:
-        header.append(f"abs[xi={float(f)!r}]")
-        header.append(f"phase[xi={float(f)!r}]")
-    lines = [",".join(header)]
+    for f in traj.grid.frequencies[idx]:
+        header += [f"abs[xi={float(f)!r}]", f"phase[xi={float(f)!r}]"]
     sub = traj.coeffs[:, idx]
-    mags = np.abs(sub)
-    phases = np.angle(sub)
-    for i, t in enumerate(traj.times):
-        row = [repr(float(t))]
-        for j in range(idx.size):
-            row.append(repr(float(mags[i, j])))
-            row.append(repr(float(phases[i, j])))
-        lines.append(",".join(row))
+    table = np.empty((traj.n_times, 1 + 2 * idx.size))
+    table[:, 0], table[:, 1::2], table[:, 2::2] = traj.times, np.abs(sub), np.angle(sub)
+    # a list of floats prints as their reprs joined by ", "
+    rows = [repr(row)[1:-1].replace(", ", ",") for row in table.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header)] + rows) + "\n")
 
 
 def export_trajectory_binary(traj: Trajectory, path) -> None:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbo_lab import (
     EstimateParams,
@@ -159,6 +161,41 @@ class TestClassifyRegion:
         assert np.all(np.abs(xi1[mask] + xi2[mask]) <= 0.5 * np.abs(xi1[mask]))
         assert np.all(np.abs(xi2[mask]) >= 1.0)
 
+    # boundary values of the region inequalities, mixed with generic ones
+    _coords = st.one_of(
+        st.floats(-100.0, 100.0),
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 8.0, -8.0]),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(_coords, _coords, _coords, _coords, _coords), min_size=1, max_size=20))
+    def test_partition_over_generated_tuples(self, tuples):
+        # criterion 9: each tuple on the half |xi1| <= |xi2| gets exactly one D
+        # part and one A part, and its tuple satisfies that part's definition
+        a, b, lam, lam1, lam2 = (np.array(col) for col in zip(*tuples))
+        xi1 = np.where(np.abs(a) <= np.abs(b), a, b)
+        xi2 = np.where(np.abs(a) <= np.abs(b), b, a)
+        d, acode = _classify_arrays(xi1, xi2, lam, lam1, lam2)
+        assert d.shape == acode.shape == (len(tuples),)
+        a1, a2 = np.abs(xi1), np.abs(xi2)
+        d1 = 4.0 * a1 <= a2
+        d22 = (xi1 * xi2 < 0.0) & (np.abs(xi1 + xi2) <= 0.5 * a1) & (a2 >= 1.0)
+        assert np.array_equal(d == 0, d1 & (a1 <= 2.0))
+        assert np.array_equal(d == 1, d1 & (a1 > 2.0))
+        assert np.array_equal(d == 3, ~d1 & d22)
+        assert np.array_equal(d == 2, ~d1 & ~d22)
+        brackets = np.sqrt(1.0 + np.stack([lam, lam1, lam2]) ** 2)
+        assert np.all(np.isin(acode, (0, 1, 2)))
+        chosen = brackets[acode, np.arange(acode.size)]
+        assert np.all(chosen == brackets.max(axis=0))
+        # ties go to the first-listed modulation
+        assert np.all(np.argmax(brackets == chosen, axis=0) == acode)
+        for i in range(len(tuples)):
+            label = classify_region(xi1[i], xi2[i], lam[i], lam1[i], lam2[i])
+            assert (label.d_part, label.a_part) == (
+                ("D11", "D12", "D21", "D22")[d[i]], ("A", "A1", "A2")[acode[i]]
+            )
+
     def test_scalar_agrees_with_vectorized(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
@@ -240,6 +277,31 @@ class TestBilinearOperators:
             rhs = spacetime_inner(u2, bilinear_K(u1, w, 1.5))
             scale = u1.l2_norm() * u2.l2_norm() * w.l2_norm()
             assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_space=st.sampled_from([8, 16, 32]),
+        n_time=st.sampled_from([8, 16]),
+        box=st.floats(2.0, 40.0),
+        window=st.floats(0.5, 10.0),
+        alpha=st.floats(1.05, 1.95),
+        seed=st.integers(0, 2**16),
+        scales=st.tuples(*[st.floats(1e-3, 1e3)] * 3),
+    )
+    def test_adjoint_identity_over_generated_fields(
+        self, n_space, n_time, box, window, alpha, seed, scales
+    ):
+        # criterion 4: <I(u1, u2, alpha/2), w> = <u2, K(u1, w, alpha)>
+        gs, gt = FrequencyGrid(n_space, box), FrequencyGrid(n_time, window)
+        rng = np.random.default_rng(seed)
+        u1, u2, w = (
+            SpaceTimeField(gs, gt, k * (rng.standard_normal((n_time, n_space, 2)) @ [1, 1j]))
+            for k in scales
+        )
+        lhs = spacetime_inner(bilinear_I(u1, u2, alpha / 2.0), w)
+        rhs = spacetime_inner(u2, bilinear_K(u1, w, alpha))
+        scale = u1.l2_norm() * u2.l2_norm() * w.l2_norm()
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_kernel_positivity(self):
         rng = np.random.default_rng(4)

@@ -1,11 +1,13 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fbo_lab import (
     BlowUpError,
@@ -29,13 +31,33 @@ from fbo_lab.conservation import l2_drift
 from fbo_lab.evolution import (
     _BLOCK_ROWS,
     _dealias_mask,
+    _dealiased_square,
     _etdrk4_coeffs,
     _nonlinearity_raw,
-    _rk4,
 )
-from fbo_lab.spectral import _l2_raw, bump, dispersion_symbol
+from fbo_lab.spectral import _forward_raw, _inverse_raw, _l2_raw, bump, dispersion_symbol
 
 TWO_PI = 2.0 * math.pi
+
+
+def _reference_square(c, grid, mask):
+    """F(u^2) of the masked field in ascending mode order, one transform each way."""
+    samples = _inverse_raw(np.where(mask, c, 0.0), grid.box_length)
+    return _forward_raw(samples * samples, grid.box_length)
+
+
+def _reference_nonlinearity(c, grid, mask):
+    """-(1/2) d/dx (u^2) in ascending mode order, the square masked again."""
+    squared = np.where(mask, _reference_square(c, grid, mask), 0.0)
+    return -0.5j * grid.frequencies * squared
+
+
+def _reference_rk4(f, c, dt):
+    k1 = f(c)
+    k2 = f(c + 0.5 * dt * k1)
+    k3 = f(c + 0.5 * dt * k2)
+    k4 = f(c + dt * k3)
+    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestNonlinearity:
@@ -56,6 +78,30 @@ class TestNonlinearity:
         g = make_grid(128, 25.0)
         u = make_test_field(g, "random_bandlimited", seed=0, band=6.0)
         assert nonlinearity(u).is_conjugate_symmetric()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_modes=st.sampled_from([10, 30, 64, 256]),
+        rows=st.sampled_from([None, 1, 3]),
+        data=st.data(),
+    )
+    def test_byte_equal_to_ascending_formula(self, n_modes, rows, data):
+        # the slot-order kernel must give the ascending formula's bytes,
+        # signed zeros included, for one field and for rows of fields
+        g = make_grid(n_modes, 11.0)
+        shape = (n_modes, 2) if rows is None else (rows, n_modes, 2)
+        parts = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+        c = parts.view(complex)[..., 0]  # real and imaginary parts, signed zeros kept
+        mask = _dealias_mask(g)
+        for got, want in (
+            (_nonlinearity_raw(c, g, mask), _reference_nonlinearity(c, g, mask)),
+            (_dealiased_square(c, g, mask), _reference_square(c, g, mask)),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if rows is None:
+            assert nonlinearity(SpectralField(g, c)).coeffs.tobytes() == (
+                _reference_nonlinearity(c, g, mask).tobytes()
+            )
 
 
 class TestSolveReference:
@@ -139,6 +185,25 @@ class TestSolveReference:
         with pytest.raises(BlowUpError, match=re.escape(expected) + "$"):
             solve_reference(u0, 0.5, 0.01, 1.5, blowup_factor=1.005)
 
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_blowup_on_the_final_step(self, direction):
+        # complex data: the L2 norm of this field grows toward t = -t_span and
+        # that of its mirror image u0(-x) toward t = +t_span, so a sentinel
+        # between the last two norms of that direction trips on the last step
+        g = make_grid(64, 16.0)
+        c = make_test_field(
+            g, "random_bandlimited", seed=0, band=3.0, complex_field=True, amplitude=0.3
+        ).coeffs
+        if direction > 0:
+            c = np.append(c[-2::-1], 0.0)
+        u0 = SpectralField(g, c)
+        free = solve_reference(u0, 0.2, 0.01, 1.5, blowup_factor=1e9)
+        norms = _l2_raw(free.coeffs, g.spacing) / l2_norm(u0)
+        final, rest = (norms[-1], norms[:-1]) if direction > 0 else (norms[0], norms[1:])
+        assert final > rest.max()
+        with pytest.raises(BlowUpError, match=f"t={direction * 0.2:.6g}$"):
+            solve_reference(u0, 0.2, 0.01, 1.5, blowup_factor=0.5 * (final + rest.max()))
+
     @settings(max_examples=8, deadline=None)
     @given(
         family=st.sampled_from(["gaussian", "random_bandlimited"]),
@@ -175,12 +240,13 @@ class TestSolveReference:
 
 
 def _march_one_direction(c0, grid, n_steps, dt, alpha, scheme, nonlinear):
-    """n_steps of signed size dt, one field at a time, all states incl. the first."""
+    """n_steps of signed size dt, one field at a time in ascending mode order,
+    all states incl. the first; the schemes written out as plain expressions."""
     lin = 1j * dispersion_symbol(grid.frequencies, alpha)
     mask = _dealias_mask(grid)
 
     def nl(c):
-        return _nonlinearity_raw(c, grid, mask)
+        return _reference_nonlinearity(c, grid, mask)
 
     half, full = np.exp(0.5 * dt * lin), np.exp(dt * lin)
     q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
@@ -189,7 +255,7 @@ def _march_one_direction(c0, grid, n_steps, dt, alpha, scheme, nonlinear):
         if not nonlinear:
             return full * c
         if scheme == "split_step":
-            return half * _rk4(nl, half * c, dt)
+            return half * _reference_rk4(nl, half * c, dt)
         n0 = nl(c)
         a = half * c + q * n0
         na = nl(a)
@@ -237,6 +303,41 @@ class TestPairedMarch:
         bwd = _march_one_direction(u0.coeffs, g, n_steps, -dt_eff, 1.5, scheme, nonlinear)
         expected = np.vstack([bwd[::-1], fwd[1:]])
         assert traj.coeffs.tobytes() == expected.tobytes()
+
+
+class TestTrajectory:
+    def test_public_constructor_copies_the_callers_arrays(self):
+        g = make_grid(16, 8.0)
+        times = np.linspace(-0.1, 0.1, 5)
+        coeffs = np.ones((5, 16), complex)
+        traj = Trajectory(g, times, coeffs, 1.5)
+        coeffs[2, 3] = 7.0
+        times[0] = -9.0
+        assert np.all(traj.coeffs == 1.0) and traj.times[0] == -0.1
+        assert not (traj.coeffs.flags.writeable or traj.times.flags.writeable)
+
+    def test_frozen_array_that_owns_its_memory_is_held_as_is(self):
+        g = make_grid(16, 8.0)
+        times = np.linspace(-0.1, 0.1, 5)
+        coeffs = np.ones((5, 16), complex)
+        coeffs.setflags(write=False)
+        assert Trajectory(g, times, coeffs, 1.5).coeffs is coeffs
+        view = np.ones((5, 32), complex)[:, :16]
+        view.setflags(write=False)
+        assert Trajectory(g, times, view, 1.5).coeffs is not view
+
+    def test_solver_result_is_not_copied(self):
+        # the traced peak of a solve stays near one trajectory, not two
+        g = make_grid(64, 16.0)
+        u0 = make_test_field(g, "gaussian", amplitude=0.2)
+        solve_reference(u0, 0.01, 1e-3, 1.5)
+        tracemalloc.start()
+        try:
+            traj = solve_reference(u0, 0.3, 1e-3, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * traj.coeffs.nbytes
 
 
 class TestDuhamel:
@@ -403,6 +504,31 @@ class TestExports:
         assert len(lines) == 1 + traj.n_times
         xi = [-math.pi / 4, 0.0, math.pi / 4, math.pi / 2]  # smallest |xi|, ascending
         assert header[1:] == [f"{part}[xi={x!r}]" for x in xi for part in ("abs", "phase")]
+
+    def test_csv_bytes_match_per_cell_repr(self, tmp_path):
+        # negative times and phases, a subnormal, signed zeros, inf and nan
+        g = make_grid(8, 4.0)
+        times = np.array([-0.5, -0.25, 0.0, 0.25])
+        coeffs = np.full((4, 8), 0.3 - 0.7j)
+        coeffs[0, :4] = [-1.5 + 0j, 5e-324 + 0j, complex(-0.0, -0.0), complex(0.0, -0.0)]
+        coeffs[1, :3] = [complex(np.inf, 1.0), complex(np.nan, 0.0), -2.0 - 1e-300j]
+        coeffs[2] = np.linspace(-3.0, 3.0, 8) * (1 - 2j) / 3.0
+        traj = Trajectory(g, times, coeffs, 1.5)
+        for max_modes in (None, 3):
+            path = tmp_path / "traj.csv"
+            export_trajectory_csv(traj, path, max_modes=max_modes)
+            idx = np.arange(8) if max_modes is None else np.array([2, 3, 4])
+            lines = [path.read_text().split("\n")[0]]
+            for i, t in enumerate(times):
+                row = [repr(float(t))]
+                for j in idx:
+                    row.append(repr(float(np.abs(coeffs[i, j]))))
+                    row.append(repr(float(np.angle(coeffs[i, j]))))
+                lines.append(",".join(row))
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+            if max_modes is None:
+                cells = ",".join(lines[1:3]).split(",")
+                assert {"inf", "nan", "-0.0", "5e-324", "-3.141592653589793"} <= set(cells)
 
     def test_binary_round_trip(self, tmp_path):
         traj = self.make_traj()
