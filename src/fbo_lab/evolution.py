@@ -169,6 +169,7 @@ def _dealiased_square(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> n
 
 
 def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
+    """-(1/2) d/dx (u^2) of ascending rows; mask as for _dealiased_square."""
     return _ascending(_slot_kernel(grid)[1], c, grid)
 
 
