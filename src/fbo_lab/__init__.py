@@ -38,12 +38,10 @@ from .norms import (
 )
 from .spectral import (
     BUMP_PROFILE,
-    CutoffProfile,
     FrequencyGrid,
     SpectralField,
     apply_multiplier,
     bump,
-    cutoff_value,
     forward_transform,
     inverse_transform,
     l2_norm,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Trajectory, _dealias_mask, _dealiased_square, _row_blocks
+from .evolution import Trajectory, _dealiased_square, _row_blocks
 from .norms import _sobolev_rows, _sobolev_weights
 from .spectral import FrequencyGrid, SpectralField, _l2_raw, _require_zero_mean, bump
 
@@ -68,7 +68,7 @@ def forcing_ratio(state: SpectralField, omega: float) -> float:
     """
     grid = state.grid
     weights = _forcing_weights(grid, omega)
-    return float(_forcing_ratios(state.coeffs, grid, _dealias_mask(grid), weights))
+    return float(_forcing_ratios(state.coeffs, grid, weights))
 
 
 def _forcing_weights(grid: FrequencyGrid, omega: float) -> np.ndarray:
@@ -78,12 +78,10 @@ def _forcing_weights(grid: FrequencyGrid, omega: float) -> np.ndarray:
     return -0.5j * (bump(xi) * np.abs(xi) ** (1.0 - omega))
 
 
-def _forcing_ratios(
-    coeffs: np.ndarray, grid: FrequencyGrid, mask: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+def _forcing_ratios(coeffs: np.ndarray, grid: FrequencyGrid, weights: np.ndarray) -> np.ndarray:
     """forcing_ratio of each row of coeffs, 0 for a zero row."""
     l2 = _l2_raw(coeffs, grid.spacing)
-    f_l2 = _l2_raw(weights * _dealiased_square(coeffs, grid, mask), grid.spacing)
+    f_l2 = _l2_raw(weights * _dealiased_square(coeffs, grid), grid.spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(l2 == 0.0, 0.0, f_l2 / l2**2)
 
@@ -97,13 +95,13 @@ def apriori_check(traj: Trajectory, omega: float) -> AprioriReport:
     """
     grid = traj.grid
     weights = _sobolev_weights(grid.frequencies, 0.0, omega)
-    mask, f_weights = _dealias_mask(grid), _forcing_weights(grid, omega)
+    f_weights = _forcing_weights(grid, omega)
     norms = np.empty(traj.n_times)
     ratios = np.empty(traj.n_times)
     for rows in _row_blocks(traj.n_times):
         block = traj.coeffs[rows]
         norms[rows] = _sobolev_rows(block, grid, weights, omega, rows.start)
-        ratios[rows] = _forcing_ratios(block, grid, mask, f_weights)
+        ratios[rows] = _forcing_ratios(block, grid, f_weights)
     T = float(traj.times[-1])
     i0 = traj.index_of_time(0.0)
     initial = float(norms[i0])

@@ -35,6 +35,7 @@ from .norms import (
 from .spectral import (
     FrequencyGrid,
     SpectralField,
+    _FAMILIES,
     _forward_raw,
     _inverse_raw,
     bump,
@@ -218,6 +219,26 @@ class RatioReport:
         return out
 
 
+def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) -> RatioReport:
+    """Report of the smallest of the admissible ratios.
+
+    The trend compares the first half of the samples with all of them;
+    extremal maps a name to per-sample values, reported at the argmin.
+    """
+    half = ratios.size // 2
+    trend = (
+        (f"n={half}", float(np.min(ratios[:half]))),
+        (f"n={ratios.size}", float(np.min(ratios))),
+    )
+    i_min = int(np.argmin(ratios))
+    sample = {name: float(values[i_min]) for name, values in extremal.items()}
+    sample["ratio"] = float(ratios[i_min])
+    return RatioReport(
+        kind, int(ratios.size), seed, trend, inf_ratio=sample["ratio"], extremal_sample=sample,
+        skipped=skipped,
+    )
+
+
 # ---------------------------------------------------------------------------
 # resonance lower-bound scan
 
@@ -266,25 +287,7 @@ def resonance_infimum(
     lo = np.min(mags, axis=0)
     hi = np.max(mags, axis=0)
     ratios = np.abs(resonance(xi1, xi2, alpha)) / (lo * hi**alpha)
-    half = ratios.size // 2
-    trend = (
-        (f"n={half}", float(np.min(ratios[:half]))),
-        (f"n={ratios.size}", float(np.min(ratios))),
-    )
-    i_min = int(np.argmin(ratios))
-    return RatioReport(
-        kind="resonance",
-        sample_count=int(ratios.size),
-        seed=seed,
-        refinement_trend=trend,
-        inf_ratio=float(ratios[i_min]),
-        extremal_sample={
-            "xi1": float(xi1[i_min]),
-            "xi2": float(xi2[i_min]),
-            "ratio": float(ratios[i_min]),
-        },
-        skipped=skipped,
-    )
+    return _infimum_report("resonance", ratios, seed, skipped, {"xi1": xi1, "xi2": xi2})
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +395,11 @@ def spacetime_inner(U: SpaceTimeField, V: SpaceTimeField) -> complex:
 # sampled test inputs shared across resolutions
 
 
+def _n_band(band: float, dxi: float) -> int:
+    """The largest mode number with |xi| <= band, at least 1."""
+    return max(1, int(math.floor(band / dxi + 1e-9)))
+
+
 def _draw_band_modes(rng: np.random.Generator, n_band: int) -> np.ndarray:
     """Hermitian coefficient draws for mode numbers -n_band..n_band."""
     pos = rng.standard_normal((n_band, 2))
@@ -400,22 +408,82 @@ def _draw_band_modes(rng: np.random.Generator, n_band: int) -> np.ndarray:
     return np.concatenate([np.conj(pos[::-1]), [zero], pos])
 
 
-def _draw_descriptor(rng: np.random.Generator, families, band: float, dxi: float) -> dict:
-    family = families[int(rng.integers(0, len(families)))]
+def _envelope(rng: np.random.Generator, family: str) -> dict:
+    """A descriptor of family with drawn amplitude, width and center."""
+    return {"family": family, "amplitude": float(rng.uniform(0.5, 1.5)),
+            "width": float(rng.uniform(0.8, 2.0)), "center": float(rng.uniform(-2.0, 2.0))}
+
+
+def _draw_descriptor(rng: np.random.Generator, n_band: int, dxi: float) -> dict:
+    family = _FAMILIES[int(rng.integers(0, len(_FAMILIES)))]
     if family == "random_bandlimited":
-        n_band = max(1, int(math.floor(band / dxi + 1e-9)))
         return {"family": family, "modes": _draw_band_modes(rng, n_band)}
-    desc = {
-        "family": family,
-        "amplitude": float(rng.uniform(0.5, 1.5)),
-        "width": float(rng.uniform(0.8, 2.0)),
-        "center": float(rng.uniform(-2.0, 2.0)),
-    }
+    desc = _envelope(rng, family)
     if family == "wave_packet":
-        n_band = max(1, int(math.floor(band / dxi + 1e-9)))
         j = int(rng.integers(1, n_band + 1)) * (1 if rng.random() < 0.5 else -1)
         desc["carrier"] = j * dxi
     return desc
+
+
+def _packet_descriptor(rng: np.random.Generator, j: int, dxi: float) -> dict:
+    return {**_envelope(rng, "wave_packet"), "carrier": j * dxi}
+
+
+def _draw_pair(rng: np.random.Generator, n_band: int, dxi: float, correlated=True) -> tuple:
+    """A pair of field descriptors, enriched with correlated carrier draws.
+
+    Independent draws mostly land in the comparable-frequency and
+    low-vs-high regions; the two correlated branches target the separated
+    (D12-style) and opposite-sign near-cancelling (D22-style) interactions
+    that random pairs almost never dominate.  correlated=False draws only
+    the independent pair.
+    """
+    k_max = max(2, n_band)
+    branch = rng.random() if correlated else 1.0
+    if branch < 0.25:
+        # separated carriers: 4|xi1| <= |xi2|
+        j1 = int(rng.integers(1, max(2, k_max // 4) + 1))
+        j2 = int(rng.integers(min(4 * j1, k_max), k_max + 1))
+        s1 = 1 if rng.random() < 0.5 else -1
+        s2 = 1 if rng.random() < 0.5 else -1
+        return _packet_descriptor(rng, s1 * j1, dxi), _packet_descriptor(rng, s2 * j2, dxi)
+    if branch < 0.5:
+        # opposite signs, comparable size, small output frequency
+        j2 = int(rng.integers(3, k_max + 1))
+        d = int(rng.integers(0, min(3, j2 // 2) + 1))
+        s2 = 1 if rng.random() < 0.5 else -1
+        return _packet_descriptor(rng, -s2 * (j2 - d), dxi), _packet_descriptor(rng, s2 * j2, dxi)
+    return _draw_descriptor(rng, n_band, dxi), _draw_descriptor(rng, n_band, dxi)
+
+
+def _draw_samples(kind: str, rng: np.random.Generator, n_samples: int, n_band: int, dxi: float):
+    """The descriptors of each sample of a sampled kind, in one fixed draw order."""
+    if kind == "strichartz":
+        draws = [_draw_band_modes(rng, n_band) for _ in range(n_samples)]
+        return [{"family": "random_bandlimited", "modes": modes} for modes in draws]
+    if kind == "main_bilinear":
+        return [_draw_pair(rng, n_band, dxi) for _ in range(n_samples)]
+    pairs = [_draw_pair(rng, n_band, dxi, correlated=False) for _ in range(n_samples)]
+    if kind == "bilinear_str":
+        return pairs
+    # dual_bilinear: the first factor, and a seed for the random second factor
+    seeds = rng.integers(0, 2**63 - 1, size=n_samples)
+    return [(pair[0], int(seed)) for pair, seed in zip(pairs, seeds)]
+
+
+def _random_spacetime(rng, grid, time_grid, band, tau_fraction=1.0 / 3.0):
+    """Random coefficients on a (tau, xi) sub-band, extreme modes zero."""
+    m, n = time_grid.n_modes, grid.n_modes
+    coeffs = np.zeros((m, n), dtype=complex)
+    tau_ok = np.abs(time_grid.mode_numbers) <= int(m * tau_fraction)
+    xi_ok = np.abs(grid.frequencies) <= band
+    sel = np.outer(tau_ok, xi_ok)
+    sel[-1, :] = False
+    sel[:, -1] = False
+    k = int(np.sum(sel))
+    draws = rng.standard_normal((k, 2))
+    coeffs[sel] = draws[:, 0] + 1j * draws[:, 1]
+    return SpaceTimeField(grid, time_grid, coeffs)
 
 
 def _field_from_descriptor(
@@ -465,6 +533,7 @@ class _FreeLifts:
     """
 
     def __init__(self, grid: FrequencyGrid, p: EstimateParams, T: float, n_time: int):
+        self.grid, self.p, self.T, self.n_time = grid, p, T, n_time
         ones = SpectralField(grid, np.ones(grid.n_modes, dtype=complex))
         self.paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0)
         self.kernel = localized_lift(self.paths, T, pad_factor=2.0)
@@ -473,7 +542,6 @@ class _FreeLifts:
         measure = self.kernel.time_grid.spacing * grid.spacing
         self.profile = np.sum(w * mags**2, axis=0) * measure
         self.column_max = np.max(mags, axis=0)
-        self.omega = p.omega
 
     def trajectory(self, u0: SpectralField) -> Trajectory:
         """The free evolution of u0 on the cutoff's time samples."""
@@ -489,7 +557,7 @@ class _FreeLifts:
     def norm(self, u0: SpectralField) -> float:
         """bourgain_norm of the lift of u0, with its omega > 0 zero-mode check."""
         mags = np.abs(u0.coeffs)
-        if self.omega > 0.0:
+        if self.p.omega > 0.0:
             z = u0.grid.zero_index
             _require_vanishing_zero_column(
                 float(self.column_max[z] * mags[z]), float(np.max(self.column_max * mags))
@@ -542,111 +610,21 @@ def product_derivative_field(
 # ---------------------------------------------------------------------------
 # the ratio harness
 
-_ESTIMATE_KINDS = ("strichartz", "bilinear_str", "dual_bilinear", "main_bilinear", "smoothing")
+_BILINEAR_INPUTS = dict(
+    n_samples=100, resolutions=((48, 48), (64, 64)), box_length=16.0, band=3.0, T=0.5
+)
 
-_COMMON_KEYS = {"n_samples", "resolutions", "box_length", "band", "T", "top_cells"}
-_MAIN_KEYS = _COMMON_KEYS | {"band_fraction"}
-
-
-def _check_keys(inputs: dict, allowed: set, kind: str) -> None:
-    unknown = set(inputs) - allowed
-    if unknown:
-        raise ValueError(f"unknown input keys for kind {kind!r}: {sorted(unknown)}")
-
-
-def _strichartz_ratios(p, inputs, seed):
-    n_samples = int(inputs.get("n_samples", 200))
-    resolutions = list(inputs.get("resolutions", (256, 512)))
-    L = float(inputs.get("box_length", 64.0))
-    band = float(inputs.get("band", 8.0))
-    T = float(inputs.get("T", 1.0))
-    rng = np.random.default_rng(seed)
-    dxi = 2.0 * math.pi / L
-    n_band = max(1, int(math.floor(band / dxi + 1e-9)))
-    draws = [_draw_band_modes(rng, n_band) for _ in range(n_samples)]
-    gamma = (p.alpha - 1.0) / 4.0
-    per_resolution = []
-    n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
-    for n_modes in resolutions:
-        grid = FrequencyGrid(int(n_modes), L)
-        per_resolution.append(
-            (f"N={n_modes}", _strichartz_resolution(grid, draws, p, gamma, T, n_time))
-        )
-    return per_resolution, draws
-
-
-def _strichartz_resolution(grid, draws, p, gamma, T, n_time):
-    """Ratios of the L4t Linfx norm of <D>^gamma psi_T W(t) u0 to its lift's norm."""
-    free = _FreeLifts(grid, _x_params(p), T, n_time)
-    times = free.paths.times
-    psi = bump(times / T)[:, None]
-    cut_paths = psi * free.paths.coeffs * (japanese_bracket(grid.frequencies) ** gamma)[None, :]
-    ratios = np.empty(len(draws))
-    for i, modes in enumerate(draws):
-        u0 = _field_from_descriptor(grid, {"family": "random_bandlimited", "modes": modes}, False)
-        cut = Trajectory(grid, times, cut_paths * u0.coeffs[None, :], p.alpha)
-        lhs = mixed_lebesgue_norm(cut, 4.0, math.inf)
-        rhs = free.norm(u0)
-        ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
-    return ratios
-
-
-def _random_spacetime(rng, grid, time_grid, band, tau_fraction=1.0 / 3.0):
-    """Random coefficients on a (tau, xi) sub-band, extreme modes zero."""
-    m, n = time_grid.n_modes, grid.n_modes
-    coeffs = np.zeros((m, n), dtype=complex)
-    tau_ok = np.abs(time_grid.mode_numbers) <= int(m * tau_fraction)
-    xi_ok = np.abs(grid.frequencies) <= band
-    sel = np.outer(tau_ok, xi_ok)
-    sel[-1, :] = False
-    sel[:, -1] = False
-    k = int(np.sum(sel))
-    draws = rng.standard_normal((k, 2))
-    coeffs[sel] = draws[:, 0] + 1j * draws[:, 1]
-    return SpaceTimeField(grid, time_grid, coeffs)
-
-
-def _bilinear_kind_ratios(kind, p, inputs, seed):
-    n_samples = int(inputs.get("n_samples", 100))
-    resolutions = [tuple(r) for r in inputs.get("resolutions", ((48, 48), (64, 64)))]
-    L = float(inputs.get("box_length", 16.0))
-    band = float(inputs.get("band", 3.0))
-    T = float(inputs.get("T", 0.5))
-    rng = np.random.default_rng(seed)
-    dxi = 2.0 * math.pi / L
-    families = ("gaussian", "wave_packet", "random_bandlimited")
-    descs = [
-        (
-            _draw_descriptor(rng, families, band, dxi),
-            _draw_descriptor(rng, families, band, dxi),
-        )
-        for _ in range(n_samples)
-    ]
-    # pre-draw the random second factors of the dual kind per (sample, resolution)
-    dual_seeds = rng.integers(0, 2**63 - 1, size=n_samples)
-    p0 = _x_params(p)
-    per_resolution = []
-    for n_space, n_time in resolutions:
-        grid = FrequencyGrid(int(n_space), L)
-        free = _FreeLifts(grid, p0, T, int(n_time))
-        time_grid = free.kernel.time_grid
-        if kind == "dual_bilinear":
-            w_dual = bourgain_weights(time_grid.frequencies, grid.frequencies, p0, -p.b)
-        ratios = np.empty(n_samples)
-        for i, pair in enumerate(descs):
-            u1 = _field_from_descriptor(grid, pair[0], False)
-            if kind == "bilinear_str":
-                u2 = _field_from_descriptor(grid, pair[1], False)
-                lhs = bilinear_I(free.lift(u1), free.lift(u2), p.alpha / 2.0).l2_norm()
-                rhs = free.norm(u1) * free.norm(u2)
-            else:  # dual_bilinear
-                rng_i = np.random.default_rng(int(dual_seeds[i]))
-                v = _random_spacetime(rng_i, grid, time_grid, band)
-                lhs = _weighted_norm(bilinear_K(free.lift(u1), v, p.alpha), w_dual, p0.omega)
-                rhs = free.norm(u1) * v.l2_norm()
-            ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
-        per_resolution.append((f"{n_space}x{n_time}", ratios))
-    return per_resolution, descs
+#: The input keys each kind reads, with their defaults; a kind accepts exactly these.
+_KIND_INPUTS = {
+    "strichartz": dict(n_samples=200, resolutions=(256, 512), box_length=64.0, band=8.0, T=1.0),
+    "bilinear_str": _BILINEAR_INPUTS,
+    "dual_bilinear": _BILINEAR_INPUTS,
+    "main_bilinear": dict(
+        _BILINEAR_INPUTS, n_samples=200, resolutions=((56, 448), (64, 512)), band=10.0,
+        band_fraction=None, top_cells=8,
+    ),
+    "smoothing": dict(n_samples=100_000),
+}
 
 
 def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
@@ -659,157 +637,114 @@ def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
     U1, U2 = lifts
     contrib = w_out * np.abs(lhs_field.coeffs) ** 2
     flat = np.argsort(contrib, axis=None)[::-1][:top_cells]
-    m_out, n_out = contrib.shape
-    z_x_out = lhs_field.space_grid.zero_index
-    z_t_out = lhs_field.time_grid.zero_index
-    taus = U1.taus
-    xis = U1.space_grid.frequencies
-    z_x, z_t = U1.space_grid.zero_index, U1.time_grid.zero_index
-    alpha = p.alpha
+    n_out = contrib.shape[1]
+    z_t_out, z_x_out = lhs_field.time_grid.zero_index, lhs_field.space_grid.zero_index
+    m_t, n_x = U1.coeffs.shape
+    m1 = np.arange(m_t) - U1.time_grid.zero_index
+    k1 = np.arange(n_x) - U1.space_grid.zero_index
     labels = []
     for cell in flat:
         mi, ki = divmod(int(cell), n_out)
-        if contrib[mi, ki] <= 0.0:
-            continue
-        tau_out = lhs_field.taus[mi]
         xi_out = lhs_field.space_grid.frequencies[ki]
-        if xi_out == 0.0:
+        if contrib[mi, ki] <= 0.0 or xi_out == 0.0:
             continue
         # term matrix over the (tau1, xi1) lattice for this output cell
-        m_mode = mi - z_t_out
-        k_mode = ki - z_x_out
-        m1 = np.arange(U1.time_grid.n_modes) - z_t
-        k1 = np.arange(U1.space_grid.n_modes) - z_x
-        m2 = m_mode - m1
-        k2 = k_mode - k1
+        m2 = mi - z_t_out - m1
+        k2 = ki - z_x_out - k1
         ok_t = (m2 >= m1.min()) & (m2 <= m1.max())
         ok_x = (k2 >= k1.min()) & (k2 <= k1.max())
         a = np.where(ok_t, 1, 0)[:, None] * np.where(ok_x, 1, 0)[None, :]
-        m2c = np.clip(m2 - m1.min(), 0, U1.time_grid.n_modes - 1)
-        k2c = np.clip(k2 - k1.min(), 0, U1.space_grid.n_modes - 1)
+        m2c = np.clip(m2 - m1.min(), 0, m_t - 1)
+        k2c = np.clip(k2 - k1.min(), 0, n_x - 1)
         terms = a * U1.coeffs * U2.coeffs[np.ix_(m2c, k2c)]
-        j = int(np.argmax(np.abs(terms)))
-        mi1, ki1 = divmod(j, U1.space_grid.n_modes)
+        mi1, ki1 = divmod(int(np.argmax(np.abs(terms))), n_x)
         if terms[mi1, ki1] == 0.0 or not (ok_t[mi1] and ok_x[ki1]):
             continue
-        xi1 = xis[ki1]
-        xi2 = xi_out - xi1
-        tau1 = taus[mi1]
-        tau2 = tau_out - tau1
+        xi1, tau1 = U1.space_grid.frequencies[ki1], U1.taus[mi1]
+        xi2, tau2 = xi_out - xi1, lhs_field.taus[mi] - tau1
         if xi1 == 0.0 or xi2 == 0.0:
             continue
         if abs(xi1) > abs(xi2):
-            xi1, xi2 = xi2, xi1
-            tau1, tau2 = tau2, tau1
-        weights = convolution_weights(tau1, xi1, tau2, xi2, alpha)
-        labels.append(
-            classify_region(xi1, xi2, weights.lam, weights.lam_1, weights.lam_2)
-        )
+            xi1, xi2, tau1, tau2 = xi2, xi1, tau2, tau1
+        weights = convolution_weights(tau1, xi1, tau2, xi2, p.alpha)
+        labels.append(classify_region(xi1, xi2, weights.lam, weights.lam_1, weights.lam_2))
     return labels
 
 
-def _packet_descriptor(rng: np.random.Generator, j: int, dxi: float) -> dict:
-    return {
-        "family": "wave_packet",
-        "amplitude": float(rng.uniform(0.5, 1.5)),
-        "width": float(rng.uniform(0.8, 2.0)),
-        "center": float(rng.uniform(-2.0, 2.0)),
-        "carrier": j * dxi,
-    }
+def _strichartz_sides(p, free, inputs, histogram):
+    """The L4t Linfx norm of <D>^gamma psi_T W(t) u0 and the norm of its lift."""
+    grid, times = free.grid, free.paths.times
+    gamma = (p.alpha - 1.0) / 4.0
+    psi = bump(times / free.T)[:, None]
+    cut_paths = psi * free.paths.coeffs * (japanese_bracket(grid.frequencies) ** gamma)[None, :]
+
+    def sides(desc):
+        u0 = _field_from_descriptor(grid, desc, False)
+        cut = Trajectory(grid, times, cut_paths * u0.coeffs[None, :], p.alpha)
+        return mixed_lebesgue_norm(cut, 4.0, math.inf), free.norm(u0)
+
+    return sides
 
 
-def _draw_pair(rng: np.random.Generator, families, band: float, dxi: float) -> tuple:
-    """A pair of field descriptors, enriched with correlated carrier draws.
+def _bilinear_str_sides(p, free, inputs, histogram):
+    """The L2 norm of bilinear_I of two lifts and the product of their norms."""
+    def sides(pair):
+        u1, u2 = (_field_from_descriptor(free.grid, d, False) for d in pair)
+        lhs = bilinear_I(free.lift(u1), free.lift(u2), p.alpha / 2.0).l2_norm()
+        return lhs, free.norm(u1) * free.norm(u2)
 
-    Independent draws mostly land in the comparable-frequency and
-    low-vs-high regions; the two correlated branches target the separated
-    (D12-style) and opposite-sign near-cancelling (D22-style) interactions
-    that random pairs almost never dominate.
-    """
-    k_max = max(2, int(math.floor(band / dxi + 1e-9)))
-    branch = rng.random()
-    if branch < 0.25:
-        # separated carriers: 4|xi1| <= |xi2|
-        j1 = int(rng.integers(1, max(2, k_max // 4) + 1))
-        j2 = int(rng.integers(min(4 * j1, k_max), k_max + 1))
-        s1 = 1 if rng.random() < 0.5 else -1
-        s2 = 1 if rng.random() < 0.5 else -1
-        return (
-            _packet_descriptor(rng, s1 * j1, dxi),
-            _packet_descriptor(rng, s2 * j2, dxi),
-        )
-    if branch < 0.5:
-        # opposite signs, comparable size, small output frequency
-        j2 = int(rng.integers(3, k_max + 1))
-        d = int(rng.integers(0, min(3, j2 // 2) + 1))
-        s2 = 1 if rng.random() < 0.5 else -1
-        return (
-            _packet_descriptor(rng, -s2 * (j2 - d), dxi),
-            _packet_descriptor(rng, s2 * j2, dxi),
-        )
-    return (
-        _draw_descriptor(rng, families, band, dxi),
-        _draw_descriptor(rng, families, band, dxi),
-    )
+    return sides
 
 
-def _main_bilinear_ratios(p, inputs, seed):
-    n_samples = int(inputs.get("n_samples", 200))
-    resolutions = [tuple(r) for r in inputs.get("resolutions", ((56, 448), (64, 512)))]
-    L = float(inputs.get("box_length", 16.0))
-    band = float(inputs.get("band", 10.0))
-    band_fraction = inputs.get("band_fraction")
-    T = float(inputs.get("T", 0.5))
-    top_cells = int(inputs.get("top_cells", 8))
-    rng = np.random.default_rng(seed)
-    dxi = 2.0 * math.pi / L
-    families = ("gaussian", "wave_packet", "random_bandlimited")
-    zero_mean = p.omega > 0.0
-    # Fixed band: one descriptor set shared across resolutions, so the trend
-    # isolates pure discretization effects.  band_fraction mode instead lets
-    # the band grow with the grid (fresh per-resolution draws), which is the
-    # relevant refinement for threshold exploration.
-    descs = [_draw_pair(rng, families, band, dxi) for _ in range(n_samples)]
-    per_resolution = []
-    histogram = None
-    for res_index, (n_space, n_time) in enumerate(resolutions):
-        finest = res_index == len(resolutions) - 1
-        grid = FrequencyGrid(int(n_space), L)
-        if band_fraction is not None:
-            band_r = float(band_fraction) * (grid.nyquist - grid.spacing)
-            rng_r = np.random.default_rng((seed, int(n_space)))
-            pairs = [_draw_pair(rng_r, families, band_r, dxi) for _ in range(n_samples)]
-        else:
-            pairs = descs
-        free = _FreeLifts(grid, p, T, int(n_time))
-        # the product field lives on the lifts' tau grid and the doubled xi grid
-        w_out = bourgain_weights(
-            free.kernel.taus, _extended_grid(grid).frequencies, p, p.b_prime
-        )
-        ratios = np.empty(n_samples)
-        d_hist = {name: 0 for name in _D_PARTS}
-        a_hist = {name: 0 for name in _A_PARTS}
-        for i, pair in enumerate(pairs):
-            u1, u2 = (_field_from_descriptor(grid, d, zero_mean) for d in pair)
-            lhs_field = product_derivative_field(
-                free.trajectory(u1), free.trajectory(u2), T, int(n_time)
-            )
-            lhs = _weighted_norm(lhs_field, w_out, p.omega)
-            rhs = 2.0 * free.norm(u1) * free.norm(u2)
-            ratios[i] = lhs / rhs if rhs > 0.0 else np.nan
-            if finest and rhs > 0.0:
-                lifts = (free.lift(u1), free.lift(u2))
-                for label in _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
-                    d_hist[label.d_part] += 1
-                    a_hist[label.a_part] += 1
-        if finest:
-            histogram = {"d_part": d_hist, "a_part": a_hist}
-        per_resolution.append((f"{n_space}x{n_time}", ratios))
-    return per_resolution, descs, histogram
+def _dual_bilinear_sides(p, free, inputs, histogram):
+    """The norm at modulation exponent -b of bilinear_K of a lift and a random
+    field, and the product of the lift's norm and the field's L2 norm."""
+    grid, time_grid = free.grid, free.kernel.time_grid
+    w_dual = bourgain_weights(time_grid.frequencies, grid.frequencies, free.p, -p.b)
+
+    def sides(desc):
+        u1 = _field_from_descriptor(grid, desc[0], False)
+        v = _random_spacetime(np.random.default_rng(desc[1]), grid, time_grid, float(inputs["band"]))
+        lhs = _weighted_norm(bilinear_K(free.lift(u1), v, p.alpha), w_dual, free.p.omega)
+        return lhs, free.norm(u1) * v.l2_norm()
+
+    return sides
 
 
-def _smoothing_ratios(p, inputs, seed):
-    n_samples = int(inputs.get("n_samples", 100_000))
+def _main_bilinear_sides(p, free, inputs, histogram):
+    """The b' norm of d/dx of the cut product and twice the norms' product; unless
+    histogram is None, each kept sample's dominant regions are tallied in it."""
+    grid, zero_mean = free.grid, p.omega > 0.0
+    # the product field lives on the lifts' tau grid and the doubled xi grid
+    w_out = bourgain_weights(free.kernel.taus, _extended_grid(grid).frequencies, p, p.b_prime)
+    # each product field is held until the next one exists: freed at once, it
+    # lets glibc trim the heap top, and every sample pages its ~1 MB in anew
+    held = []
+
+    def sides(pair):
+        u1, u2 = (_field_from_descriptor(grid, d, zero_mean) for d in pair)
+        paths = free.trajectory(u1), free.trajectory(u2)
+        lhs_field = product_derivative_field(*paths, free.T, free.n_time)
+        held[:] = [lhs_field]
+        lhs = _weighted_norm(lhs_field, w_out, p.omega)
+        rhs = 2.0 * free.norm(u1) * free.norm(u2)
+        if histogram is not None and rhs > 0.0:
+            lifts = (free.lift(u1), free.lift(u2))
+            for label in _dominant_regions(lhs_field, w_out, lifts, p, int(inputs["top_cells"])):
+                histogram["d_part"][label.d_part] += 1
+                histogram["a_part"][label.a_part] += 1
+        return lhs, rhs
+
+    return sides
+
+
+#: Per sampled kind: (p, one resolution's _FreeLifts, inputs, histogram) -> the
+#: function taking one sample's descriptors to its (lhs, rhs).
+_SIDES = {"strichartz": _strichartz_sides, "bilinear_str": _bilinear_str_sides,
+          "dual_bilinear": _dual_bilinear_sides, "main_bilinear": _main_bilinear_sides}
+
+
+def _smoothing_report(p: EstimateParams, n_samples: int, seed: int) -> RatioReport:
     rng = np.random.default_rng(seed)
     beta = np.concatenate(
         [np.array([-1.0, -0.5, -0.25]), rng.uniform(-1.0, -0.25, size=max(0, n_samples - 3))]
@@ -821,16 +756,8 @@ def _smoothing_ratios(p, inputs, seed):
     lhs = np.sqrt(np.abs(np.abs(xi1) ** p.alpha - np.abs(xi2) ** p.alpha))
     rhs = 0.5 * np.sqrt(np.abs(xi)) * np.abs(xi2) ** ((p.alpha - 1.0) / 2.0)
     valid = rhs > 0.0
-    skipped = int(np.sum(~valid))
     ratios = lhs[valid] / rhs[valid]
-    half = ratios.size // 2
-    trend = (
-        (f"n={half}", float(np.min(ratios[:half]))),
-        (f"n={ratios.size}", float(np.min(ratios))),
-    )
-    i_min = int(np.argmin(ratios))
-    beta_v = beta[valid]
-    return ratios, trend, i_min, beta_v, skipped
+    return _infimum_report("smoothing", ratios, seed, int(np.sum(~valid)), {"beta": beta[valid]})
 
 
 def estimate_ratio(
@@ -840,57 +767,80 @@ def estimate_ratio(
 
     kind selects the inequality: 'strichartz' (L4t Linfx against the b-scale),
     'bilinear_str' and 'dual_bilinear' (the two weighted convolutions),
-    'main_bilinear' (the derivative product estimate, with a per-region
-    histogram of dominant contributions), or 'smoothing' (the pointwise
-    frequency lower bound, reported as an infimum).
+    'main_bilinear' (the derivative product estimate, with a histogram of the
+    regions of each sample's top_cells dominant contributions at the last
+    resolution), or 'smoothing' (the pointwise frequency lower bound,
+    reported as an infimum).  inputs may set only these keys (defaults shown):
 
+    - strichartz: n_samples=200, resolutions=(256, 512) (spatial modes, at
+      time step 0.01), box_length=64.0, band=8.0, T=1.0
+    - bilinear_str, dual_bilinear: n_samples=100, resolutions=((48, 48),
+      (64, 64)) (spatial x tau modes), box_length=16.0, band=3.0, T=0.5
+    - main_bilinear: n_samples=200, resolutions=((56, 448), (64, 512)),
+      box_length=16.0, band=10.0, band_fraction=None, T=0.5, top_cells=8
+    - smoothing: n_samples=100000
+
+    The samples are drawn once, within band, and shared by every resolution,
+    so the trend isolates discretization effects; band must fit the coarsest
+    grid.  A band_fraction in (0, 1] instead gives each resolution that
+    fraction of its largest paired frequency as band, with fresh draws.
     Samples where the right side vanishes are skipped and counted.
     """
-    if kind not in _ESTIMATE_KINDS:
-        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {_ESTIMATE_KINDS}")
-    inputs = dict(inputs or {})
+    if kind not in _KIND_INPUTS:
+        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
+    keys = _KIND_INPUTS[kind]
+    unknown = set(inputs or {}) - set(keys)
+    if unknown:
+        raise ValueError(
+            f"unknown input keys for kind {kind!r}: {sorted(unknown)}; it reads {sorted(keys)}"
+        )
+    inputs = {**keys, **(inputs or {})}
+    n_samples = int(inputs["n_samples"])
     if kind == "smoothing":
-        _check_keys(inputs, {"n_samples"}, kind)
-        ratios, trend, i_min, beta_v, skipped = _smoothing_ratios(p, inputs, seed)
-        return RatioReport(
-            kind=kind,
-            sample_count=int(ratios.size),
-            seed=seed,
-            refinement_trend=trend,
-            inf_ratio=float(ratios[i_min]),
-            extremal_sample={"beta": float(beta_v[i_min]), "ratio": float(ratios[i_min])},
-            skipped=skipped,
+        return _smoothing_report(p, n_samples, seed)
+
+    L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
+    if kind == "strichartz":
+        n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
+        resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
+    else:
+        resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
+    band_fraction = inputs.get("band_fraction")
+    coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), L)
+    fits = coarsest.nyquist - coarsest.spacing
+    if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
+        raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
+    if band_fraction is None and band > fits:
+        raise ValueError(
+            f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "
+            f"box of {L}: the largest band that fits is {fits!r}"
         )
 
-    if kind == "strichartz":
-        _check_keys(inputs, _COMMON_KEYS, kind)
-        per_resolution, _ = _strichartz_ratios(p, inputs, seed)
-        histogram = None
-    elif kind in ("bilinear_str", "dual_bilinear"):
-        _check_keys(inputs, _COMMON_KEYS, kind)
-        per_resolution, _ = _bilinear_kind_ratios(kind, p, inputs, seed)
-        histogram = None
-    else:  # main_bilinear
-        _check_keys(inputs, _MAIN_KEYS, kind)
-        per_resolution, _, histogram = _main_bilinear_ratios(p, inputs, seed)
-
+    dxi = 2.0 * math.pi / L
+    if band_fraction is None:
+        descs = _draw_samples(kind, np.random.default_rng(seed), n_samples, _n_band(band, dxi), dxi)
+    tallies = {"d_part": dict.fromkeys(_D_PARTS, 0), "a_part": dict.fromkeys(_A_PARTS, 0)}
+    histogram = tallies if kind == "main_bilinear" else None
+    free_params = p if kind == "main_bilinear" else _x_params(p)
     trend = []
-    for label, ratios in per_resolution:
+    for res_index, (label, n_space, n_time) in enumerate(resolutions):
+        grid = FrequencyGrid(n_space, L)
+        if band_fraction is not None:  # the band grows with the grid, with fresh draws
+            n_band = _n_band(float(band_fraction) * (grid.nyquist - grid.spacing), dxi)
+            rng = np.random.default_rng((seed, n_space))
+            descs = _draw_samples(kind, rng, n_samples, n_band, dxi)
+        free = _FreeLifts(grid, free_params, T, n_time)
+        finest = res_index == len(resolutions) - 1
+        sides = _SIDES[kind](p, free, inputs, histogram if finest else None)
+        ratios = np.array([lhs / rhs if rhs > 0.0 else np.nan for lhs, rhs in map(sides, descs)])
+        del free, sides  # so that one resolution's lift tables are held at a time
         finite = ratios[np.isfinite(ratios)]
         if finite.size == 0:
             raise ValueError(f"all samples were skipped at resolution {label}")
         trend.append((label, float(np.max(finite))))
-    label, ratios = per_resolution[-1]
-    finite_mask = np.isfinite(ratios)
-    skipped = int(np.sum(~finite_mask))
     i_max = int(np.nanargmax(ratios))
     return RatioReport(
-        kind=kind,
-        sample_count=int(ratios.size),
-        seed=seed,
-        refinement_trend=tuple(trend),
-        sup_ratio=float(ratios[i_max]),
+        kind, n_samples, seed, tuple(trend), sup_ratio=float(ratios[i_max]),
         extremal_sample={"sample_index": i_max, "ratio": float(ratios[i_max])},
-        region_histogram=histogram,
-        skipped=skipped,
+        region_histogram=histogram, skipped=int(np.sum(~np.isfinite(ratios))),
     )

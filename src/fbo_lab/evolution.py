@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -162,20 +163,20 @@ def _ascending(kernel, c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return np.take(out, fft_slot, axis=-1)
 
 
-def _dealiased_square(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
-    """F(u^2) of the masked field; the complex square serves real and complex u
-    alike.  mask is _dealias_mask(grid), the mask the slot kernel applies."""
+def _dealiased_square(c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """F(u^2) of the 2/3-dealiased field; the complex square serves real and
+    complex u alike."""
     return _ascending(_slot_kernel(grid)[0], c, grid)
 
 
-def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid, mask: np.ndarray) -> np.ndarray:
-    """-(1/2) d/dx (u^2) of ascending rows; mask as for _dealiased_square."""
+def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """-(1/2) d/dx (u^2) of ascending rows, the square dealiased as above."""
     return _ascending(_slot_kernel(grid)[1], c, grid)
 
 
 def nonlinearity(u: SpectralField) -> SpectralField:
     """-(1/2) d/dx (u^2) with 2/3-rule dealiasing of the square."""
-    return SpectralField(u.grid, _ascending(_slot_kernel(u.grid)[1], u.coeffs, u.grid))
+    return SpectralField(u.grid, _nonlinearity_raw(u.coeffs, u.grid))
 
 
 def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_roots: int = 32):
@@ -330,12 +331,11 @@ def duhamel_apply(
             f"[-{window:.6g}, {window:.6g}]"
         )
     grid = u0.grid
-    mask = _dealias_mask(grid)
     dt = u_guess.dt
     symbol = dispersion_symbol(grid.frequencies, alpha)
     forcing = np.empty_like(u_guess.coeffs)
     for rows in _row_blocks(u_guess.n_times):
-        forcing[rows] = _nonlinearity_raw(u_guess.coeffs[rows], grid, mask)
+        forcing[rows] = _nonlinearity_raw(u_guess.coeffs[rows], grid)
     # W(t-t') = W(t) W(-t'): accumulate the t'-integral of W(-t') N(u(t'))
     # cumulatively from t=0 in both directions, then apply W(t) once.
     back_phase = np.exp(-1j * np.outer(t, symbol))
@@ -446,24 +446,27 @@ def load_trajectory_binary(path, alpha: float = float("nan")) -> Trajectory:
     """Read a binary dump.  alpha is not stored in the header; pass it if known.
 
     A file whose size does not match its header's count of times and modes
-    (a truncated dump, say) is rejected, naming both byte counts.
+    (a truncated dump, say) is rejected, naming both byte counts.  The
+    coefficients are read straight into the array the trajectory holds.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"trajectory dump holds {len(raw)} bytes, fewer than its header")
-    magic, version, n_modes, box_length, _dt, count = _HEADER.unpack_from(raw)
-    if magic != _BINARY_MAGIC:
-        raise ValueError(f"not a trajectory dump (magic {magic!r})")
-    if version != _BINARY_VERSION:
-        raise ValueError(f"unsupported trajectory dump version {version}")
-    expected = _HEADER.size + (8 + 16 * n_modes) * count
-    if len(raw) != expected:
-        raise ValueError(
-            f"trajectory dump of {count} times x {n_modes} modes needs {expected} "
-            f"bytes, found {len(raw)}"
-        )
-    times = np.frombuffer(raw, "<f8", count, _HEADER.size)
-    coeffs = np.frombuffer(raw, "<c16", count * n_modes, _HEADER.size + 8 * count)
-    grid = FrequencyGrid(n_modes, box_length)
-    return Trajectory(grid, times, coeffs.reshape(count, n_modes), alpha)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"trajectory dump holds {size} bytes, fewer than its header")
+        magic, version, n_modes, box_length, _dt, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != _BINARY_MAGIC:
+            raise ValueError(f"not a trajectory dump (magic {magic!r})")
+        if version != _BINARY_VERSION:
+            raise ValueError(f"unsupported trajectory dump version {version}")
+        expected = _HEADER.size + (8 + 16 * n_modes) * count
+        if size != expected:
+            raise ValueError(
+                f"trajectory dump of {count} times x {n_modes} modes needs {expected} "
+                f"bytes, found {size}"
+            )
+        times, coeffs = np.empty(count, "<f8"), np.empty((count, n_modes), "<c16")
+        for array in (times, coeffs):
+            if fh.readinto(array) != array.nbytes:
+                raise ValueError("trajectory dump changed while it was read")
+    coeffs.setflags(write=False)  # a frozen array that owns its memory is not copied
+    return Trajectory(FrequencyGrid(n_modes, box_length), times, coeffs, alpha)

@@ -51,29 +51,6 @@ def bump(t) -> np.ndarray | float:
     return out
 
 
-def cutoff_value(t: float, T: float) -> float:
-    """Evaluate the rescaled cutoff psi(t/T) for scale T > 0."""
-    if not (T > 0.0):
-        raise ValueError(f"cutoff scale must be positive, got T={T}")
-    return float(bump(np.asarray(t, dtype=float) / T))
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Rescaled smooth time cutoff: identically 1 on [-T, T], 0 outside [-2T, 2T]."""
-
-    scale: float
-    support_radius: float = 2.0
-    plateau_radius: float = 1.0
-
-    def __post_init__(self):
-        if not (self.scale > 0.0):
-            raise ValueError(f"cutoff scale must be positive, got {self.scale}")
-
-    def __call__(self, t) -> np.ndarray | float:
-        return bump(np.asarray(t, dtype=float) / self.scale)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

@@ -20,6 +20,7 @@ from fbo_lab import (
     resonance_infimum,
     spacetime_inner,
 )
+from fbo_lab import estimates
 from fbo_lab.estimates import (
     _classify_arrays,
     _free_cutoff_trajectory,
@@ -333,6 +334,42 @@ class TestEstimateRatio:
         p = EstimateParams.default_admissible(1.5)
         with pytest.raises(ValueError):
             estimate_ratio("strichartz", {"bogus": 1}, p, 0)
+        # top_cells is read by main_bilinear alone
+        for kind in ("strichartz", "bilinear_str", "dual_bilinear"):
+            with pytest.raises(ValueError, match=r"unknown input keys .*\['top_cells'\]"):
+                estimate_ratio(kind, {"n_samples": 2, "top_cells": 4}, p, 0)
+
+    @pytest.mark.parametrize(
+        "kind, inputs, message",
+        [
+            ("strichartz", {"n_samples": 2, "resolutions": (128, 256)},
+             r"band 8.0 does not fit .* 128 modes .* largest band that fits is 6.185"),
+            ("main_bilinear", {"n_samples": 2, "resolutions": ((32, 256), (64, 512))},
+             r"band 10.0 does not fit .* 32 modes .* largest band that fits is 5.890"),
+            ("bilinear_str", {"resolutions": ((64, 64), (16, 16))},
+             r"band 3.0 does not fit .* 16 modes .* largest band that fits is 2.748"),
+            ("main_bilinear", {"band_fraction": 0.0}, r"band_fraction must lie in \(0, 1\]"),
+            ("main_bilinear", {"band_fraction": 1.2}, r"band_fraction must lie in \(0, 1\]"),
+        ],
+        ids=["strichartz", "main_bilinear", "unordered_resolutions", "fraction_0", "fraction_1.2"],
+    )
+    def test_band_outside_the_coarsest_grid_rejected_before_compute(
+        self, monkeypatch, kind, inputs, message
+    ):
+        def no_compute(*args):
+            raise AssertionError("free lifts built before the inputs were checked")
+
+        monkeypatch.setattr(estimates, "_FreeLifts", no_compute)
+        p = EstimateParams.default_admissible(1.5)
+        with pytest.raises(ValueError, match=message):
+            estimate_ratio(kind, inputs, p, 0)
+
+    def test_band_at_the_largest_paired_frequency_runs(self):
+        p = EstimateParams.default_admissible(1.5)
+        grid = FrequencyGrid(32, 16.0)
+        inputs = {"n_samples": 2, "resolutions": (32, 64), "box_length": 16.0, "T": 0.5}
+        report = estimate_ratio("strichartz", {**inputs, "band": grid.nyquist - grid.spacing}, p, 3)
+        assert np.isfinite(report.sup_ratio)
 
     def test_smoothing_inf_matches_derived_minimum(self):
         # the chord slope (1-x^alpha)/(1-x) is smallest at x = 1/4, giving
@@ -475,36 +512,44 @@ class TestFreeLifts:
 
 # Trends of small fixed configs, recorded before the free lifts were factored
 # through one kernel per resolution; the factoring changes them by roundoff.
+# Each entry also pins the extremal sample's index and the skipped count,
+# recorded before the kinds shared one sampling loop.
 _RECORDED_TRENDS = {
     "strichartz": (
         {"n_samples": 4, "resolutions": (32, 64), "box_length": 16.0, "band": 4.0, "T": 0.5},
         3,
         (0.4296610358757873, 0.45033228008413506),
+        (2, 0),
     ),
     "bilinear_str": (
         {"n_samples": 4, "resolutions": ((32, 32), (48, 48)), "band": 3.0},
         4,
         (1.3327469669293912, 1.442934631796948),
+        (1, 0),
     ),
     "dual_bilinear": (
         {"n_samples": 4, "resolutions": ((32, 32), (48, 48)), "band": 3.0},
         4,
         (0.3711618097301418, 0.3308027190410253),
+        (1, 0),
     ),
     "main_bilinear": (
         {"n_samples": 6, "resolutions": ((32, 256), (40, 320)), "band": 4.0},
         6,
         (0.056313983012743256, 0.056313564849340754),
+        (5, 0),
     ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_RECORDED_TRENDS))
 def test_trend_matches_recorded_values(kind):
-    inputs, seed, expected = _RECORDED_TRENDS[kind]
+    inputs, seed, expected, (sample_index, skipped) = _RECORDED_TRENDS[kind]
     report = estimate_ratio(kind, inputs, EstimateParams.default_admissible(1.5), seed)
     values = tuple(v for _, v in report.refinement_trend)
     assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert report.extremal_sample["sample_index"] == sample_index
+    assert report.skipped == skipped
     if kind == "main_bilinear":
         hist = report.region_histogram
         assert hist["d_part"] == {"D11": 30, "D12": 0, "D21": 18, "D22": 0}

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbo_lab import (
-    CutoffProfile,
     SpectralField,
     apply_multiplier,
     bump,
-    cutoff_value,
     forward_transform,
     inverse_transform,
     l2_norm,
@@ -275,11 +273,9 @@ class TestSplitAndCutoff:
         assert np.array_equal(low.coeffs + high.coeffs, u.coeffs)
 
     def test_cutoff_plateau_support_and_transition(self):
-        assert cutoff_value(0.5, 1.0) == 1.0
-        assert cutoff_value(-1.0, 1.0) == 1.0
-        assert cutoff_value(3.0, 1.0) == 0.0
-        mid = cutoff_value(3.0, 2.0)  # psi(1.5)
-        assert 0.0 < mid < 1.0
+        assert bump(0.5) == bump(-1.0) == bump(0.95) == 1.0
+        assert bump(3.0) == bump(2.05) == 0.0
+        assert 0.0 < bump(1.5) < 1.0
 
     def test_cutoff_even_and_monotone_transition(self):
         t = np.linspace(1.0, 2.0, 101)
@@ -287,15 +283,6 @@ class TestSplitAndCutoff:
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.allclose(bump(-t), vals)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-    def test_cutoff_profile_and_scale_errors(self):
-        prof = CutoffProfile(scale=2.0)
-        assert prof(1.9) == 1.0
-        assert prof(4.1) == 0.0
-        with pytest.raises(ValueError):
-            CutoffProfile(scale=0.0)
-        with pytest.raises(ValueError):
-            cutoff_value(1.0, -1.0)
 
 
 class TestTestFields:

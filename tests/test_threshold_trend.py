@@ -9,15 +9,11 @@ finiteness.  Run with -s to see the report.
 import numpy as np
 
 from fbo_lab import EstimateParams, estimate_ratio
-from fbo_lab.norms import admissible_b_prime_bound
 
 
 def test_report_threshold_trends():
     alpha, epsilon = 1.5, 0.1
     threshold = -0.75 * (alpha - 1.0)
-    omega = 1.0 / alpha - 0.5
-    b_prime = admissible_b_prime_bound(alpha, epsilon)
-    b = 0.5 + 0.6 * (b_prime + 0.5)
     inputs = {
         "n_samples": 40,
         "band_fraction": 0.7,
@@ -25,10 +21,7 @@ def test_report_threshold_trends():
     }
     rows = []
     for s in (threshold - 0.2, threshold + epsilon):
-        p = EstimateParams(
-            alpha, s, omega, b, b_prime, epsilon,
-            admissible=s >= threshold + epsilon - 1e-12,
-        )
+        p = EstimateParams.default_admissible(alpha, epsilon, s=s)
         report = estimate_ratio("main_bilinear", inputs, p, seed=17)
         values = [v for _, v in report.refinement_trend]
         rows.append((s, values))
