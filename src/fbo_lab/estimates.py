@@ -10,8 +10,8 @@ evidence; a growing one is the red flag.
 Discrete bilinear convolutions act on the symmetric sublattice |k| <= N/2-1,
 |m| <= M/2-1: the unpaired extreme modes are annihilated on input and
 output.  This makes the convolution index set symmetric, which in turn makes
-the adjoint identity between the two bilinear operators exact in floating
-point.
+the adjoint identity between the two bilinear operators exact up to
+roundoff: the two sides sum the same terms in different orders.
 """
 
 from __future__ import annotations
@@ -314,13 +314,14 @@ def _conj_reverse(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bilinear_convolve(
-    U1: SpaceTimeField, U2: SpaceTimeField, kernel_for_column
-) -> SpaceTimeField:
+def _bilinear_convolve(U1: SpaceTimeField, U2: SpaceTimeField, kernel) -> SpaceTimeField:
     """Direct weighted (tau, xi) convolution, truncated to the common grid.
 
-    kernel_for_column(j1, j2_slice) returns the kernel values for input
-    column j1 against the slice of second-factor columns j2.
+    kernel[j1, j2] is the weight of first-factor column j1 against
+    second-factor column j2, over the (n-1) x (n-1) sublattice columns.  The
+    xi convolution is a sum over column pairs and the tau convolution a
+    product of zero-padded time transforms; the operator being linear, the
+    pairs are summed in the time-Fourier domain and transformed back once.
     """
     if U1.space_grid != U2.space_grid or U1.time_grid != U2.time_grid:
         raise ValueError("bilinear operators need matching space and time grids")
@@ -328,23 +329,21 @@ def _bilinear_convolve(
     b = _masked_sublattice(U2)
     m, n = a.shape
     z_t, z_x = m // 2 - 1, n // 2 - 1
-    measure = U1.time_grid.spacing * U1.space_grid.spacing
-    p = 2 * m
-    a_fft = np.fft.fft(a, n=p, axis=0)
-    b_fft = np.fft.fft(b, n=p, axis=0)
-    out = np.zeros((m, n), dtype=complex)
+    a_fft = np.fft.fft(a, n=2 * m, axis=0)
+    b_fft = np.fft.fft(b, n=2 * m, axis=0)
+    acc = np.zeros((2 * m, n), dtype=complex)
     for j1 in range(n - 1):
         col = a_fft[:, j1 : j1 + 1]
         if not np.any(col):
             continue
-        conv = np.fft.ifft(col * b_fft, axis=0)[z_t : z_t + m, :]
+        # second-factor columns whose sum with j1 lands on the sublattice
         j2_lo = max(0, z_x - j1)
         j2_hi = min(n - 2, n - 2 + z_x - j1)
-        if j2_lo > j2_hi:
-            continue
-        j2 = np.arange(j2_lo, j2_hi + 1)
-        weights = kernel_for_column(j1, j2)
-        out[:, j1 + j2 - z_x] += measure * weights[None, :] * conv[:, j2]
+        acc[:, j1 + j2_lo - z_x : j1 + j2_hi + 1 - z_x] += (
+            col * kernel[j1, j2_lo : j2_hi + 1] * b_fft[:, j2_lo : j2_hi + 1]
+        )
+    measure = U1.time_grid.spacing * U1.space_grid.spacing
+    out = measure * np.fft.ifft(acc, axis=0)[z_t : z_t + m]
     out[-1, :] = 0.0
     out[:, -1] = 0.0
     return SpaceTimeField(U1.space_grid, U1.time_grid, out)
@@ -352,12 +351,8 @@ def _bilinear_convolve(
 
 def bilinear_I(U1: SpaceTimeField, U2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Convolution against the kernel ||xi1|^(2s) - |xi2|^(2s)|^(1/2)."""
-    xi = U1.space_grid.frequencies
-
-    def kernel(j1, j2):
-        return np.sqrt(np.abs(np.abs(xi[j1]) ** (2 * s) - np.abs(xi[j2]) ** (2 * s)))
-
-    return _bilinear_convolve(U1, U2, kernel)
+    power = np.abs(U1.space_grid.frequencies[:-1]) ** (2 * s)
+    return _bilinear_convolve(U1, U2, np.sqrt(np.abs(power[:, None] - power[None, :])))
 
 
 def bilinear_K(U1: SpaceTimeField, U2: SpaceTimeField, alpha: float) -> SpaceTimeField:
@@ -367,16 +362,14 @@ def bilinear_K(U1: SpaceTimeField, U2: SpaceTimeField, alpha: float) -> SpaceTim
     """
     if U1.space_grid != U2.space_grid or U1.time_grid != U2.time_grid:
         raise ValueError("bilinear operators need matching space and time grids")
-    xi = U1.space_grid.frequencies
-    z_x = U1.space_grid.zero_index
+    power = np.abs(U1.space_grid.frequencies) ** alpha
+    j = np.arange(power.size - 1)
+    # the output column of the pair (j1, j2); pairs off the grid are never read
+    j_out = j[:, None] + j[None, :] - U1.space_grid.zero_index
+    kernel = np.sqrt(np.abs(power.take(j_out, mode="clip") - power[:-1, None]))
     conj1 = SpaceTimeField(
         U1.space_grid, U1.time_grid, _conj_reverse(_masked_sublattice(U1))
     )
-
-    def kernel(j1, j2):
-        xi_out = xi[j1 + j2 - z_x]
-        return np.sqrt(np.abs(np.abs(xi_out) ** alpha - np.abs(xi[j1]) ** alpha))
-
     return _bilinear_convolve(conj1, U2, kernel)
 
 
@@ -630,36 +623,43 @@ _KIND_INPUTS = {
 def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
     """Classify the dominant convolution cells of the heaviest output cells.
 
-    w_out is the b' weight table on the output lattice.  The dominant cell is
-    an argmax over products of the two lifts' coefficients, so near-ties
-    between the two factors' terms are broken by roundoff.
+    w_out is the b' weight table on the output lattice; the heaviest cells
+    are taken in no particular order.  For each, the terms U1(tau1, xi1)
+    U2(tau - tau1, xi - xi1) are formed on the block of (tau1, xi1) whose
+    partner lies on the lifts' lattice, as the product of a block of U1 with
+    a reversed block of U2.  The dominant cell is the first argmax of their
+    moduli, so near-ties between the two factors' terms are broken by
+    roundoff.
     """
     U1, U2 = lifts
     contrib = w_out * np.abs(lhs_field.coeffs) ** 2
-    flat = np.argsort(contrib, axis=None)[::-1][:top_cells]
+    k = min(top_cells, contrib.size)
+    flat = np.argpartition(contrib, contrib.size - k, axis=None)[contrib.size - k :]
     n_out = contrib.shape[1]
     z_t_out, z_x_out = lhs_field.time_grid.zero_index, lhs_field.space_grid.zero_index
     m_t, n_x = U1.coeffs.shape
-    m1 = np.arange(m_t) - U1.time_grid.zero_index
-    k1 = np.arange(n_x) - U1.space_grid.zero_index
+    # U2 reversed in both axes: row m_t-1-i2 holds row i2 of U2
+    u1, u2_rev = U1.coeffs, U2.coeffs[::-1, ::-1]
     labels = []
     for cell in flat:
         mi, ki = divmod(int(cell), n_out)
         xi_out = lhs_field.space_grid.frequencies[ki]
         if contrib[mi, ki] <= 0.0 or xi_out == 0.0:
             continue
-        # term matrix over the (tau1, xi1) lattice for this output cell
-        m2 = mi - z_t_out - m1
-        k2 = ki - z_x_out - k1
-        ok_t = (m2 >= m1.min()) & (m2 <= m1.max())
-        ok_x = (k2 >= k1.min()) & (k2 <= k1.max())
-        a = np.where(ok_t, 1, 0)[:, None] * np.where(ok_x, 1, 0)[None, :]
-        m2c = np.clip(m2 - m1.min(), 0, m_t - 1)
-        k2c = np.clip(k2 - k1.min(), 0, n_x - 1)
-        terms = a * U1.coeffs * U2.coeffs[np.ix_(m2c, k2c)]
-        mi1, ki1 = divmod(int(np.argmax(np.abs(terms))), n_x)
-        if terms[mi1, ki1] == 0.0 or not (ok_t[mi1] and ok_x[ki1]):
+        # the partner of U1's row i1 is U2's row c_t - i1, and so for columns
+        c_t = mi - z_t_out + 2 * U1.time_grid.zero_index
+        c_x = ki - z_x_out + 2 * U1.space_grid.zero_index
+        r_lo, r_hi = max(0, c_t - m_t + 1), min(m_t - 1, c_t)
+        q_lo, q_hi = max(0, c_x - n_x + 1), min(n_x - 1, c_x)
+        if r_lo > r_hi or q_lo > q_hi:
             continue
+        terms = u1[r_lo : r_hi + 1, q_lo : q_hi + 1] * u2_rev[
+            m_t - 1 - c_t + r_lo : m_t - c_t + r_hi, n_x - 1 - c_x + q_lo : n_x - c_x + q_hi
+        ]
+        i, j = divmod(int(np.argmax(np.abs(terms))), terms.shape[1])
+        if terms[i, j] == 0.0:
+            continue
+        mi1, ki1 = r_lo + i, q_lo + j
         xi1, tau1 = U1.space_grid.frequencies[ki1], U1.taus[mi1]
         xi2, tau2 = xi_out - xi1, lhs_field.taus[mi] - tau1
         if xi1 == 0.0 or xi2 == 0.0:
@@ -783,18 +783,31 @@ def estimate_ratio(
     The samples are drawn once, within band, and shared by every resolution,
     so the trend isolates discretization effects; band must fit the coarsest
     grid.  A band_fraction in (0, 1] instead gives each resolution that
-    fraction of its largest paired frequency as band, with fresh draws.
-    Samples where the right side vanishes are skipped and counted.
+    fraction of its largest paired frequency as band, with fresh draws; band
+    and band_fraction are exclusive, so inputs may set at most one of them.
+    top_cells is at least 1.  Samples where the right side vanishes are
+    skipped and counted.
     """
     if kind not in _KIND_INPUTS:
         raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
     keys = _KIND_INPUTS[kind]
-    unknown = set(inputs or {}) - set(keys)
+    given = inputs or {}
+    unknown = set(given) - set(keys)
     if unknown:
         raise ValueError(
             f"unknown input keys for kind {kind!r}: {sorted(unknown)}; it reads {sorted(keys)}"
         )
-    inputs = {**keys, **(inputs or {})}
+    if "band" in given and given.get("band_fraction") is not None:
+        raise ValueError(
+            "band and band_fraction are exclusive: set band for draws shared by every "
+            "resolution, or band_fraction for a band that grows with the grid, not both"
+        )
+    if int(given.get("top_cells", 1)) < 1:
+        raise ValueError(
+            f"top_cells must be at least 1, got {given['top_cells']}: set it to the number "
+            "of heaviest output cells to classify per sample, or leave it out for 8"
+        )
+    inputs = {**keys, **given}
     n_samples = int(inputs["n_samples"])
     if kind == "smoothing":
         return _smoothing_report(p, n_samples, seed)

@@ -219,6 +219,22 @@ def delta_field(gs, gt, entries):
     return SpaceTimeField(gs, gt, c)
 
 
+def direct_convolution(gs, gt, c1, c2, weight):
+    """dtau dxi times the sum of weight(xi1, xi2) c1(q1, k1) c2(q2, k2) over pairs
+    of cells of the symmetric sublattice |q| <= M/2-1, |k| <= N/2-1 whose sum
+    (q1 + q2, k1 + k2) lies on it too; zero off the sublattice."""
+    zt, zx = gt.zero_index, gs.zero_index
+    out = np.zeros_like(c1)
+    cells = [(q, k) for q in range(-zt, zt + 1) for k in range(-zx, zx + 1)]
+    for q1, k1 in cells:
+        for q2, k2 in cells:
+            q, k = q1 + q2, k1 + k2
+            if abs(q) <= zt and abs(k) <= zx:
+                w = weight(k1 * gs.spacing, k2 * gs.spacing)
+                out[zt + q, zx + k] += w * c1[zt + q1, zx + k1] * c2[zt + q2, zx + k2]
+    return out * gt.spacing * gs.spacing
+
+
 class TestBilinearOperators:
     def setup_method(self):
         self.gs = FrequencyGrid(16, TWO_PI)
@@ -323,8 +339,50 @@ class TestBilinearOperators:
         with pytest.raises(ValueError):
             bilinear_K(u1, u2, 1.5)
 
+    @pytest.mark.parametrize("n_time, n_space, box", [(8, 12, 5.0), (12, 8, 3.0), (8, 8, TWO_PI)])
+    def test_I_and_K_match_the_direct_sum(self, n_time, n_space, box):
+        gs, gt = FrequencyGrid(n_space, box), FrequencyGrid(n_time, 1.7)
+        rng = np.random.default_rng(n_time * n_space)
+
+        def rand_field(zero_columns=()):
+            c = rng.standard_normal((n_time, n_space)) + 1j * rng.standard_normal((n_time, n_space))
+            c[:, list(zero_columns)] = 0.0
+            return SpaceTimeField(gs, gt, c)
+
+        # the first factor has empty columns at both ends and inside
+        u1 = rand_field((0, 2, gs.zero_index + 1, n_space - 2))
+        u2 = rand_field()
+        s, alpha = 0.6, 1.4
+
+        def weight_I(xi1, xi2):
+            return math.sqrt(abs(abs(xi1) ** (2 * s) - abs(xi2) ** (2 * s)))
+
+        def weight_K(xi1, xi2):
+            return math.sqrt(abs(abs(xi1 + xi2) ** alpha - abs(xi1) ** alpha))
+
+        # K convolves the conjugate of u1, whose (q, k) coefficient is conj u1(-q, -k)
+        zt, zx = gt.zero_index, gs.zero_index
+        conj1 = np.zeros_like(u1.coeffs)
+        for q in range(-zt, zt + 1):
+            for k in range(-zx, zx + 1):
+                conj1[zt + q, zx + k] = np.conj(u1.coeffs[zt - q, zx - k])
+        scale = u1.l2_norm() * u2.l2_norm()
+        for out, first, weight in (
+            (bilinear_I(u1, u2, s), u1.coeffs, weight_I),
+            (bilinear_K(u1, u2, alpha), conj1, weight_K),
+        ):
+            expected = direct_convolution(gs, gt, first, u2.coeffs, weight)
+            assert np.max(np.abs(out.coeffs - expected)) <= 1e-13 * scale
+
 
 class TestEstimateRatio:
+    @pytest.fixture
+    def no_free_lifts(self, monkeypatch):
+        def no_compute(*args):
+            raise AssertionError("free lifts built before the inputs were checked")
+
+        monkeypatch.setattr(estimates, "_FreeLifts", no_compute)
+
     def test_unknown_kind(self):
         p = EstimateParams.default_admissible(1.5)
         with pytest.raises(ValueError):
@@ -354,15 +412,25 @@ class TestEstimateRatio:
         ids=["strichartz", "main_bilinear", "unordered_resolutions", "fraction_0", "fraction_1.2"],
     )
     def test_band_outside_the_coarsest_grid_rejected_before_compute(
-        self, monkeypatch, kind, inputs, message
+        self, no_free_lifts, kind, inputs, message
     ):
-        def no_compute(*args):
-            raise AssertionError("free lifts built before the inputs were checked")
-
-        monkeypatch.setattr(estimates, "_FreeLifts", no_compute)
         p = EstimateParams.default_admissible(1.5)
         with pytest.raises(ValueError, match=message):
             estimate_ratio(kind, inputs, p, 0)
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ({"top_cells": 0}, r"top_cells must be at least 1, got 0: set it to the number"),
+            ({"top_cells": -3}, r"top_cells must be at least 1, got -3"),
+            ({"band": 4.0, "band_fraction": 0.7}, r"band and band_fraction are exclusive"),
+        ],
+        ids=["top_cells_0", "top_cells_negative", "band_and_band_fraction"],
+    )
+    def test_main_bilinear_inputs_rejected_before_compute(self, no_free_lifts, inputs, message):
+        p = EstimateParams.default_admissible(1.5)
+        with pytest.raises(ValueError, match=message):
+            estimate_ratio("main_bilinear", {"n_samples": 2, **inputs}, p, 0)
 
     def test_band_at_the_largest_paired_frequency_runs(self):
         p = EstimateParams.default_admissible(1.5)
@@ -445,6 +513,77 @@ class TestEstimateRatio:
             seed=1,
         )
         assert np.isfinite(report.sup_ratio)
+
+
+def full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells):
+    """_dominant_regions with the term matrix over the whole (tau1, xi1)
+    lattice, masked to the cells whose partner lies on the lifts' lattice."""
+    U1, U2 = lifts
+    contrib = w_out * np.abs(lhs_field.coeffs) ** 2
+    flat = np.argsort(contrib, axis=None)[::-1][:top_cells]
+    n_out = contrib.shape[1]
+    z_t_out, z_x_out = lhs_field.time_grid.zero_index, lhs_field.space_grid.zero_index
+    m_t, n_x = U1.coeffs.shape
+    m1 = np.arange(m_t) - U1.time_grid.zero_index
+    k1 = np.arange(n_x) - U1.space_grid.zero_index
+    labels = []
+    for cell in flat:
+        mi, ki = divmod(int(cell), n_out)
+        xi_out = lhs_field.space_grid.frequencies[ki]
+        if contrib[mi, ki] <= 0.0 or xi_out == 0.0:
+            continue
+        m2 = mi - z_t_out - m1
+        k2 = ki - z_x_out - k1
+        ok_t = (m2 >= m1.min()) & (m2 <= m1.max())
+        ok_x = (k2 >= k1.min()) & (k2 <= k1.max())
+        a = np.where(ok_t, 1, 0)[:, None] * np.where(ok_x, 1, 0)[None, :]
+        m2c = np.clip(m2 - m1.min(), 0, m_t - 1)
+        k2c = np.clip(k2 - k1.min(), 0, n_x - 1)
+        terms = a * U1.coeffs * U2.coeffs[np.ix_(m2c, k2c)]
+        mi1, ki1 = divmod(int(np.argmax(np.abs(terms))), n_x)
+        if terms[mi1, ki1] == 0.0 or not (ok_t[mi1] and ok_x[ki1]):
+            continue
+        xi1, tau1 = U1.space_grid.frequencies[ki1], U1.taus[mi1]
+        xi2, tau2 = xi_out - xi1, lhs_field.taus[mi] - tau1
+        if xi1 == 0.0 or xi2 == 0.0:
+            continue
+        if abs(xi1) > abs(xi2):
+            xi1, xi2, tau1, tau2 = xi2, xi1, tau2, tau1
+        weights = convolution_weights(tau1, xi1, tau2, xi2, p.alpha)
+        labels.append(classify_region(xi1, xi2, weights.lam, weights.lam_1, weights.lam_2))
+    return labels
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dominant_regions_match_the_full_term_matrix(seed):
+    rng = np.random.default_rng(seed)
+    n_x, m_t, box, window = 16, 24, 16.0, 0.8
+    gs, gt, ext = FrequencyGrid(n_x, box), FrequencyGrid(m_t, window), FrequencyGrid(2 * n_x, box)
+
+    def rand_coeffs(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # band-limited like real lifts, so some output cells see only zero terms
+    band = np.abs(gs.mode_numbers) <= 6
+    lifts = tuple(SpaceTimeField(gs, gt, rand_coeffs((m_t, n_x)) * band) for _ in range(2))
+    # the heaviest output cells sit on and next to the lattice's edges, where
+    # the block of (tau1, xi1) with a partner on the lifts' lattice is partial
+    lhs = 1e-3 * rand_coeffs((m_t, 2 * n_x))
+    rows = rng.choice([0, 1, 2, m_t // 2, m_t - 3, m_t - 2, m_t - 1], size=14)
+    cols = rng.choice([0, 3, 4, 6, n_x, 2 * n_x - 6, 2 * n_x - 4, 2 * n_x - 1], size=14)
+    lhs[rows, cols] = rng.uniform(1.0, 2.0, size=14)
+    lhs_field = SpaceTimeField(ext, gt, lhs)
+    w_out = rng.uniform(0.5, 1.5, size=lhs.shape)
+    p = EstimateParams.default_admissible(1.5)
+    top_cells = int(np.unique(rows * 2 * n_x + cols).size)
+
+    def key(label):
+        return label.d_part, label.a_part
+
+    got = estimates._dominant_regions(lhs_field, w_out, lifts, p, top_cells)
+    expected = full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells)
+    assert len(expected) > 0
+    assert sorted(got, key=key) == sorted(expected, key=key)
 
 
 class TestFreeLifts:
