@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-SUBCOMMANDS = ("simulate", "picard", "verify-resonance", "verify-estimate", "sweep")
-
 
 class ConfigError(ValueError):
     pass
@@ -44,7 +42,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Fully materialized run parameters; field order fixes the manifest order."""
+    """Fully materialized run parameters.
+
+    Each field declares one config key: its flag (--n-modes for n_modes), its
+    type (tuple of floats, int, float, bool or str; '| None' lets it read
+    'none') and its default.  Field order fixes the manifest order.
+    """
 
     subcommand: str = ""
     alpha: tuple = (1.5,)
@@ -64,55 +67,72 @@ class ExperimentConfig:
     amplitude: float = 0.5
     width: float = 1.0
     carrier: float = 0.0
-    band: float = 8.0
+    band: float | None = None
     zero_mean: bool = False
     tol: float = 1e-8
     max_iter: int = 30
     retained_modes: int = 16
 
 
-_FLOAT_TUPLE_FIELDS = {"alpha", "s"}
-_OPTIONAL_FIELDS = {"s", "b", "b_prime"}
-_INT_FIELDS = {"n_modes", "samples", "seed", "max_iter", "retained_modes"}
-_FLOAT_FIELDS = {
-    "box_length", "t_span", "dt", "b", "b_prime", "epsilon",
-    "amplitude", "width", "carrier", "band", "tol",
-}
-_BOOL_FIELDS = {"zero_mean"}
-_STR_FIELDS = {"subcommand", "out", "kind", "family"}
+#: The keys _initial_field reads, for simulate and picard.
+_INITIAL_FIELD_KEYS = ("family", "amplitude", "width", "carrier", "band", "zero_mean", "seed")
 
-_ALL_KEYS = (
-    _FLOAT_TUPLE_FIELDS | _INT_FIELDS | _FLOAT_FIELDS | _BOOL_FIELDS | _STR_FIELDS
-)
+#: The config keys each subcommand reads.  It accepts these and out, and no
+#: other key, and its manifest records only these, subcommand and out.
+SUBCOMMAND_KEYS = {
+    "simulate": ("alpha", "n_modes", "box_length", "t_span", "dt", "retained_modes")
+    + _INITIAL_FIELD_KEYS,
+    "picard": ("alpha", "n_modes", "box_length", "t_span", "dt", "tol", "max_iter")
+    + _INITIAL_FIELD_KEYS,
+    "verify-resonance": ("alpha", "samples", "seed"),
+    "verify-estimate": (
+        "alpha", "s", "kind", "epsilon", "b", "b_prime", "band", "samples", "seed",
+    ),
+    "sweep": ("alpha", "s", "epsilon", "b", "b_prime", "samples", "seed"),
+}
+SUBCOMMANDS = tuple(SUBCOMMAND_KEYS)
+
+#: Config key -> (base type name, whether it may read 'none'), from the fields.
+_KEY_TYPES = {
+    f.name: (f.type.removesuffix(" | None"), f.type.endswith(" | None"))
+    for f in fields(ExperimentConfig)
+}
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_CONVERTERS = {
+    "tuple": lambda raw: tuple(float(part) for part in raw.split(",") if part.strip()),
+    "int": int,
+    "float": float,
+    "bool": lambda raw: _BOOLS[raw.lower()],
+    "str": str,
+}
 
 
 def _parse_value(key: str, raw: str):
+    kind, optional = _KEY_TYPES[key]
     raw = raw.strip()
-    if key in _OPTIONAL_FIELDS and raw.lower() == "none":
+    if optional and raw.lower() == "none":
         return None
-    if key in _FLOAT_TUPLE_FIELDS:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    if key in _BOOL_FIELDS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key} expects a boolean, got {raw!r}")
-    return raw
+    convert = _CONVERTERS[kind]
+    try:
+        return convert(raw)
+    except (KeyError, ValueError):
+        expects = {"tuple": "comma-separated numbers", "int": "an int"}.get(kind, f"a {kind}")
+        raise ConfigError(
+            f"{key} expects {expects}{' or none' if optional else ''}, got {raw!r}"
+        ) from None
 
 
 def _format_value(key: str, value) -> str:
+    kind = _KEY_TYPES[key][0]
     if value is None:
         return "none"
-    if key in _FLOAT_TUPLE_FIELDS:
+    if kind == "tuple":
         return ",".join(repr(float(v)) for v in value)
-    if key in _BOOL_FIELDS:
+    if kind == "bool":
         return "true" if value else "false"
-    if key in _FLOAT_FIELDS:
+    if kind == "float":
         return repr(float(value))
     return str(value)
 
@@ -130,7 +150,7 @@ def load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, raw = line.split("=", 1)
             key = key.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 unknown.append(key)
                 continue
             values[key] = _parse_value(key, raw)
@@ -140,9 +160,12 @@ def load_config_file(path: str) -> dict:
 
 
 def config_to_text(config: ExperimentConfig) -> str:
+    """The manifest: the subcommand, the keys it reads and out."""
+    keys = ("subcommand", "out") + SUBCOMMAND_KEYS[config.subcommand]
     lines = [f"# bump profile: {BUMP_PROFILE}"]
     for f in fields(ExperimentConfig):
-        lines.append(f"{f.name}={_format_value(f.name, getattr(config, f.name))}")
+        if f.name in keys:
+            lines.append(f"{f.name}={_format_value(f.name, getattr(config, f.name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -172,24 +195,27 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _estimate_summary_row(report: RatioReport, p: EstimateParams | None) -> str:
-    sup_or_inf = report.ratio
+def _estimate_summary_row(report: RatioReport, alpha: float, p: EstimateParams | None) -> str:
+    params = ("", "", "") if p is None else (repr(p.s), repr(p.b), repr(p.b_prime))
     res = report.refinement_trend[-1][0]
-    cells = [
-        report.kind,
-        "" if p is None else repr(p.alpha),
-        "" if p is None else repr(p.s),
-        "" if p is None else repr(p.b),
-        "" if p is None else repr(p.b_prime),
-        repr(sup_or_inf),
-        str(report.sample_count),
-        res,
+    return ",".join([
+        report.kind, repr(alpha), *params, repr(report.ratio), str(report.sample_count), res,
         str(report.seed),
-    ]
-    return ",".join(cells)
+    ])
 
 
 _SUMMARY_HEADER = "kind,alpha,s,b,b_prime,sup_or_inf,n_samples,resolution,seed"
+
+
+def _single(config: ExperimentConfig, key: str) -> float | None:
+    """The one value of a list key, for the subcommands that run one point."""
+    values = getattr(config, key)
+    if values is not None and len(values) > 1:
+        raise ConfigError(
+            f"{config.subcommand} runs one point, got {key}={_format_value(key, values)}: pass "
+            "one value; sweep takes lists of alpha and s, verify-resonance a list of alpha"
+        )
+    return values[0] if values else None
 
 
 def _build_params(config: ExperimentConfig, alpha: float, s: float | None) -> EstimateParams:
@@ -222,14 +248,16 @@ def _initial_field(config: ExperimentConfig, grid: FrequencyGrid):
         amplitude=config.amplitude,
         width=config.width,
         carrier=config.carrier,
-        band=config.band if config.family == "random_bandlimited" else None,
+        # random_bandlimited data is drawn within band, 8.0 when it is unset
+        band=(8.0 if config.band is None else config.band)
+        if config.family == "random_bandlimited" else None,
         zero_mean=config.zero_mean,
     )
 
 
 def _run_simulate(config: ExperimentConfig) -> int:
+    alpha = _single(config, "alpha")
     grid = FrequencyGrid(config.n_modes, config.box_length)
-    alpha = config.alpha[0]
     u0 = _initial_field(config, grid)
     traj = solve_reference(u0, config.t_span, config.dt, alpha)
     drift = l2_drift(traj)
@@ -237,21 +265,10 @@ def _run_simulate(config: ExperimentConfig) -> int:
     report = apriori_check(traj, omega)
     export_trajectory_csv(traj, os.path.join(config.out, "traj.csv"), config.retained_modes)
     export_trajectory_binary(traj, os.path.join(config.out, "traj.bin"))
-    run_id = f"simulate-seed{config.seed}"
+    values = (alpha, omega, report.T, report.initial_norm, report.sup_norm, report.fitted_C, drift)
     rows = [
         "run_id,alpha,omega,T,initial_norm,sup_norm,fitted_C,l2_drift",
-        ",".join(
-            [
-                run_id,
-                repr(alpha),
-                repr(omega),
-                repr(report.T),
-                repr(report.initial_norm),
-                repr(report.sup_norm),
-                repr(report.fitted_C),
-                repr(drift),
-            ]
-        ),
+        ",".join([f"simulate-seed{config.seed}"] + [repr(v) for v in values]),
     ]
     _write_text(os.path.join(config.out, "conservation.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
@@ -292,10 +309,9 @@ def _check_picard_dt(T: float, dt: float) -> None:
 
 
 def _run_picard(config: ExperimentConfig) -> int:
-    T = config.t_span
+    alpha, T = _single(config, "alpha"), config.t_span
     _check_picard_dt(T, config.dt)
     grid = FrequencyGrid(config.n_modes, config.box_length)
-    alpha = config.alpha[0]
     u0 = _initial_field(config, grid)
     traj, history = picard_solve(
         u0, T, alpha, tol=config.tol, max_iter=config.max_iter, dt=config.dt
@@ -328,22 +344,23 @@ def _run_verify_resonance(config: ExperimentConfig) -> int:
             os.path.join(config.out, f"resonance_alpha_{alpha}.json"),
             report.to_json_dict(),
         )
-        row = _estimate_summary_row(report, None).split(",")
-        row[1] = repr(alpha)
-        rows.append(",".join(row))
+        rows.append(_estimate_summary_row(report, alpha, None))
     _write_text(os.path.join(config.out, "summary.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
 
 def _run_verify_estimate(config: ExperimentConfig) -> int:
-    alpha, s = config.alpha[0], (config.s[0] if config.s else None)
+    alpha, s = _single(config, "alpha"), _single(config, "s")
     _check_epsilon(config, [(alpha, s)])
     p = _build_params(config, alpha, s)
-    report = estimate_ratio(config.kind, {"n_samples": config.samples}, p, config.seed)
+    inputs = {"n_samples": config.samples}
+    if config.band is not None:
+        inputs["band"] = config.band
+    report = estimate_ratio(config.kind, inputs, p, config.seed)
     _write_json(
         os.path.join(config.out, f"estimate_{config.kind}.json"), report.to_json_dict()
     )
-    rows = [_SUMMARY_HEADER, _estimate_summary_row(report, p)]
+    rows = [_SUMMARY_HEADER, _estimate_summary_row(report, alpha, p)]
     _write_text(os.path.join(config.out, "summary.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -364,13 +381,8 @@ def _run_sweep(config: ExperimentConfig) -> int:
     def one(p):
         # the band grows with the grid here so that refinement genuinely
         # enlarges the frequency support being tested around the threshold
-        report = estimate_ratio(
-            "main_bilinear",
-            {"n_samples": config.samples, "band_fraction": 0.7},
-            p,
-            config.seed,
-        )
-        return report
+        inputs = {"n_samples": config.samples, "band_fraction": 0.7}
+        return estimate_ratio("main_bilinear", inputs, p, config.seed)
 
     reports = _ordered_map(one, params)
     rows = [
@@ -378,26 +390,12 @@ def _run_sweep(config: ExperimentConfig) -> int:
         "ratio_fine,growth_factor,seed"
     ]
     for (alpha, s, threshold), report in zip(points, reports):
-        (res_c, ratio_c), (res_f, ratio_f) = (
-            report.refinement_trend[0],
-            report.refinement_trend[-1],
-        )
+        (res_c, ratio_c), (res_f, ratio_f) = report.refinement_trend[0], report.refinement_trend[-1]
         growth = ratio_f / ratio_c if ratio_c > 0.0 else math.inf
-        rows.append(
-            ",".join(
-                [
-                    repr(alpha),
-                    repr(s),
-                    repr(threshold),
-                    res_c,
-                    repr(ratio_c),
-                    res_f,
-                    repr(ratio_f),
-                    repr(growth),
-                    str(config.seed),
-                ]
-            )
-        )
+        rows.append(",".join([
+            repr(alpha), repr(s), repr(threshold), res_c, repr(ratio_c), res_f, repr(ratio_f),
+            repr(growth), str(config.seed),
+        ]))
     _write_text(os.path.join(config.out, "sweep.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -417,52 +415,40 @@ def run(config: ExperimentConfig) -> int:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     try:
         os.makedirs(config.out, exist_ok=True)
-        probe = os.path.join(config.out, ".write-probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
+        _write_text(os.path.join(config.out, "manifest.txt"), config_to_text(config))
     except OSError as exc:
         raise ConfigError(f"output directory {config.out!r} is not writable: {exc}")
-    _write_text(os.path.join(config.out, "manifest.txt"), config_to_text(config))
     return _RUNNERS[config.subcommand](config)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbo-lab",
         description="Deterministic experiment driver for the dispersive-flow laboratory.",
+        epilog="keys each subcommand reads, besides --out:\n" + "\n".join(
+            f"  {sub}: {' '.join(_flag(key) for key in keys)}"
+            for sub, keys in SUBCOMMAND_KEYS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--alpha", help="comma-separated dispersion exponents")
-    parser.add_argument("--s", help="comma-separated regularity values, or 'none'")
-    parser.add_argument("--n-modes", type=int, dest="n_modes")
-    parser.add_argument("--box-length", type=float, dest="box_length")
-    parser.add_argument("--t-span", type=float, dest="t_span")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--kind")
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--b-prime", type=float, dest="b_prime")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--family")
-    parser.add_argument("--amplitude", type=float)
-    parser.add_argument("--width", type=float)
-    parser.add_argument("--carrier", type=float)
-    parser.add_argument("--band", type=float)
-    parser.add_argument(
-        "--zero-mean", dest="zero_mean", action=argparse.BooleanOptionalAction, default=None
-    )
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--retained-modes", type=int, dest="retained_modes")
+    for key, (kind, _) in _KEY_TYPES.items():
+        if kind == "bool":
+            parser.add_argument(
+                _flag(key), dest=key, action=argparse.BooleanOptionalAction, default=None
+            )
+        elif key != "subcommand":
+            parser.add_argument(_flag(key), dest=key)
     return parser
 
 
 #: Flags that take a comma-separated number list.
-_LIST_FLAGS = ("--alpha", "--s")
+_LIST_FLAGS = tuple(_flag(key) for key, (kind, _) in _KEY_TYPES.items() if kind == "tuple")
 
 
 def _bind_number_lists(argv: list[str]) -> list[str]:
@@ -480,27 +466,38 @@ def _bind_number_lists(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | None) -> None:
+    """Reject a key the subcommand does not read, naming the flag or line to drop."""
+    reads = SUBCOMMAND_KEYS[subcommand]
+    given = {**from_file, **from_flags}
+    unread = [key for key in _KEY_TYPES if key in given and key not in reads + ("out",)]
+    if not unread:
+        return
+    drop = [_flag(key) for key in unread if key in from_flags]
+    lines = [f"{key}=" for key in unread if key in from_file]
+    if lines:
+        drop.append(f"the lines {' '.join(lines)} from {path}")
+    raise ConfigError(
+        f"{subcommand} does not read {', '.join(unread)}: remove {'; '.join(drop)}. "
+        f"It reads {', '.join(reads)} and out"
+    )
+
+
 def build_config(argv: list[str]) -> ExperimentConfig:
     args = _build_argparser().parse_args(_bind_number_lists(argv))
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in _ALL_KEYS:
-        if key == "subcommand":
-            continue
-        cli_value = getattr(args, key, None)
-        if cli_value is None:
-            continue
-        if key in _FLOAT_TUPLE_FIELDS:
-            values[key] = _parse_value(key, cli_value)
-        else:
-            values[key] = cli_value
-    config_sub = values.pop("subcommand", None)
-    if config_sub is not None and config_sub != args.subcommand:
+    from_file = load_config_file(args.config) if args.config else {}
+    config_sub = from_file.pop("subcommand", args.subcommand)
+    if config_sub != args.subcommand:
         raise ConfigError(
             f"config file subcommand {config_sub!r} conflicts with {args.subcommand!r}"
         )
-    config = ExperimentConfig(subcommand=args.subcommand, **values)
+    from_flags = {
+        key: value if isinstance(value, bool) else _parse_value(key, value)
+        for key, value in vars(args).items()
+        if key in _KEY_TYPES and key != "subcommand" and value is not None
+    }
+    _check_keys(args.subcommand, from_file, from_flags, args.config)
+    config = ExperimentConfig(subcommand=args.subcommand, **{**from_file, **from_flags})
     if not config.alpha:
         raise ConfigError("alpha list must be nonempty")
     return config

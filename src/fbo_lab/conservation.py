@@ -16,7 +16,9 @@ import numpy as np
 
 from .evolution import Trajectory, _dealiased_square, _row_blocks
 from .norms import _sobolev_rows, _sobolev_weights
-from .spectral import FrequencyGrid, SpectralField, _l2_raw, _require_zero_mean, bump
+from .spectral import (
+    FrequencyGrid, SpectralField, _l2_raw, _require_zero_mean, _singular_power, bump,
+)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ def low_freq_project(u: SpectralField, omega: float) -> SpectralField:
     weights = bump(xi)
     if omega > 0.0:
         _require_zero_mean(u.coeffs, u.grid.zero_index, "low-frequency projection")
-        nz = xi != 0.0
-        weights = np.where(nz, weights * np.abs(np.where(nz, xi, 1.0)) ** (-omega), 0.0)
+        weights = weights * _singular_power(xi, -omega)
     return SpectralField(u.grid, u.coeffs * weights)
 
 

@@ -14,6 +14,7 @@ and refinement trends are the honest way to judge it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .spectral import (
     _freeze,
     _inverse_raw,
     _require_zero_mean,
+    _singular_power,
     bump,
     dispersion_symbol,
     japanese_bracket,
@@ -141,17 +143,7 @@ class EstimateParams:
         return cls(alpha, s, admissible_omega(alpha), b, b_prime, epsilon, admissible)
 
     def replace(self, **changes) -> "EstimateParams":
-        kwargs = {
-            "alpha": self.alpha,
-            "s": self.s,
-            "omega": self.omega,
-            "b": self.b,
-            "b_prime": self.b_prime,
-            "epsilon": self.epsilon,
-            "admissible": self.admissible,
-        }
-        kwargs.update(changes)
-        return EstimateParams(**kwargs)
+        return dataclasses.replace(self, **changes)
 
 
 def sobolev_norm(u: SpectralField, s: float, omega: float) -> float:
@@ -170,8 +162,7 @@ def _sobolev_weights(xi: np.ndarray, s: float, omega: float) -> np.ndarray:
         raise ValueError(f"omega must lie in [0, 1/2), got {omega}")
     weights = japanese_bracket(xi) ** (2.0 * s + 2.0 * omega)
     if omega > 0.0:
-        nz = xi != 0.0
-        weights = np.where(nz, weights * np.abs(np.where(nz, xi, 1.0)) ** (-2.0 * omega), 0.0)
+        weights = weights * _singular_power(xi, -2.0 * omega)
     return weights
 
 
@@ -282,10 +273,7 @@ def bourgain_weights(
     w = w * japanese_bracket(sigma) ** (2.0 * p.omega)
     w = w * japanese_bracket(lam) ** (2.0 * b)
     if p.omega > 0.0:
-        lowfreq = np.zeros_like(xi)
-        nz = xi != 0.0
-        lowfreq[nz] = np.abs(xi[nz]) ** (-2.0 * p.omega)
-        w = w * lowfreq
+        w = w * _singular_power(xi, -2.0 * p.omega)
     return w
 
 

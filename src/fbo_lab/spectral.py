@@ -226,6 +226,12 @@ def japanese_bracket(xi: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + np.asarray(xi, dtype=float) ** 2)
 
 
+def _singular_power(xi: np.ndarray, power: float) -> np.ndarray:
+    """|xi|^power off the zero mode and 0 on it, for the singular low-frequency weights."""
+    nz = xi != 0.0
+    return np.where(nz, np.abs(np.where(nz, xi, 1.0)) ** power, 0.0)
+
+
 def apply_multiplier(u: SpectralField, kind: str, s: float) -> SpectralField:
     """Apply |D|^s (kind='homogeneous') or J^s = <D>^s (kind='bessel').
 
@@ -240,9 +246,7 @@ def apply_multiplier(u: SpectralField, kind: str, s: float) -> SpectralField:
             return u
         if s < 0.0:
             _require_zero_mean(u.coeffs, u.grid.zero_index, "homogeneous multiplier with negative power")
-            weights = np.zeros_like(xi)
-            nz = xi != 0.0
-            weights[nz] = np.abs(xi[nz]) ** s
+            weights = _singular_power(xi, s)
         else:
             weights = np.abs(xi) ** s
     else:

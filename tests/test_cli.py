@@ -1,20 +1,29 @@
 import json
 import math
 import os
+import shlex
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import fbo_lab.cli as cli
+import fbo_lab.estimates as estimates
 from fbo_lab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    SUBCOMMAND_KEYS,
     ExperimentConfig,
     build_config,
     config_to_text,
     load_config_file,
     main,
 )
+from fbo_lab.estimates import estimate_ratio
+from fbo_lab.norms import EstimateParams
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def read(path):
@@ -327,3 +336,135 @@ class TestSweep:
             cells = row.split(",")
             assert float(cells[2]) == pytest.approx(-0.375)
             assert math.isfinite(float(cells[7]))
+
+
+class Reached(Exception):
+    """Raised by a stubbed compute entry point: every check before it passed."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+#: Where each subcommand's compute starts, as the CLI and estimate_ratio call it.
+COMPUTE_ENTRY_POINTS = [
+    (cli, "make_test_field"), (cli, "solve_reference"), (cli, "picard_solve"),
+    (cli, "resonance_infimum"), (estimates, "_smoothing_report"), (estimates, "_draw_samples"),
+]
+
+
+def reads_message(subcommand):
+    return f"It reads {', '.join(SUBCOMMAND_KEYS[subcommand])} and out"
+
+
+class TestSubcommandKeys:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--kind", "strichartz"], reads_message("simulate")),
+            (["sweep", "--kind", "bilinear_str"], reads_message("sweep")),
+            (["verify-estimate", "--box-length", "32"], reads_message("verify-estimate")),
+            (["verify-estimate", "--kind", "smoothing", "--band", "2"], "it reads ['n_samples']"),
+            (["simulate", "--alpha", "1.3,1.5"], "simulate runs one point"),
+            (["verify-estimate", "--s=-0.3,-0.2"], "verify-estimate runs one point"),
+        ],
+        ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
+             "simulate-alpha-list", "estimate-s-list"],
+    )
+    def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_unread_config_file_key_names_the_lines(self, tmp_path, monkeypatch, capsys):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        path = tmp_path / "old.cfg"
+        path.write_text("subcommand=picard\nalpha=1.5\nsamples=100\nkind=main_bilinear\n")
+        assert main(["picard", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"remove the lines samples= kind= from {path}" in err
+        assert reads_message("picard") in err
+
+    @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_KEYS))
+    def test_manifest_holds_the_keys_read(self, subcommand):
+        text = config_to_text(ExperimentConfig(subcommand=subcommand))
+        keys = [line.split("=")[0] for line in text.splitlines()[1:]]
+        order = [f.name for f in fields(ExperimentConfig)]
+        assert sorted(keys, key=order.index) == keys
+        assert set(keys) == {"subcommand", "out", *SUBCOMMAND_KEYS[subcommand]}
+
+    def test_band_reaches_the_estimate(self, tmp_path):
+        argv = ["verify-estimate", "--kind", "strichartz", "--samples", "3", "--seed", "7"]
+        out, plain = tmp_path / "band", tmp_path / "plain"
+        assert main(argv + ["--band", "2.0", "--out", str(out)]) == EXIT_OK
+        assert main(argv + ["--out", str(plain)]) == EXIT_OK
+        p = EstimateParams.default_admissible(1.5, 0.1)
+        expected = estimate_ratio("strichartz", {"n_samples": 3, "band": 2.0}, p, 7)
+        report = read(out / "estimate_strichartz.json")
+        assert report == json.dumps(expected.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert report != read(plain / "estimate_strichartz.json")
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text(read(out / "manifest.txt").replace(str(out), str(tmp_path / "again")))
+        assert main(["verify-estimate", "--config", str(cfg)]) == EXIT_OK
+        assert read(tmp_path / "again" / "estimate_strichartz.json") == report
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            dict(subcommand="simulate", t_span=0.02, dt=0.01),
+            dict(subcommand="picard", t_span=0.1, dt=0.01),
+            dict(subcommand="verify-resonance", samples=100),
+            dict(subcommand="verify-estimate", kind="strichartz", samples=1, band=2.0),
+            dict(subcommand="sweep", s=(-0.2,), samples=1),
+        ],
+        ids=lambda values: values["subcommand"],
+    )
+    def test_table_lists_the_keys_each_run_reads(self, tmp_path, monkeypatch, values):
+        """A run reads exactly its declared keys, subcommand and out.
+
+        The random_bandlimited family makes simulate and picard read band.
+        The manifest writer is stubbed: it reads the declared keys by
+        construction, so it would hide a declared key no computation reads.
+        """
+        names = {f.name for f in fields(ExperimentConfig)}
+        read_keys = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    read_keys.add(name)
+                return super().__getattribute__(name)
+
+        small = dict(
+            n_modes=32, box_length=16.0, family="random_bandlimited", band=2.0,
+            amplitude=0.1, out=str(tmp_path / "run"),
+        )
+        config = Recording(**{**small, **values})
+        monkeypatch.setattr(cli, "config_to_text", lambda config: "")
+        assert cli.run(config) == EXIT_OK
+        subcommand = values["subcommand"]
+        assert read_keys == {"subcommand", "out", *SUBCOMMAND_KEYS[subcommand]}
+
+
+def readme_commands():
+    """Each fbo-lab command of README's CLI block, as an argv list."""
+    with open(README) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in commands if line.startswith("fbo-lab ")]
+
+
+class TestReadmeCommands:
+    def test_block_lists_every_subcommand(self):
+        assert sorted(argv[0] for argv in readme_commands()) == sorted(SUBCOMMAND_KEYS)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_command_passes_its_checks(self, tmp_path, monkeypatch, argv):
+        config = build_config(argv)
+        for name in ("solve_reference", "picard_solve", "resonance_infimum", "estimate_ratio"):
+            monkeypatch.setattr(cli, name, reached)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(Reached):
+            cli.run(config)
