@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .conservation import apriori_check, l2_drift
-from .estimates import RatioReport, estimate_ratio, resonance_infimum
+from .estimates import _KIND_INPUTS, RatioReport, estimate_ratio, resonance_infimum
 from .evolution import (
     BlowUpError,
     export_trajectory_binary,
@@ -467,9 +467,14 @@ def _bind_number_lists(argv: list[str]) -> list[str]:
 
 
 def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | None) -> None:
-    """Reject a key the subcommand does not read, naming the flag or line to drop."""
+    """Reject a key the subcommand does not read, or a band its kind does not
+    read, naming the flag or line to drop and the flags it reads."""
     reads = SUBCOMMAND_KEYS[subcommand]
     given = {**from_file, **from_flags}
+    kind = given.get("kind", ExperimentConfig.kind)  # estimate_ratio names an unknown kind
+    if subcommand == "verify-estimate" and "band" not in _KIND_INPUTS.get(kind, ("band",)):
+        reads = tuple(key for key in reads if key != "band")
+        subcommand += f" --kind {kind}"
     unread = [key for key in _KEY_TYPES if key in given and key not in reads + ("out",)]
     if not unread:
         return
@@ -479,7 +484,7 @@ def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | 
         drop.append(f"the lines {' '.join(lines)} from {path}")
     raise ConfigError(
         f"{subcommand} does not read {', '.join(unread)}: remove {'; '.join(drop)}. "
-        f"It reads {', '.join(reads)} and out"
+        f"It reads {' '.join(_flag(key) for key in reads)} and --out"
     )
 
 

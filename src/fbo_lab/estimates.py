@@ -37,6 +37,7 @@ from .spectral import (
     SpectralField,
     _FAMILIES,
     _forward_raw,
+    _freeze,
     _inverse_raw,
     bump,
     dispersion_symbol,
@@ -242,7 +243,14 @@ def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) 
 # ---------------------------------------------------------------------------
 # resonance lower-bound scan
 
-_RESONANCE_SPEC_KEYS = {"n_samples", "freq_limit", "dyadic_exponent_range"}
+
+def _check_inputs(what: str, given: dict, keys) -> None:
+    """Reject input keys outside keys, naming them and the keys that are read."""
+    unknown = set(given) - set(keys)
+    if unknown:
+        raise ValueError(
+            f"unknown input keys for {what}: {sorted(unknown)}; it reads {sorted(keys)}"
+        )
 
 
 def resonance_infimum(
@@ -250,22 +258,18 @@ def resonance_infimum(
 ) -> RatioReport:
     """inf over sampled tuples of |h(xi1, xi2)| / (|xi_min| |xi_max|^alpha).
 
-    The sampler mixes the full dyadic ladder (+-2^e for e in the configured
-    range, crossed with itself) with uniform draws over the square of side
-    2*freq_limit; tuples with any vanishing frequency are excluded since the
-    right side degenerates there.
+    sampler_spec may set only n_samples (default 1000000).  The sampler mixes
+    the full dyadic ladder (+-2^e for e in -10..10, crossed with itself) with
+    uniform draws over the square [-1000, 1000]^2; tuples with any vanishing
+    frequency are excluded since the right side degenerates there.
     """
-    spec = dict(sampler_spec or {})
-    unknown = set(spec) - _RESONANCE_SPEC_KEYS
-    if unknown:
-        raise ValueError(f"unknown sampler_spec keys: {sorted(unknown)}")
+    spec = sampler_spec or {}
+    _check_inputs("resonance_infimum", spec, ("n_samples",))
     n_samples = int(spec.get("n_samples", 1_000_000))
-    freq_limit = float(spec.get("freq_limit", 1e3))
-    e_lo, e_hi = spec.get("dyadic_exponent_range", (-10, 10))
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
 
-    ladder = 2.0 ** np.arange(e_lo, e_hi + 1, dtype=float)
+    ladder = 2.0 ** np.arange(-10, 11, dtype=float)
     ladder = np.concatenate([-ladder[::-1], ladder])
     d1, d2 = np.meshgrid(ladder, ladder, indexing="ij")
     xi1 = d1.ravel()
@@ -273,7 +277,7 @@ def resonance_infimum(
     n_random = max(0, n_samples - xi1.size)
     rng = np.random.default_rng(seed)
     if n_random:
-        draws = rng.uniform(-freq_limit, freq_limit, size=(n_random, 2))
+        draws = rng.uniform(-1e3, 1e3, size=(n_random, 2))
         xi1 = np.concatenate([xi1, draws[:, 0]])
         xi2 = np.concatenate([xi2, draws[:, 1]])
     xi1, xi2 = xi1[:n_samples], xi2[:n_samples]
@@ -332,21 +336,18 @@ def _bilinear_convolve(U1: SpaceTimeField, U2: SpaceTimeField, kernel) -> SpaceT
     a_fft = np.fft.fft(a, n=2 * m, axis=0)
     b_fft = np.fft.fft(b, n=2 * m, axis=0)
     acc = np.zeros((2 * m, n), dtype=complex)
-    for j1 in range(n - 1):
-        col = a_fft[:, j1 : j1 + 1]
-        if not np.any(col):
-            continue
+    for j1 in np.flatnonzero(np.any(a_fft[:, : n - 1], axis=0)).tolist():
         # second-factor columns whose sum with j1 lands on the sublattice
         j2_lo = max(0, z_x - j1)
         j2_hi = min(n - 2, n - 2 + z_x - j1)
         acc[:, j1 + j2_lo - z_x : j1 + j2_hi + 1 - z_x] += (
-            col * kernel[j1, j2_lo : j2_hi + 1] * b_fft[:, j2_lo : j2_hi + 1]
+            a_fft[:, j1 : j1 + 1] * kernel[j1, j2_lo : j2_hi + 1] * b_fft[:, j2_lo : j2_hi + 1]
         )
     measure = U1.time_grid.spacing * U1.space_grid.spacing
     out = measure * np.fft.ifft(acc, axis=0)[z_t : z_t + m]
     out[-1, :] = 0.0
     out[:, -1] = 0.0
-    return SpaceTimeField(U1.space_grid, U1.time_grid, out)
+    return SpaceTimeField(U1.space_grid, U1.time_grid, _freeze(out))
 
 
 def bilinear_I(U1: SpaceTimeField, U2: SpaceTimeField, s: float) -> SpaceTimeField:
@@ -367,10 +368,8 @@ def bilinear_K(U1: SpaceTimeField, U2: SpaceTimeField, alpha: float) -> SpaceTim
     # the output column of the pair (j1, j2); pairs off the grid are never read
     j_out = j[:, None] + j[None, :] - U1.space_grid.zero_index
     kernel = np.sqrt(np.abs(power.take(j_out, mode="clip") - power[:-1, None]))
-    conj1 = SpaceTimeField(
-        U1.space_grid, U1.time_grid, _conj_reverse(_masked_sublattice(U1))
-    )
-    return _bilinear_convolve(conj1, U2, kernel)
+    conj1 = _freeze(_conj_reverse(_masked_sublattice(U1)))
+    return _bilinear_convolve(SpaceTimeField(U1.space_grid, U1.time_grid, conj1), U2, kernel)
 
 
 def spacetime_inner(U: SpaceTimeField, V: SpaceTimeField) -> complex:
@@ -476,7 +475,7 @@ def _random_spacetime(rng, grid, time_grid, band, tau_fraction=1.0 / 3.0):
     k = int(np.sum(sel))
     draws = rng.standard_normal((k, 2))
     coeffs[sel] = draws[:, 0] + 1j * draws[:, 1]
-    return SpaceTimeField(grid, time_grid, coeffs)
+    return SpaceTimeField(grid, time_grid, _freeze(coeffs))
 
 
 def _field_from_descriptor(
@@ -490,7 +489,7 @@ def _field_from_descriptor(
         coeffs[z - n_band : z + n_band + 1] = modes
         if zero_mean:
             coeffs[z] = 0.0
-        return SpectralField(grid, coeffs)
+        return SpectralField(grid, _freeze(coeffs))
     kwargs = {k: v for k, v in desc.items() if k != "family"}
     return make_test_field(grid, desc["family"], zero_mean=zero_mean, **kwargs)
 
@@ -510,7 +509,7 @@ def _free_cutoff_trajectory(
     phases = np.exp(
         1j * np.outer(times, dispersion_symbol(u0.grid.frequencies, alpha))
     )
-    return Trajectory(u0.grid, times, phases * u0.coeffs[None, :], alpha)
+    return Trajectory(u0.grid, times, _freeze(phases * u0.coeffs[None, :]), alpha)
 
 
 class _FreeLifts:
@@ -539,13 +538,13 @@ class _FreeLifts:
     def trajectory(self, u0: SpectralField) -> Trajectory:
         """The free evolution of u0 on the cutoff's time samples."""
         paths = self.paths
-        return Trajectory(u0.grid, paths.times, paths.coeffs * u0.coeffs[None, :], paths.alpha)
+        coeffs = _freeze(paths.coeffs * u0.coeffs[None, :])
+        return Trajectory(u0.grid, paths.times, coeffs, paths.alpha)
 
     def lift(self, u0: SpectralField) -> SpaceTimeField:
         """localized_lift of the free evolution of u0."""
-        return SpaceTimeField(
-            u0.grid, self.kernel.time_grid, self.kernel.coeffs * u0.coeffs[None, :]
-        )
+        coeffs = _freeze(self.kernel.coeffs * u0.coeffs[None, :])
+        return SpaceTimeField(u0.grid, self.kernel.time_grid, coeffs)
 
     def norm(self, u0: SpectralField) -> float:
         """bourgain_norm of the lift of u0, with its omega > 0 zero-mode check."""
@@ -597,7 +596,7 @@ def product_derivative_field(
     rows = _forward_raw(f1 * f2, ext.box_length, axis=1)
     coeffs, time_grid = _padded_time_dft(rows, traj1.times, n_slots)
     coeffs = coeffs * (1j * ext.frequencies)[None, :]
-    return SpaceTimeField(ext, time_grid, coeffs)
+    return SpaceTimeField(ext, time_grid, _freeze(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +679,7 @@ def _strichartz_sides(p, free, inputs, histogram):
 
     def sides(desc):
         u0 = _field_from_descriptor(grid, desc, False)
-        cut = Trajectory(grid, times, cut_paths * u0.coeffs[None, :], p.alpha)
+        cut = Trajectory(grid, times, _freeze(cut_paths * u0.coeffs[None, :]), p.alpha)
         return mixed_lebesgue_norm(cut, 4.0, math.inf), free.norm(u0)
 
     return sides
@@ -792,11 +791,7 @@ def estimate_ratio(
         raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
     keys = _KIND_INPUTS[kind]
     given = inputs or {}
-    unknown = set(given) - set(keys)
-    if unknown:
-        raise ValueError(
-            f"unknown input keys for kind {kind!r}: {sorted(unknown)}; it reads {sorted(keys)}"
-        )
+    _check_inputs(f"kind {kind!r}", given, keys)
     if "band" in given and given.get("band_fraction") is not None:
         raise ValueError(
             "band and band_fraction are exclusive: set band for draws shared by every "

@@ -21,6 +21,8 @@ from .spectral import (
     TWO_PI,
     FrequencyGrid,
     SpectralField,
+    _freeze,
+    _held,
     _inverse_raw,
     _l2_raw,
     _plan,
@@ -37,12 +39,11 @@ class BlowUpError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-indexed solution samples on a uniform grid covering [-T_span, T_span].
 
-    coeffs is copied, unless it is a read-only complex array that owns its
-    memory, as the solvers hand theirs over: such an array is held as it is.
+    times is copied; coeffs is held as spectral._held gives it.
     """
 
     grid: FrequencyGrid
@@ -51,11 +52,8 @@ class Trajectory:
     alpha: float
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        coeffs = self.coeffs
-        if not (isinstance(coeffs, np.ndarray) and coeffs.dtype == complex
-                and coeffs.flags.owndata and not coeffs.flags.writeable):
-            coeffs = np.array(coeffs, dtype=complex)
+        times = _freeze(np.array(self.times, dtype=float))
+        coeffs = _held(self.coeffs)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("trajectory needs at least two time samples")
         steps = np.diff(times)
@@ -66,8 +64,6 @@ class Trajectory:
                 f"coefficient array shape {coeffs.shape} does not match "
                 f"({times.size}, {self.grid.n_modes})"
             )
-        times.setflags(write=False)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -306,8 +302,7 @@ def solve_reference(
             raise BlowUpError(
                 f"L2 norm grew past {blowup_factor}x the initial value at t={t:.6g}"
             )
-    coeffs.setflags(write=False)
-    return Trajectory(grid, np.arange(-n, n + 1) * dt_eff, coeffs, float(alpha))
+    return Trajectory(grid, np.arange(-n, n + 1) * dt_eff, _freeze(coeffs), float(alpha))
 
 
 def duhamel_apply(
@@ -352,8 +347,7 @@ def duhamel_apply(
     psi_1 = bump(t)[:, None]
     psi_T = bump(t / T)[:, None]
     out = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
-    out.setflags(write=False)
-    return Trajectory(grid, t, out, float(alpha))
+    return Trajectory(grid, t, _freeze(out), float(alpha))
 
 
 def picard_solve(
@@ -468,5 +462,4 @@ def load_trajectory_binary(path, alpha: float = float("nan")) -> Trajectory:
         for array in (times, coeffs):
             if fh.readinto(array) != array.nbytes:
                 raise ValueError("trajectory dump changed while it was read")
-    coeffs.setflags(write=False)  # a frozen array that owns its memory is not copied
-    return Trajectory(FrequencyGrid(n_modes, box_length), times, coeffs, alpha)
+    return Trajectory(FrequencyGrid(n_modes, box_length), times, _freeze(coeffs), alpha)

@@ -26,6 +26,7 @@ from .spectral import (
     SpectralField,
     _forward_raw,
     _freeze,
+    _held,
     _inverse_raw,
     _require_zero_mean,
     _singular_power,
@@ -176,7 +177,7 @@ def _sobolev_rows(
     return np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=-1) * grid.spacing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeField:
     """Coefficients on a (tau, xi) grid for a time-localized space-time function.
 
@@ -186,14 +187,14 @@ class SpaceTimeField:
 
     space_grid: FrequencyGrid
     time_grid: FrequencyGrid
-    coeffs: np.ndarray = field(repr=False, compare=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        c = _held(self.coeffs)
         expected = (self.time_grid.n_modes, self.space_grid.n_modes)
         if c.shape != expected:
             raise ValueError(f"coefficient shape {c.shape} does not match {expected}")
-        object.__setattr__(self, "coeffs", _freeze(c))
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def taus(self) -> np.ndarray:
@@ -235,7 +236,7 @@ def localized_lift(traj: Trajectory, T: float, pad_factor: float = 4.0) -> Space
         raise ValueError("time window holds fewer than 8 samples; decrease dt")
     rows = bump(t / T)[:, None] * traj.coeffs
     coeffs, time_grid = _padded_time_dft(rows, t, n_time)
-    return SpaceTimeField(traj.grid, time_grid, coeffs)
+    return SpaceTimeField(traj.grid, time_grid, _freeze(coeffs))
 
 
 def _padded_time_dft(rows: np.ndarray, times: np.ndarray, n_slots: int) -> tuple:

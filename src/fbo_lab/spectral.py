@@ -15,7 +15,11 @@ Conventions used throughout the package:
 * The japanese bracket is <xi> = (1 + xi^2)^(1/2).
 
 All container types are immutable after construction and every operation is
-a pure function, so everything here is safe to use concurrently.
+a pure function, so everything here is safe to use concurrently.  An array
+container (SpectralField here, SpaceTimeField and Trajectory elsewhere) holds
+a read-only complex array that owns its memory as it is and a frozen copy of
+any other array (_held), and two containers are equal only when they are the
+same object.
 """
 
 from __future__ import annotations
@@ -54,6 +58,16 @@ def bump(t) -> np.ndarray | float:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _held(a) -> np.ndarray:
+    """The array a container holds for a: a itself when it is a read-only
+    complex ndarray that owns its memory, as producers hand theirs over, else
+    a frozen complex copy in a's memory order."""
+    if (isinstance(a, np.ndarray) and a.dtype == complex
+            and a.flags.owndata and not a.flags.writeable):
+        return a
+    return _freeze(np.array(a, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -106,37 +120,27 @@ class FrequencyGrid:
         n, L = self.n_modes, self.box_length
         return -0.5 * L + L * np.arange(n) / n
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrequencyGrid)
-            and self.n_modes == other.n_modes
-            and self.box_length == other.box_length
-        )
-
-    def __hash__(self):
-        return hash((self.n_modes, self.box_length))
-
 
 def make_grid(n_modes: int, box_length: float) -> FrequencyGrid:
     """Build a frequency grid; rejects odd or tiny n_modes and L <= 0."""
     return FrequencyGrid(n_modes, box_length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """A band-limited periodic function stored as complex Fourier coefficients."""
 
     grid: FrequencyGrid
-    coeffs: np.ndarray = field(repr=False, compare=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        c = _held(self.coeffs)
         if c.shape != (self.grid.n_modes,):
             raise ValueError(
                 f"coefficient shape {c.shape} does not match grid with "
                 f"{self.grid.n_modes} modes"
             )
-        object.__setattr__(self, "coeffs", _freeze(c))
+        object.__setattr__(self, "coeffs", c)
 
     def is_conjugate_symmetric(self, rtol: float = 1e-12) -> bool:
         """True when coeffs(-xi) == conj(coeffs(xi)) within rtol (real field)."""
@@ -374,4 +378,4 @@ def make_test_field(
         coeffs = _forward_raw(envelope.astype(complex), grid.box_length)
     if zero_mean:
         coeffs[grid.zero_index] = 0.0
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, _freeze(coeffs))

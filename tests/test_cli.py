@@ -353,8 +353,15 @@ COMPUTE_ENTRY_POINTS = [
 ]
 
 
-def reads_message(subcommand):
-    return f"It reads {', '.join(SUBCOMMAND_KEYS[subcommand])} and out"
+def reads_message(subcommand, unread=()):
+    keys = [key for key in SUBCOMMAND_KEYS[subcommand] if key not in unread]
+    return f"It reads {' '.join('--' + key.replace('_', '-') for key in keys)} and --out"
+
+
+SMOOTHING_BAND_MESSAGE = (
+    "verify-estimate --kind smoothing does not read band: remove --band. "
+    + reads_message("verify-estimate", unread=("band",))
+)
 
 
 class TestSubcommandKeys:
@@ -364,7 +371,7 @@ class TestSubcommandKeys:
             (["simulate", "--kind", "strichartz"], reads_message("simulate")),
             (["sweep", "--kind", "bilinear_str"], reads_message("sweep")),
             (["verify-estimate", "--box-length", "32"], reads_message("verify-estimate")),
-            (["verify-estimate", "--kind", "smoothing", "--band", "2"], "it reads ['n_samples']"),
+            (["verify-estimate", "--kind", "smoothing", "--band", "2"], SMOOTHING_BAND_MESSAGE),
             (["simulate", "--alpha", "1.3,1.5"], "simulate runs one point"),
             (["verify-estimate", "--s=-0.3,-0.2"], "verify-estimate runs one point"),
         ],
@@ -386,6 +393,22 @@ class TestSubcommandKeys:
         err = capsys.readouterr().err
         assert f"remove the lines samples= kind= from {path}" in err
         assert reads_message("picard") in err
+
+    def test_band_the_kind_does_not_read_is_rejected_before_the_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        out = tmp_path / "out"
+        argv = ["verify-estimate", "--kind", "smoothing", "--band", "2", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "remove --band." in err and "--samples" in err and "n_samples" not in err
+        path = tmp_path / "smoothing.cfg"
+        path.write_text("subcommand=verify-estimate\nkind=smoothing\nband=2.0\n")
+        assert main(["verify-estimate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"remove the lines band= from {path}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_KEYS))
     def test_manifest_holds_the_keys_read(self, subcommand):

@@ -89,6 +89,12 @@ class TestResonanceInfimum:
         with pytest.raises(ValueError):
             resonance_infimum(1.5, {"n": 10}, seed=0)
 
+    @pytest.mark.parametrize("key", ["freq_limit", "dyadic_exponent_range"])
+    def test_sampler_reads_only_n_samples(self, key):
+        message = rf"unknown input keys for resonance_infimum: \['{key}'\]; it reads \['n_samples'\]"
+        with pytest.raises(ValueError, match=message):
+            resonance_infimum(1.5, {"n_samples": 10, key: 1.0}, seed=0)
+
 
 class TestSymbolWeights:
     def test_pointwise_example(self):

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from fbo_lab import (
     BlowUpError,
     SpectralField,
+    SpaceTimeField,
     Trajectory,
     duhamel_apply,
     export_trajectory_binary,
@@ -34,6 +35,7 @@ from fbo_lab.evolution import (
     _dealiased_square,
     _etdrk4_coeffs,
     _nonlinearity_raw,
+    _slot_kernel,
 )
 from fbo_lab.spectral import _forward_raw, _inverse_raw, _l2_raw, bump, dispersion_symbol
 
@@ -316,16 +318,6 @@ class TestTrajectory:
         assert np.all(traj.coeffs == 1.0) and traj.times[0] == -0.1
         assert not (traj.coeffs.flags.writeable or traj.times.flags.writeable)
 
-    def test_frozen_array_that_owns_its_memory_is_held_as_is(self):
-        g = make_grid(16, 8.0)
-        times = np.linspace(-0.1, 0.1, 5)
-        coeffs = np.ones((5, 16), complex)
-        coeffs.setflags(write=False)
-        assert Trajectory(g, times, coeffs, 1.5).coeffs is coeffs
-        view = np.ones((5, 32), complex)[:, :16]
-        view.setflags(write=False)
-        assert Trajectory(g, times, view, 1.5).coeffs is not view
-
     def test_solver_result_is_not_copied(self):
         # the traced peak of a solve stays near one trajectory, not two
         g = make_grid(64, 16.0)
@@ -338,6 +330,58 @@ class TestTrajectory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * traj.coeffs.nbytes
+
+
+#: Each array container: the shape of its coefficients and how to build it from them.
+_GRID = make_grid(16, 8.0)
+CONTAINERS = {
+    "SpectralField": ((16,), lambda c: SpectralField(_GRID, c)),
+    "SpaceTimeField": ((8, 16), lambda c: SpaceTimeField(_GRID, make_grid(8, 4.0), c)),
+    "Trajectory": ((8, 16), lambda c: Trajectory(_GRID, np.linspace(-0.1, 0.1, 8), c, 1.5)),
+}
+
+
+def owned(shape, write=True):
+    """A fresh complex array of ones that owns its memory."""
+    a = np.ones(shape, complex)
+    a.setflags(write=write)
+    return a
+
+
+class TestArrayContainers:
+    @pytest.mark.parametrize("name", list(CONTAINERS))
+    def test_frozen_array_that_owns_its_memory_is_held_as_is(self, name):
+        shape, build = CONTAINERS[name]
+        frozen = owned(shape, write=False)
+        assert build(frozen).coeffs is frozen
+        wide = owned(shape[:-1] + (32,))
+        frozen_view = owned(shape[:-1] + (32,), write=False)[..., :16]
+        for given in (owned(shape), wide[..., :16], frozen_view, np.ones(shape)):
+            held = build(given).coeffs
+            assert held is not given and held.base is None
+            assert held.dtype == complex and not held.flags.writeable
+        for given in (owned(shape), wide[..., :16]):
+            held = build(given).coeffs
+            given[...] = 7.0
+            assert np.all(held == 1.0)
+
+    @pytest.mark.parametrize("name", ["SpectralField", "SpaceTimeField"])
+    def test_fields_with_different_coefficients_are_unequal(self, name):
+        shape, build = CONTAINERS[name]
+        ones, zeros = build(owned(shape)), build(np.zeros(shape, complex))
+        assert ones != zeros and ones == ones
+
+    def test_trajectory_is_hashable_and_compares_by_identity(self):
+        shape, build = CONTAINERS["Trajectory"]
+        a, b = build(owned(shape)), build(owned(shape))
+        assert a == a and a != b and len({a, b, a}) == 2
+
+    def test_equal_grids_are_equal_and_share_the_slot_kernel(self):
+        g, h = make_grid(64, 16.0), make_grid(64, 16.0)
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert g != make_grid(64, 32.0) and g != make_grid(32, 16.0)
+        kernels = _slot_kernel(g)
+        assert _slot_kernel(h) is kernels
 
 
 class TestDuhamel:
