@@ -467,14 +467,15 @@ def _bind_number_lists(argv: list[str]) -> list[str]:
 
 
 def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | None) -> None:
-    """Reject a key the subcommand does not read, or a band its kind does not
-    read, naming the flag or line to drop and the flags it reads."""
-    reads = SUBCOMMAND_KEYS[subcommand]
+    """Reject a key the subcommand does not read, or a set band its kind does
+    not read, naming the flag or line to drop and the flags it reads."""
+    reads, label = SUBCOMMAND_KEYS[subcommand], subcommand
     given = {**from_file, **from_flags}
     kind = given.get("kind", ExperimentConfig.kind)  # estimate_ratio names an unknown kind
-    if subcommand == "verify-estimate" and "band" not in _KIND_INPUTS.get(kind, ("band",)):
+    band_unread = given.get("band") is not None and "band" not in _KIND_INPUTS.get(kind, ("band",))
+    if subcommand == "verify-estimate" and band_unread:  # band=none, as in a manifest, is no band
         reads = tuple(key for key in reads if key != "band")
-        subcommand += f" --kind {kind}"
+        label = f"{subcommand} --kind {kind}"
     unread = [key for key in _KEY_TYPES if key in given and key not in reads + ("out",)]
     if not unread:
         return
@@ -483,7 +484,7 @@ def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | 
     if lines:
         drop.append(f"the lines {' '.join(lines)} from {path}")
     raise ConfigError(
-        f"{subcommand} does not read {', '.join(unread)}: remove {'; '.join(drop)}. "
+        f"{label} does not read {', '.join(unread)}: remove {'; '.join(drop)}. "
         f"It reads {' '.join(_flag(key) for key in reads)} and --out"
     )
 

@@ -410,6 +410,23 @@ class TestSubcommandKeys:
         assert f"remove the lines band= from {path}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_smoothing_manifest_replays(self, tmp_path):
+        # the manifest records the unset band as band=none, which is no band
+        first, second = tmp_path / "a", tmp_path / "b"
+        argv = ["verify-estimate", "--kind", "smoothing", "--samples", "3", "--out", str(first)]
+        assert main(argv) == EXIT_OK
+        manifest = read(first / "manifest.txt")
+        assert "band=none\n" in manifest
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text(manifest.replace(str(first), str(second)))
+        assert main(["verify-estimate", "--config", str(cfg)]) == EXIT_OK
+        assert read(second / "manifest.txt") == cfg.read_text()
+        names = sorted(os.listdir(first))
+        assert sorted(os.listdir(second)) == names
+        for name in names:
+            if name != "manifest.txt":
+                assert read(first / name) == read(second / name)
+
     @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_KEYS))
     def test_manifest_holds_the_keys_read(self, subcommand):
         text = config_to_text(ExperimentConfig(subcommand=subcommand))
