@@ -1,6 +1,6 @@
 """Pseudospectral laboratory for the fractional-dispersion Benjamin-Ono flow."""
 
-from .conservation import AprioriReport, apriori_check, forcing_ratio, l2_drift, low_freq_project
+from .conservation import AprioriReport, apriori_check, l2_drift
 from .estimates import (
     RatioReport,
     RegionLabel,
@@ -48,7 +48,6 @@ from .spectral import (
     make_grid,
     make_test_field,
     propagate,
-    split_frequencies,
 )
 
 __version__ = "0.1.0"

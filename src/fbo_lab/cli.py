@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .conservation import apriori_check, l2_drift
-from .estimates import _KIND_INPUTS, RatioReport, estimate_ratio, resonance_infimum
+from .estimates import _KIND_INPUTS, RatioReport, _kind_inputs, estimate_ratio, resonance_infimum
 from .evolution import (
     BlowUpError,
     export_trajectory_binary,
@@ -240,6 +240,33 @@ def _check_epsilon(config: ExperimentConfig, points) -> None:
         )
 
 
+def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float, float]]:
+    """(alpha, s, s_threshold) of each sweep point; without s, four offsets
+    around each alpha's threshold."""
+    points, offsets = [], (-0.2, -0.1, 0.1, 0.2)
+    for alpha in config.alpha:
+        threshold = s_threshold(alpha)
+        s_values = config.s if config.s is not None else [threshold + d for d in offsets]
+        points += [(alpha, s, threshold) for s in s_values]
+    return points
+
+
+def _check_config(config: ExperimentConfig) -> None:
+    """The checks of a config's values, run before anything is written, so
+    that the runners only compute: one point for the subcommands that run
+    one, a picard dt on its grid, a known kind and epsilon at every point."""
+    subcommand = config.subcommand
+    if subcommand in ("simulate", "picard"):
+        _single(config, "alpha")
+    if subcommand == "picard":
+        _check_picard_dt(config.t_span, config.dt)
+    elif subcommand == "verify-estimate":
+        _check_epsilon(config, [(_single(config, "alpha"), _single(config, "s"))])
+        _kind_inputs(config.kind)
+    elif subcommand == "sweep":
+        _check_epsilon(config, [(alpha, s) for alpha, s, _ in _sweep_points(config)])
+
+
 def _initial_field(config: ExperimentConfig, grid: FrequencyGrid):
     return make_test_field(
         grid,
@@ -256,7 +283,7 @@ def _initial_field(config: ExperimentConfig, grid: FrequencyGrid):
 
 
 def _run_simulate(config: ExperimentConfig) -> int:
-    alpha = _single(config, "alpha")
+    alpha = config.alpha[0]
     grid = FrequencyGrid(config.n_modes, config.box_length)
     u0 = _initial_field(config, grid)
     traj = solve_reference(u0, config.t_span, config.dt, alpha)
@@ -309,8 +336,7 @@ def _check_picard_dt(T: float, dt: float) -> None:
 
 
 def _run_picard(config: ExperimentConfig) -> int:
-    alpha, T = _single(config, "alpha"), config.t_span
-    _check_picard_dt(T, config.dt)
+    alpha, T = config.alpha[0], config.t_span
     grid = FrequencyGrid(config.n_modes, config.box_length)
     u0 = _initial_field(config, grid)
     traj, history = picard_solve(
@@ -350,8 +376,7 @@ def _run_verify_resonance(config: ExperimentConfig) -> int:
 
 
 def _run_verify_estimate(config: ExperimentConfig) -> int:
-    alpha, s = _single(config, "alpha"), _single(config, "s")
-    _check_epsilon(config, [(alpha, s)])
+    alpha, s = config.alpha[0], config.s[0] if config.s else None
     p = _build_params(config, alpha, s)
     inputs = {"n_samples": config.samples}
     if config.band is not None:
@@ -366,16 +391,7 @@ def _run_verify_estimate(config: ExperimentConfig) -> int:
 
 
 def _run_sweep(config: ExperimentConfig) -> int:
-    points = []
-    for alpha in config.alpha:
-        threshold = s_threshold(alpha)
-        if config.s is not None:
-            s_values = list(config.s)
-        else:
-            s_values = [threshold + delta for delta in (-0.2, -0.1, 0.1, 0.2)]
-        for s in s_values:
-            points.append((alpha, s, threshold))
-    _check_epsilon(config, [(alpha, s) for alpha, s, _ in points])
+    points = _sweep_points(config)
     params = [_build_params(config, alpha, s=s) for alpha, s, _ in points]
 
     def one(p):
@@ -413,6 +429,7 @@ def run(config: ExperimentConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     if config.subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
+    _check_config(config)
     try:
         os.makedirs(config.out, exist_ok=True)
         _write_text(os.path.join(config.out, "manifest.txt"), config_to_text(config))
@@ -471,7 +488,7 @@ def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | 
     not read, naming the flag or line to drop and the flags it reads."""
     reads, label = SUBCOMMAND_KEYS[subcommand], subcommand
     given = {**from_file, **from_flags}
-    kind = given.get("kind", ExperimentConfig.kind)  # estimate_ratio names an unknown kind
+    kind = given.get("kind", ExperimentConfig.kind)  # _check_config names an unknown kind
     band_unread = given.get("band") is not None and "band" not in _KIND_INPUTS.get(kind, ("band",))
     if subcommand == "verify-estimate" and band_unread:  # band=none, as in a manifest, is no band
         reads = tuple(key for key in reads if key != "band")

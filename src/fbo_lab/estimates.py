@@ -26,7 +26,6 @@ from .norms import (
     EstimateParams,
     SpaceTimeField,
     _padded_time_dft,
-    _require_vanishing_zero_column,
     _weighted_norm,
     bourgain_weights,
     localized_lift,
@@ -39,6 +38,7 @@ from .spectral import (
     _forward_raw,
     _freeze,
     _inverse_raw,
+    _require_zero_mean,
     bump,
     dispersion_symbol,
     japanese_bracket,
@@ -463,11 +463,12 @@ def _draw_samples(kind: str, rng: np.random.Generator, n_samples: int, n_band: i
     return [(pair[0], int(seed)) for pair, seed in zip(pairs, seeds)]
 
 
-def _random_spacetime(rng, grid, time_grid, band, tau_fraction=1.0 / 3.0):
-    """Random coefficients on a (tau, xi) sub-band, extreme modes zero."""
+def _random_spacetime(rng, grid, time_grid, band):
+    """Random coefficients on the (tau, xi) sub-band |k_tau| <= m/3, |xi| <= band,
+    extreme modes zero."""
     m, n = time_grid.n_modes, grid.n_modes
     coeffs = np.zeros((m, n), dtype=complex)
-    tau_ok = np.abs(time_grid.mode_numbers) <= int(m * tau_fraction)
+    tau_ok = np.abs(time_grid.mode_numbers) <= m // 3
     xi_ok = np.abs(grid.frequencies) <= band
     sel = np.outer(tau_ok, xi_ok)
     sel[-1, :] = False
@@ -550,10 +551,8 @@ class _FreeLifts:
         """bourgain_norm of the lift of u0, with its omega > 0 zero-mode check."""
         mags = np.abs(u0.coeffs)
         if self.p.omega > 0.0:
-            z = u0.grid.zero_index
-            _require_vanishing_zero_column(
-                float(self.column_max[z] * mags[z]), float(np.max(self.column_max * mags))
-            )
+            zero = u0.grid.zero_index
+            _require_zero_mean(self.column_max * mags, zero, "bourgain norm with omega > 0")
         return math.sqrt(float(np.sum(self.profile * mags**2)))
 
 
@@ -617,6 +616,13 @@ _KIND_INPUTS = {
     ),
     "smoothing": dict(n_samples=100_000),
 }
+
+
+def _kind_inputs(kind: str) -> dict:
+    """The input keys and defaults of kind; an unknown kind is a ValueError."""
+    if kind not in _KIND_INPUTS:
+        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
+    return _KIND_INPUTS[kind]
 
 
 def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
@@ -787,9 +793,7 @@ def estimate_ratio(
     top_cells is at least 1.  Samples where the right side vanishes are
     skipped and counted.
     """
-    if kind not in _KIND_INPUTS:
-        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
-    keys = _KIND_INPUTS[kind]
+    keys = _kind_inputs(kind)
     given = inputs or {}
     _check_inputs(f"kind {kind!r}", given, keys)
     if "band" in given and given.get("band_fraction") is not None:

@@ -120,12 +120,13 @@ def _dealias_mask(grid: FrequencyGrid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _slot_kernel(grid: FrequencyGrid):
-    """(square, nonlinearity) of rows of coefficients in numpy's fft slot order.
+    """-(1/2) d/dx (u^2) of rows of coefficients in numpy's fft slot order,
+    written into out, which must not be c.
 
-    Each writes into out, which must not be c: F(u^2) of the 2/3-dealiased
-    field, or -(1/2) d/dx of it with the square dealiased too.  The steps are
-    those of _inverse_raw, the square and _forward_raw, in their order, so the
-    results are theirs permuted into slots, signed zeros included.
+    The square is of the 2/3-dealiased field and is dealiased again; the
+    complex square serves real and complex u alike.  The steps are those of
+    _inverse_raw, the square and _forward_raw, in their order, so the result
+    is theirs permuted into slots, signed zeros included.
     """
     n, box = grid.n_modes, grid.box_length
     _, grid_slot, signs = _plan(n)
@@ -137,37 +138,24 @@ def _slot_kernel(grid: FrequencyGrid):
     out_signs = (signs * (box / (n * math.sqrt(TWO_PI))))[grid_slot] + 0j
     dxi = (-0.5j * grid.frequencies)[grid_slot]
 
-    def square(c, out):
+    def nonlinearity(c, out):
         np.multiply(c, in_signs, out=out)
         out[..., drop] = dropped_in
         np.fft.ifft(out, out=out)
         out *= scale
         np.fft.fft(np.multiply(out, out, out=out), out=out)
         out *= out_signs
-        return out
-
-    def nonlinearity(c, out):
-        square(c, out)[..., drop] = 0.0
+        out[..., drop] = 0.0
         return np.multiply(dxi, out, out=out)
 
-    return square, nonlinearity
-
-
-def _ascending(kernel, c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    fft_slot, grid_slot, _ = _plan(grid.n_modes)
-    out = kernel(np.take(c, grid_slot, axis=-1), np.empty(np.shape(c), complex))
-    return np.take(out, fft_slot, axis=-1)
-
-
-def _dealiased_square(c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """F(u^2) of the 2/3-dealiased field; the complex square serves real and
-    complex u alike."""
-    return _ascending(_slot_kernel(grid)[0], c, grid)
+    return nonlinearity
 
 
 def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """-(1/2) d/dx (u^2) of ascending rows, the square dealiased as above."""
-    return _ascending(_slot_kernel(grid)[1], c, grid)
+    """-(1/2) d/dx (u^2) of ascending rows, through _slot_kernel."""
+    fft_slot, grid_slot, _ = _plan(grid.n_modes)
+    out = _slot_kernel(grid)(np.take(c, grid_slot, axis=-1), np.empty(np.shape(c), complex))
+    return np.take(out, fft_slot, axis=-1)
 
 
 def nonlinearity(u: SpectralField) -> SpectralField:
@@ -175,11 +163,12 @@ def nonlinearity(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, _nonlinearity_raw(u.coeffs, u.grid))
 
 
-def _etdrk4_coeffs(lin: np.ndarray, dt: float, n_roots: int = 32):
+def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     # Contour-average evaluation of the phi-function combinations; the
-    # integrand is entire so the mean over a full circle around z = dt*lin
-    # equals the value at the center (our operator is imaginary, so the
-    # half-circle-plus-real-part shortcut for real operators does not apply).
+    # integrand is entire so the mean over a full circle of 32 points around
+    # z = dt*lin equals the value at the center (our operator is imaginary, so
+    # the half-circle-plus-real-part shortcut for real operators does not apply).
+    n_roots = 32
     z = dt * lin[:, None] + np.exp(
         2j * np.pi * (np.arange(n_roots) + 0.5) / n_roots
     )[None, :]
@@ -204,7 +193,7 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str, non
     if not nonlinear:
         phase = np.exp(dt * lin)
         return lambda c: np.multiply(phase, c, out=c)
-    nl = _slot_kernel(grid)[1]
+    nl = _slot_kernel(grid)
     half = np.exp(0.5 * dt * lin)
     a, b, hc, k0, k1, k2 = (np.empty((dt.shape[0], grid.n_modes), complex) for _ in range(6))
     if scheme == "split_step":

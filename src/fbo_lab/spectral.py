@@ -260,7 +260,8 @@ def apply_multiplier(u: SpectralField, kind: str, s: float) -> SpectralField:
 
 def _require_zero_mean(coeffs: np.ndarray, zero_index: int, what: str, first: int = 0) -> None:
     """Reject a field whose zero mode exceeds 1e-13 of its largest coefficient;
-    for rows of fields, numbered from first, name the first such row."""
+    for rows of fields, numbered from first, name the first such row.  The
+    restriction norms pass a row of per-column maxima of |coeffs| instead."""
     rows = np.atleast_2d(coeffs)
     zero = np.abs(rows[:, zero_index])
     bad = np.flatnonzero(zero > 1e-13 * np.max(np.abs(rows), axis=-1))
@@ -295,13 +296,6 @@ def propagate(
         )
     phase = np.exp(1j * t * dispersion_symbol(u.grid.frequencies, alpha))
     return SpectralField(u.grid, u.coeffs * phase)
-
-
-def split_frequencies(u: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Split into (low, high): low = psi(xi)*u, high = u - low, summing back exactly."""
-    w = bump(u.grid.frequencies)
-    low = u.coeffs * w
-    return SpectralField(u.grid, low), SpectralField(u.grid, u.coeffs - low)
 
 
 _FAMILIES = ("gaussian", "wave_packet", "random_bandlimited")

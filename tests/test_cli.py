@@ -374,15 +374,25 @@ class TestSubcommandKeys:
             (["verify-estimate", "--kind", "smoothing", "--band", "2"], SMOOTHING_BAND_MESSAGE),
             (["simulate", "--alpha", "1.3,1.5"], "simulate runs one point"),
             (["verify-estimate", "--s=-0.3,-0.2"], "verify-estimate runs one point"),
+            (["verify-estimate", "--kind", "foo"], "unknown estimate kind 'foo'"),
+            (
+                ["verify-estimate", "--alpha", "1.2", "--epsilon", "0.5"],
+                "epsilon=0.5 exceeds (alpha-1)/4 = 0.05 at alpha=1.2",
+            ),
+            (["picard", "--t-span", "0.3", "--dt", "0.007"], "off the Picard time grid"),
+            (["sweep", "--alpha", "1.3,1.5"], "epsilon=0.1 exceeds (alpha-1)/4 = 0.075"),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
-             "simulate-alpha-list", "estimate-s-list"],
+             "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
+             "picard-dt", "sweep-epsilon"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:
             monkeypatch.setattr(module, name, reached)
-        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()  # not even a manifest
 
     def test_unread_config_file_key_names_the_lines(self, tmp_path, monkeypatch, capsys):
         for module, name in COMPUTE_ENTRY_POINTS:

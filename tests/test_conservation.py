@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +7,7 @@ from fbo_lab import (
     SpectralField,
     Trajectory,
     apriori_check,
-    forcing_ratio,
     l2_drift,
-    low_freq_project,
     make_grid,
     make_test_field,
     propagate,
@@ -53,53 +49,6 @@ class TestL2Drift:
             assert d == pytest.approx(base, abs=1e-12)
 
 
-class TestLowFreqProject:
-    def test_high_support_annihilated(self):
-        g = make_grid(64, 4 * math.pi)  # spacing 1/2
-        c = np.zeros(64, complex)
-        high = np.abs(g.frequencies) >= 2.0
-        c[high] = 1.0
-        c[g.zero_index] = 0.0
-        out = low_freq_project(SpectralField(g, c), 1.0 / 6.0)
-        assert np.max(np.abs(out.coeffs)) == 0.0
-
-    def test_single_low_mode_scaling(self):
-        g = make_grid(64, 4 * math.pi)
-        c = np.zeros(64, complex)
-        idx = g.zero_index + 1
-        assert g.frequencies[idx] == pytest.approx(0.5)
-        c[idx] = 1.0
-        out = low_freq_project(SpectralField(g, c), 1.0 / 6.0)
-        assert out.coeffs[idx] == pytest.approx(0.5 ** (-1.0 / 6.0), rel=1e-13)
-
-    def test_omega_zero_identity_on_plateau_support(self):
-        g = make_grid(64, 4 * math.pi)
-        c = np.zeros(64, complex)
-        inside = np.abs(g.frequencies) <= 1.0
-        c[inside] = np.arange(np.sum(inside)) + 1.0
-        u = SpectralField(g, c)
-        out = low_freq_project(u, 0.0)
-        assert np.array_equal(out.coeffs, u.coeffs)
-
-    def test_nonzero_mean_rejected(self):
-        g = make_grid(64, 4 * math.pi)
-        u = make_test_field(g, "gaussian")
-        with pytest.raises(ValueError):
-            low_freq_project(u, 0.25)
-
-    def test_support_and_plateau_facts(self):
-        g = make_grid(128, 8 * math.pi)  # spacing 1/4
-        u = make_test_field(g, "random_bandlimited", seed=3, band=6.0, zero_mean=True)
-        out = low_freq_project(u, 0.2)
-        xi = g.frequencies
-        assert np.max(np.abs(out.coeffs[np.abs(xi) > 2.0])) == 0.0
-        plateau = (np.abs(xi) <= 1.0) & (xi != 0.0)
-        expected = u.coeffs[plateau] * np.abs(xi[plateau]) ** -0.2
-        assert np.max(np.abs(out.coeffs[plateau] - expected)) <= 1e-13 * np.max(
-            np.abs(expected)
-        )
-
-
 class TestAprioriCheck:
     def test_zero_data_convention(self):
         g = make_grid(32, 8.0)
@@ -123,17 +72,6 @@ class TestAprioriCheck:
         coarse = apriori_check(solve_reference(u0, 0.5, 0.05, 1.5), 1.0 / 6.0)
         fine = apriori_check(solve_reference(u0, 0.5, 0.005, 1.5), 1.0 / 6.0)
         assert fine.fitted_C <= coarse.fitted_C + 1e-12
-
-    def test_forcing_ratio_diagnostic(self):
-        g = make_grid(128, 32.0)
-        u0 = make_test_field(g, "gaussian", amplitude=0.5, zero_mean=True)
-        traj = solve_reference(u0, 0.2, 2e-3, 1.5)
-        rep = apriori_check(traj, 1.0 / 6.0)
-        assert rep.forcing_ratio_max > 0.0
-        assert rep.forcing_ratio_max == pytest.approx(
-            max(forcing_ratio(traj.state(i), 1.0 / 6.0) for i in range(traj.n_times)),
-            rel=1e-12,
-        )
 
     def test_report_floor_invariant(self):
         g = make_grid(128, 32.0)
@@ -161,7 +99,7 @@ def _field_rows(grid, family, seed, amplitude, n_times, i0, omega):
 
 class TestBatchedApriori:
     """apriori_check takes the states in blocks of rows; it must give what a
-    loop over the states with sobolev_norm and forcing_ratio gives."""
+    loop over the states with sobolev_norm gives."""
 
     @pytest.mark.parametrize(
         "n_times", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5]
@@ -179,16 +117,14 @@ class TestBatchedApriori:
         i0 = min(n_times - 1, int(i0_frac * n_times))
         traj = _field_rows(g, family, seed, amplitude, n_times, i0, omega)
         norms = [sobolev_norm(traj.state(i), 0.0, omega) for i in range(n_times)]
-        ratios = [forcing_ratio(traj.state(i), omega) for i in range(n_times)]
         rep = apriori_check(traj, omega)
         # the same arithmetic row by row; a reduction over the rows of a block
         # may still group its sum apart from a 1-D one, so 4.5 ulp are allowed
         assert rep.sup_norm == pytest.approx(max(norms), rel=1e-15, abs=0.0)
         assert rep.initial_norm == pytest.approx(norms[i0], rel=1e-15, abs=0.0)
-        assert rep.forcing_ratio_max == pytest.approx(max(ratios), rel=1e-15, abs=0.0)
         initial = norms[i0]
         if amplitude == 0.0:
-            assert rep.sup_norm == rep.fitted_C == rep.forcing_ratio_max == 0.0
+            assert rep.sup_norm == rep.fitted_C == 0.0
         else:
             expected = max(norms) / (initial + rep.T * initial**2)
             assert rep.fitted_C == pytest.approx(expected, rel=1e-15, abs=0.0)

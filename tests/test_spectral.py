@@ -15,7 +15,6 @@ from fbo_lab import (
     make_grid,
     make_test_field,
     propagate,
-    split_frequencies,
 )
 from fbo_lab.norms import sobolev_norm
 from fbo_lab.spectral import _forward_raw
@@ -250,28 +249,6 @@ class TestPropagateProperties:
 
 
 class TestSplitAndCutoff:
-    def test_high_mode_goes_high(self):
-        g = make_grid(32, TWO_PI)
-        c = np.zeros(32, complex)
-        c[g.zero_index + 4] = 1.0
-        low, high = split_frequencies(SpectralField(g, c))
-        assert np.max(np.abs(low.coeffs)) == 0.0
-        assert np.array_equal(high.coeffs, c)
-
-    def test_low_mode_stays_low(self):
-        g = make_grid(32, 4 * TWO_PI)  # spacing 0.25, mode 0.5 on grid
-        c = np.zeros(32, complex)
-        idx = g.zero_index + 2
-        assert g.frequencies[idx] == pytest.approx(0.5)
-        low, high = split_frequencies(SpectralField(g, c + np.eye(32)[idx]))
-        assert np.max(np.abs(high.coeffs)) == 0.0
-
-    def test_reconstruction(self):
-        g = make_grid(64, 15.0)
-        u = make_test_field(g, "random_bandlimited", seed=7, band=10.0)
-        low, high = split_frequencies(u)
-        assert np.array_equal(low.coeffs + high.coeffs, u.coeffs)
-
     def test_cutoff_plateau_support_and_transition(self):
         assert bump(0.5) == bump(-1.0) == bump(0.95) == 1.0
         assert bump(3.0) == bump(2.05) == 0.0
