@@ -27,7 +27,7 @@ from .evolution import (
     solve_reference,
 )
 from .norms import _ADMISSIBLE_TOL, EstimateParams, admissible_omega, epsilon_ceiling, s_threshold
-from .spectral import BUMP_PROFILE, FrequencyGrid, _l2_raw, make_test_field
+from .spectral import BUMP_PROFILE, FrequencyGrid, SpectralField, _l2_raw, make_test_field
 
 ENV_THREADS = "FBO_LAB_THREADS"
 
@@ -251,23 +251,34 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float, float]]:
     return points
 
 
-def _check_config(config: ExperimentConfig) -> None:
+def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: one point for the subcommands that run
-    one, a picard dt on its grid, a known kind and epsilon at every point."""
+    one, a dt the solver accepts (for picard, on its grid), a known kind and
+    epsilon at every point.  The inputs built on the way, which reject their
+    own bad values, are returned for the runner: the initial field of simulate
+    and picard, the parameters of verify-estimate and of each sweep point."""
     subcommand = config.subcommand
     if subcommand in ("simulate", "picard"):
         _single(config, "alpha")
-    if subcommand == "picard":
-        _check_picard_dt(config.t_span, config.dt)
-    elif subcommand == "verify-estimate":
-        _check_epsilon(config, [(_single(config, "alpha"), _single(config, "s"))])
+        if subcommand == "picard":
+            _check_picard_dt(config.t_span, config.dt)
+        else:
+            _check_dt(config.t_span, config.dt)
+        return (_initial_field(config, FrequencyGrid(config.n_modes, config.box_length)),)
+    if subcommand == "verify-estimate":
+        alpha, s = _single(config, "alpha"), _single(config, "s")
+        _check_epsilon(config, [(alpha, s)])
         _kind_inputs(config.kind)
-    elif subcommand == "sweep":
-        _check_epsilon(config, [(alpha, s) for alpha, s, _ in _sweep_points(config)])
+        return (_build_params(config, alpha, s),)
+    if subcommand == "sweep":
+        points = _sweep_points(config)
+        _check_epsilon(config, [(alpha, s) for alpha, s, _ in points])
+        return (points, [_build_params(config, alpha, s) for alpha, s, _ in points])
+    return ()
 
 
-def _initial_field(config: ExperimentConfig, grid: FrequencyGrid):
+def _initial_field(config: ExperimentConfig, grid: FrequencyGrid) -> SpectralField:
     return make_test_field(
         grid,
         config.family,
@@ -282,10 +293,8 @@ def _initial_field(config: ExperimentConfig, grid: FrequencyGrid):
     )
 
 
-def _run_simulate(config: ExperimentConfig) -> int:
+def _run_simulate(config: ExperimentConfig, u0: SpectralField) -> int:
     alpha = config.alpha[0]
-    grid = FrequencyGrid(config.n_modes, config.box_length)
-    u0 = _initial_field(config, grid)
     traj = solve_reference(u0, config.t_span, config.dt, alpha)
     drift = l2_drift(traj)
     omega = admissible_omega(alpha) if config.zero_mean else 0.0
@@ -314,12 +323,17 @@ def _steps_match(T: float, dt: float) -> bool:
     return q >= 1 and abs(ratio - q) <= 1e-9 * q
 
 
-def _check_picard_dt(T: float, dt: float) -> None:
-    """Reject a dt whose reference times fall off the Picard grid, naming one that fits."""
+def _check_dt(T: float, dt: float) -> None:
+    """Reject a t_span or dt that solve_reference would, naming the fix."""
     if not (T > 0.0 and dt > 0.0):
         raise ConfigError(f"t_span and dt must be positive, got {T}, {dt}")
     if dt > T:
         raise ConfigError(f"dt={dt} exceeds t_span={T}; use dt <= {T!r}")
+
+
+def _check_picard_dt(T: float, dt: float) -> None:
+    """Reject a dt whose reference times fall off the Picard grid, naming one that fits."""
+    _check_dt(T, dt)
     if _steps_match(T, dt):
         return
     m0 = max(1, round(T / dt))
@@ -335,10 +349,8 @@ def _check_picard_dt(T: float, dt: float) -> None:
     )
 
 
-def _run_picard(config: ExperimentConfig) -> int:
-    alpha, T = config.alpha[0], config.t_span
-    grid = FrequencyGrid(config.n_modes, config.box_length)
-    u0 = _initial_field(config, grid)
+def _run_picard(config: ExperimentConfig, u0: SpectralField) -> int:
+    alpha, T, grid = config.alpha[0], config.t_span, u0.grid
     traj, history = picard_solve(
         u0, T, alpha, tol=config.tol, max_iter=config.max_iter, dt=config.dt
     )
@@ -375,9 +387,7 @@ def _run_verify_resonance(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_verify_estimate(config: ExperimentConfig) -> int:
-    alpha, s = config.alpha[0], config.s[0] if config.s else None
-    p = _build_params(config, alpha, s)
+def _run_verify_estimate(config: ExperimentConfig, p: EstimateParams) -> int:
     inputs = {"n_samples": config.samples}
     if config.band is not None:
         inputs["band"] = config.band
@@ -385,15 +395,12 @@ def _run_verify_estimate(config: ExperimentConfig) -> int:
     _write_json(
         os.path.join(config.out, f"estimate_{config.kind}.json"), report.to_json_dict()
     )
-    rows = [_SUMMARY_HEADER, _estimate_summary_row(report, alpha, p)]
+    rows = [_SUMMARY_HEADER, _estimate_summary_row(report, p.alpha, p)]
     _write_text(os.path.join(config.out, "summary.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
 
-def _run_sweep(config: ExperimentConfig) -> int:
-    points = _sweep_points(config)
-    params = [_build_params(config, alpha, s=s) for alpha, s, _ in points]
-
+def _run_sweep(config: ExperimentConfig, points: list, params: list) -> int:
     def one(p):
         # the band grows with the grid here so that refinement genuinely
         # enlarges the frequency support being tested around the threshold
@@ -429,13 +436,13 @@ def run(config: ExperimentConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     if config.subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
-    _check_config(config)
+    inputs = _check_config(config)
     try:
         os.makedirs(config.out, exist_ok=True)
         _write_text(os.path.join(config.out, "manifest.txt"), config_to_text(config))
     except OSError as exc:
         raise ConfigError(f"output directory {config.out!r} is not writable: {exc}")
-    return _RUNNERS[config.subcommand](config)
+    return _RUNNERS[config.subcommand](config, *inputs)
 
 
 def _flag(key: str) -> str:

@@ -25,11 +25,11 @@ from .evolution import Trajectory
 from .norms import (
     EstimateParams,
     SpaceTimeField,
+    _lebesgue_of_samples,
     _padded_time_dft,
     _weighted_norm,
     bourgain_weights,
     localized_lift,
-    mixed_lebesgue_norm,
 )
 from .spectral import (
     FrequencyGrid,
@@ -38,6 +38,8 @@ from .spectral import (
     _forward_raw,
     _freeze,
     _inverse_raw,
+    _real_synthesis,
+    _real_synthesis_table,
     _require_zero_mean,
     bump,
     dispersion_symbol,
@@ -634,7 +636,8 @@ def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
     partner lies on the lifts' lattice, as the product of a block of U1 with
     a reversed block of U2.  The dominant cell is the first argmax of their
     moduli, so near-ties between the two factors' terms are broken by
-    roundoff.
+    roundoff.  The cells kept are classified together, on the half
+    |xi1| <= |xi2| and off xi1 = 0 and xi2 = 0.
     """
     U1, U2 = lifts
     contrib = w_out * np.abs(lhs_field.coeffs) ** 2
@@ -645,11 +648,10 @@ def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
     m_t, n_x = U1.coeffs.shape
     # U2 reversed in both axes: row m_t-1-i2 holds row i2 of U2
     u1, u2_rev = U1.coeffs, U2.coeffs[::-1, ::-1]
-    labels = []
+    cells = []  # (output row, output column, row of tau1, column of xi1)
     for cell in flat:
         mi, ki = divmod(int(cell), n_out)
-        xi_out = lhs_field.space_grid.frequencies[ki]
-        if contrib[mi, ki] <= 0.0 or xi_out == 0.0:
+        if contrib[mi, ki] <= 0.0 or lhs_field.space_grid.frequencies[ki] == 0.0:
             continue
         # the partner of U1's row i1 is U2's row c_t - i1, and so for columns
         c_t = mi - z_t_out + 2 * U1.time_grid.zero_index
@@ -662,31 +664,43 @@ def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
             m_t - 1 - c_t + r_lo : m_t - c_t + r_hi, n_x - 1 - c_x + q_lo : n_x - c_x + q_hi
         ]
         i, j = divmod(int(np.argmax(np.abs(terms))), terms.shape[1])
-        if terms[i, j] == 0.0:
-            continue
-        mi1, ki1 = r_lo + i, q_lo + j
-        xi1, tau1 = U1.space_grid.frequencies[ki1], U1.taus[mi1]
-        xi2, tau2 = xi_out - xi1, lhs_field.taus[mi] - tau1
-        if xi1 == 0.0 or xi2 == 0.0:
-            continue
-        if abs(xi1) > abs(xi2):
-            xi1, xi2, tau1, tau2 = xi2, xi1, tau2, tau1
-        weights = convolution_weights(tau1, xi1, tau2, xi2, p.alpha)
-        labels.append(classify_region(xi1, xi2, weights.lam, weights.lam_1, weights.lam_2))
-    return labels
+        if terms[i, j] != 0.0:
+            cells.append((mi, ki, r_lo + i, q_lo + j))
+    if not cells:
+        return []
+    mi, ki, mi1, ki1 = np.array(cells).T
+    xi1, tau1 = U1.space_grid.frequencies[ki1], U1.taus[mi1]
+    xi2, tau2 = lhs_field.space_grid.frequencies[ki] - xi1, lhs_field.taus[mi] - tau1
+    keep = (xi1 != 0.0) & (xi2 != 0.0)
+    xi1, xi2, tau1, tau2 = xi1[keep], xi2[keep], tau1[keep], tau2[keep]
+    swap = np.abs(xi1) > np.abs(xi2)
+    xi1, xi2 = np.where(swap, xi2, xi1), np.where(swap, xi1, xi2)
+    tau1, tau2 = np.where(swap, tau2, tau1), np.where(swap, tau1, tau2)
+    lam = tau1 + tau2 - dispersion_symbol(xi1 + xi2, p.alpha)
+    lam1 = tau1 - dispersion_symbol(xi1, p.alpha)
+    lam2 = tau2 - dispersion_symbol(xi2, p.alpha)
+    d_codes, a_codes = _classify_arrays(xi1, xi2, lam, lam1, lam2)
+    return [RegionLabel(_D_PARTS[d], _A_PARTS[a])
+            for d, a in zip(d_codes.tolist(), a_codes.tolist())]
 
 
 def _strichartz_sides(p, free, inputs, histogram):
-    """The L4t Linfx norm of <D>^gamma psi_T W(t) u0 and the norm of its lift."""
-    grid, times = free.grid, free.paths.times
+    """The L4t Linfx norm of <D>^gamma psi_T W(t) u0 and the norm of its lift.
+
+    Every draw is Hermitian and the free group keeps it so (phi is odd), so
+    the left side is synthesised as a real field from its k >= 0 modes, with
+    the cutoff, the group, <D>^gamma and the synthesis constants in one table.
+    """
+    grid, paths = free.grid, free.paths
     gamma = (p.alpha - 1.0) / 4.0
-    psi = bump(times / free.T)[:, None]
-    cut_paths = psi * free.paths.coeffs * (japanese_bracket(grid.frequencies) ** gamma)[None, :]
+    psi = bump(paths.times / free.T)[:, None]
+    cut_paths = psi * paths.coeffs * japanese_bracket(grid.frequencies) ** gamma
+    table = _real_synthesis_table(cut_paths, grid.box_length)
 
     def sides(desc):
         u0 = _field_from_descriptor(grid, desc, False)
-        cut = Trajectory(grid, times, _freeze(cut_paths * u0.coeffs[None, :]), p.alpha)
-        return mixed_lebesgue_norm(cut, 4.0, math.inf), free.norm(u0)
+        samples = _real_synthesis(table, u0.coeffs)
+        return _lebesgue_of_samples(samples, grid, paths.dt, 4.0, math.inf), free.norm(u0)
 
     return sides
 
@@ -770,12 +784,14 @@ def estimate_ratio(
 ) -> RatioReport:
     """Empirical sup (or inf, for lower bounds) of an estimate's side ratio.
 
-    kind selects the inequality: 'strichartz' (L4t Linfx against the b-scale),
-    'bilinear_str' and 'dual_bilinear' (the two weighted convolutions),
-    'main_bilinear' (the derivative product estimate, with a histogram of the
-    regions of each sample's top_cells dominant contributions at the last
-    resolution), or 'smoothing' (the pointwise frequency lower bound,
-    reported as an infimum).  inputs may set only these keys (defaults shown):
+    kind selects the inequality: 'strichartz' (L4t Linfx against the b-scale;
+    its draws are Hermitian, so the L4t Linfx side synthesises each one as a
+    real field from its k >= 0 modes), 'bilinear_str' and 'dual_bilinear'
+    (the two weighted convolutions), 'main_bilinear' (the derivative product
+    estimate, with a histogram of the regions of each sample's top_cells
+    dominant contributions at the last resolution), or 'smoothing' (the
+    pointwise frequency lower bound, reported as an infimum).  inputs may set
+    only these keys (defaults shown):
 
     - strichartz: n_samples=200, resolutions=(256, 512) (spatial modes, at
       time step 0.01), box_length=64.0, band=8.0, T=1.0

@@ -306,10 +306,18 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
 
 def mixed_lebesgue_norm(traj: Trajectory, p_time: float, q_space: float) -> float:
     """L^p in time of the spatial L^q norms, trapezoidal in t, exact max for q=inf."""
-    if p_time < 1.0 or q_space < 1.0:
-        raise ValueError(f"exponents must be >= 1, got p={p_time}, q={q_space}")
     grid = traj.grid
     samples = _inverse_raw(traj.coeffs, grid.box_length, axis=1)
+    return _lebesgue_of_samples(samples, grid, traj.dt, p_time, q_space)
+
+
+def _lebesgue_of_samples(
+    samples: np.ndarray, grid: FrequencyGrid, dt: float, p_time: float, q_space: float
+) -> float:
+    """mixed_lebesgue_norm of physical samples (rows = times dt apart, real or
+    complex) on grid's nodes."""
+    if p_time < 1.0 or q_space < 1.0:
+        raise ValueError(f"exponents must be >= 1, got p={p_time}, q={q_space}")
     mags = np.abs(samples)
     dx = grid.box_length / grid.n_modes
     if math.isinf(q_space):
@@ -318,4 +326,4 @@ def mixed_lebesgue_norm(traj: Trajectory, p_time: float, q_space: float) -> floa
         space = (np.sum(mags**q_space, axis=1) * dx) ** (1.0 / q_space)
     if math.isinf(p_time):
         return float(np.max(space))
-    return _trapezoid(space**p_time, traj.dt) ** (1.0 / p_time)
+    return _trapezoid(space**p_time, dt) ** (1.0 / p_time)

@@ -199,6 +199,30 @@ def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1) -> np.nd
     return out
 
 
+# A real field is synthesised from its k >= 0 modes alone, the ascending slice
+# [z:] with z the zero index: the k < 0 modes are their conjugates.
+
+
+def _real_synthesis_table(weights: np.ndarray, box_length: float) -> np.ndarray:
+    """The half-spectrum table of a multiplier: the k >= 0 columns of weights
+    (rows of N ascending modes, or one row) times the (-1)^k origin phase and
+    the synthesis scale, to be built once and passed to _real_synthesis."""
+    n = weights.shape[-1]
+    z = n // 2 - 1
+    _, _, signs = _plan(n)
+    return weights[..., z:] * (signs[z:] * (n * math.sqrt(TWO_PI) / box_length))
+
+
+def _real_synthesis(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of weights * coeffs along the last axis, table being
+    _real_synthesis_table(weights, box_length): one real inverse FFT of the
+    k >= 0 modes.  Each row of weights * coeffs must be Hermitian, as the
+    field it stands for is declared real; for such rows this is the real
+    part of _inverse_raw, whose imaginary part is roundoff."""
+    n = coeffs.shape[-1]
+    return np.fft.irfft(table * coeffs[..., n // 2 - 1 :], n=n, axis=-1)
+
+
 def forward_transform(samples: np.ndarray, grid: FrequencyGrid) -> SpectralField:
     """Physical samples on grid.nodes() -> spectral coefficients."""
     samples = np.asarray(samples)

@@ -347,9 +347,10 @@ def reached(*args, **kwargs):
 
 
 #: Where each subcommand's compute starts, as the CLI and estimate_ratio call it.
+#: The initial field of simulate and picard is built by the config check.
 COMPUTE_ENTRY_POINTS = [
-    (cli, "make_test_field"), (cli, "solve_reference"), (cli, "picard_solve"),
-    (cli, "resonance_infimum"), (estimates, "_smoothing_report"), (estimates, "_draw_samples"),
+    (cli, "solve_reference"), (cli, "picard_solve"), (cli, "resonance_infimum"),
+    (estimates, "_smoothing_report"), (estimates, "_draw_samples"),
 ]
 
 
@@ -381,10 +382,16 @@ class TestSubcommandKeys:
             ),
             (["picard", "--t-span", "0.3", "--dt", "0.007"], "off the Picard time grid"),
             (["sweep", "--alpha", "1.3,1.5"], "epsilon=0.1 exceeds (alpha-1)/4 = 0.075"),
+            (["verify-estimate", "--kind", "smoothing", "--b", "0.9"], "b must lie in (1/2, b'+1)"),
+            (["simulate", "--dt", "0"], "t_span and dt must be positive, got 1.0, 0.0"),
+            (
+                ["simulate", "--family", "random_bandlimited", "--band", "1000"],
+                "band 1000.0 exceeds the largest paired grid frequency",
+            ),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
-             "picard-dt", "sweep-epsilon"],
+             "picard-dt", "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:

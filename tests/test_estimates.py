@@ -23,12 +23,17 @@ from fbo_lab import (
 from fbo_lab import estimates
 from fbo_lab.estimates import (
     _classify_arrays,
+    _draw_samples,
+    _field_from_descriptor,
     _free_cutoff_trajectory,
     _FreeLifts,
+    _n_band,
+    _strichartz_sides,
     _x_params,
 )
-from fbo_lab.norms import localized_lift
-from fbo_lab.spectral import FrequencyGrid, SpectralField, make_test_field
+from fbo_lab.evolution import Trajectory
+from fbo_lab.norms import localized_lift, mixed_lebesgue_norm
+from fbo_lab.spectral import FrequencyGrid, SpectralField, bump, japanese_bracket, make_test_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -653,6 +658,39 @@ class TestFreeLifts:
                         norm()
             else:
                 assert free.norm(field) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
+
+
+class TestStrichartzSides:
+    """The real half-spectrum synthesis of the left side against the complex
+    path it replaces: mixed_lebesgue_norm of the cut free evolution."""
+
+    L, T, N_TIME = 64.0, 1.0, 800  # the kind's defaults: dt = 0.01 on a pad-2 window
+
+    def complex_path(self, p, free, u0):
+        gamma = (p.alpha - 1.0) / 4.0
+        paths = free.paths
+        psi = bump(paths.times / self.T)[:, None]
+        cut = psi * paths.coeffs * japanese_bracket(free.grid.frequencies) ** gamma * u0.coeffs
+        return mixed_lebesgue_norm(Trajectory(free.grid, paths.times, cut, p.alpha), 4.0, math.inf)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_matches_the_complex_path(self, n):
+        p = EstimateParams.default_admissible(1.5)
+        grid, coarsest = FrequencyGrid(n, self.L), FrequencyGrid(256, self.L)
+        free = _FreeLifts(grid, _x_params(p), self.T, self.N_TIME)
+        sides = _strichartz_sides(p, free, {}, None)
+        dxi = grid.spacing
+        # the default band, a band at the coarsest grid's largest paired
+        # frequency, and band_fraction=1 draws, which reach this grid's
+        n_bands = (_n_band(8.0, dxi), _n_band(coarsest.nyquist - coarsest.spacing, dxi),
+                   _n_band(grid.nyquist - grid.spacing, dxi))
+        assert n_bands[-1] == n // 2 - 1
+        for i, n_band in enumerate(n_bands):
+            for desc in _draw_samples("strichartz", np.random.default_rng((n, i)), 3, n_band, dxi):
+                u0 = _field_from_descriptor(grid, desc, False)
+                lhs, rhs = sides(desc)
+                assert lhs == pytest.approx(self.complex_path(p, free, u0), rel=1e-13, abs=0.0)
+                assert rhs == free.norm(u0)
 
 
 # Trends of small fixed configs, recorded before the free lifts were factored

@@ -17,7 +17,13 @@ from fbo_lab import (
     propagate,
 )
 from fbo_lab.norms import sobolev_norm
-from fbo_lab.spectral import _forward_raw
+from fbo_lab.spectral import (
+    _forward_raw,
+    _inverse_raw,
+    _real_synthesis,
+    _real_synthesis_table,
+    dispersion_symbol,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,6 +110,48 @@ class TestTransform:
         tol = 1e-12 * np.max(np.abs(direct))
         assert np.max(np.abs(_forward_raw(u, g.box_length, axis=0) - direct)) <= tol
         assert np.max(np.abs(_forward_raw(u.T, g.box_length, axis=1) - direct.T)) <= tol
+
+
+class TestRealSynthesis:
+    """A Hermitian field synthesised from its k >= 0 modes."""
+
+    @staticmethod
+    def hermitian_rows(g, seed):
+        # one row per band up to the largest paired frequency, then one with
+        # a real unpaired extreme mode, which a Hermitian field may carry
+        bands = np.linspace(g.spacing, g.nyquist - g.spacing, 5)
+        rows = [make_test_field(g, "random_bandlimited", seed=seed + i, band=band).coeffs
+                for i, band in enumerate(bands)]
+        extreme = np.array(rows[-1])
+        extreme[-1] = 0.7
+        return np.array(rows + [extreme])
+
+    @staticmethod
+    def check(real, full):
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(full.imag)) <= 1e-14 * scale
+        assert np.max(np.abs(real - full.real)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n, box", [(8, TWO_PI), (64, 17.0), (256, 64.0), (512, 64.0)])
+    def test_matches_the_complex_synthesis(self, n, box):
+        g = make_grid(n, box)
+        rows = self.hermitian_rows(g, n)
+        table = _real_synthesis_table(np.ones(n), box)
+        self.check(_real_synthesis(table, rows), _inverse_raw(rows, box, axis=1))
+        self.check(_real_synthesis(table, rows[0]), _inverse_raw(rows[0], box))
+
+    @pytest.mark.parametrize("n, box", [(64, 17.0), (512, 64.0)])
+    def test_folds_a_hermitian_multiplier(self, n, box):
+        # free-group phases and a real weight keep each row Hermitian off the
+        # unpaired extreme mode, which the draws leave empty
+        g = make_grid(n, box)
+        times = np.linspace(-1.0, 1.0, 9)[:, None]
+        weights = np.exp(1j * times * dispersion_symbol(g.frequencies, 1.5)) * (
+            1.0 + g.frequencies**2
+        ) ** 0.125
+        u = self.hermitian_rows(g, 2 * n)[2]
+        table = _real_synthesis_table(weights, box)
+        self.check(_real_synthesis(table, u), _inverse_raw(weights * u, box, axis=1))
 
 
 class TestTransformProperties:
