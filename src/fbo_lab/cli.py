@@ -255,10 +255,16 @@ def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: one point for the subcommands that run
     one, a dt the solver accepts (for picard, on its grid), a known kind and
-    epsilon at every point.  The inputs built on the way, which reject their
-    own bad values, are returned for the runner: the initial field of simulate
-    and picard, the parameters of verify-estimate and of each sweep point."""
+    epsilon at every point, and at least one sample.  The inputs built on the
+    way, which reject their own bad values, are returned for the runner: the
+    initial field of simulate and picard, the parameters of verify-estimate
+    and of each sweep point."""
     subcommand = config.subcommand
+    if "samples" in SUBCOMMAND_KEYS[subcommand] and config.samples < 1:
+        raise ConfigError(
+            f"{subcommand} needs at least one sample, got samples={config.samples}: "
+            "pass --samples 1 or more"
+        )
     if subcommand in ("simulate", "picard"):
         _single(config, "alpha")
         if subcommand == "picard":

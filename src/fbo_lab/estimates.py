@@ -307,6 +307,13 @@ def _masked_sublattice(U: SpaceTimeField) -> np.ndarray:
     return c
 
 
+def _matching_sublattices(U1: SpaceTimeField, U2: SpaceTimeField) -> tuple[np.ndarray, np.ndarray]:
+    """The masked sublattice coefficients of two factors on the same grids."""
+    if U1.space_grid != U2.space_grid or U1.time_grid != U2.time_grid:
+        raise ValueError("bilinear operators need matching space and time grids")
+    return _masked_sublattice(U1), _masked_sublattice(U2)
+
+
 def _conj_reverse(c: np.ndarray) -> np.ndarray:
     """Coefficients of the complex conjugate: conj(c) at (-tau, -xi).
 
@@ -320,42 +327,64 @@ def _conj_reverse(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bilinear_convolve(U1: SpaceTimeField, U2: SpaceTimeField, kernel) -> SpaceTimeField:
-    """Direct weighted (tau, xi) convolution, truncated to the common grid.
+def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeField) -> SpaceTimeField:
+    """Direct weighted (tau, xi) convolution of masked sublattice coefficients
+    a and b, truncated to the common grid of grids.
 
     kernel[j1, j2] is the weight of first-factor column j1 against
     second-factor column j2, over the (n-1) x (n-1) sublattice columns.  The
     xi convolution is a sum over column pairs and the tau convolution a
     product of zero-padded time transforms; the operator being linear, the
     pairs are summed in the time-Fourier domain and transformed back once.
+    Each column's transform is a row here, so a block of columns is one
+    contiguous slab.
+
+    The loop runs over the nonzero columns of the factor that has fewer, each
+    against the other factor's nonzero column span: the skipped pairs add
+    exact zeros to an accumulator that is never -0, which changes no bit.
+    Every output cell adds its terms (a * kernel) * b in ascending j1, so when
+    the loop is over the second factor's columns j2 runs descending; either
+    way the bytes are those of the plain loop over every j1.
     """
-    if U1.space_grid != U2.space_grid or U1.time_grid != U2.time_grid:
-        raise ValueError("bilinear operators need matching space and time grids")
-    a = _masked_sublattice(U1)
-    b = _masked_sublattice(U2)
     m, n = a.shape
     z_t, z_x = m // 2 - 1, n // 2 - 1
-    a_fft = np.fft.fft(a, n=2 * m, axis=0)
-    b_fft = np.fft.fft(b, n=2 * m, axis=0)
-    acc = np.zeros((2 * m, n), dtype=complex)
-    for j1 in np.flatnonzero(np.any(a_fft[:, : n - 1], axis=0)).tolist():
-        # second-factor columns whose sum with j1 lands on the sublattice
-        j2_lo = max(0, z_x - j1)
-        j2_hi = min(n - 2, n - 2 + z_x - j1)
-        acc[:, j1 + j2_lo - z_x : j1 + j2_hi + 1 - z_x] += (
-            a_fft[:, j1 : j1 + 1] * kernel[j1, j2_lo : j2_hi + 1] * b_fft[:, j2_lo : j2_hi + 1]
-        )
-    measure = U1.time_grid.spacing * U1.space_grid.spacing
-    out = measure * np.fft.ifft(acc, axis=0)[z_t : z_t + m]
+    a_fft = np.fft.fft(a.T, n=2 * m, axis=1, out=np.empty((n, 2 * m), complex))
+    b_fft = np.fft.fft(b.T, n=2 * m, axis=1, out=np.empty((n, 2 * m), complex))
+    a_cols = np.flatnonzero(np.any(a_fft[: n - 1], axis=1)).tolist()
+    b_cols = np.flatnonzero(np.any(b_fft[: n - 1], axis=1)).tolist()
+    acc = np.zeros((n, 2 * m), dtype=complex)
+    term = np.empty((n - 1, 2 * m), dtype=complex)
+    if a_cols and b_cols and len(b_cols) < len(a_cols):
+        for j2 in reversed(b_cols):
+            # first-factor columns whose sum with j2 lands on the sublattice
+            lo, hi = max(a_cols[0], z_x - j2), min(a_cols[-1], n - 2 + z_x - j2)
+            if lo <= hi:
+                t = term[: hi - lo + 1]
+                np.multiply(a_fft[lo : hi + 1], kernel[lo : hi + 1, j2, None], out=t)
+                np.multiply(t, b_fft[j2], out=t)
+                acc[lo + j2 - z_x : hi + 1 + j2 - z_x] += t
+    elif b_cols:
+        for j1 in a_cols:
+            lo, hi = max(b_cols[0], z_x - j1), min(b_cols[-1], n - 2 + z_x - j1)
+            if lo <= hi:
+                t = term[: hi - lo + 1]
+                np.multiply(a_fft[j1], kernel[j1, lo : hi + 1, None], out=t)
+                np.multiply(t, b_fft[lo : hi + 1], out=t)
+                acc[j1 + lo - z_x : j1 + hi + 1 - z_x] += t
+    measure = grids.time_grid.spacing * grids.space_grid.spacing
+    out = np.multiply(
+        measure, np.fft.ifft(acc, axis=1, out=acc)[:, z_t : z_t + m].T, out=np.empty((m, n), complex)
+    )
     out[-1, :] = 0.0
     out[:, -1] = 0.0
-    return SpaceTimeField(U1.space_grid, U1.time_grid, _freeze(out))
+    return SpaceTimeField(grids.space_grid, grids.time_grid, _freeze(out))
 
 
 def bilinear_I(U1: SpaceTimeField, U2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Convolution against the kernel ||xi1|^(2s) - |xi2|^(2s)|^(1/2)."""
+    a, b = _matching_sublattices(U1, U2)
     power = np.abs(U1.space_grid.frequencies[:-1]) ** (2 * s)
-    return _bilinear_convolve(U1, U2, np.sqrt(np.abs(power[:, None] - power[None, :])))
+    return _bilinear_convolve(a, b, np.sqrt(np.abs(power[:, None] - power[None, :])), U1)
 
 
 def bilinear_K(U1: SpaceTimeField, U2: SpaceTimeField, alpha: float) -> SpaceTimeField:
@@ -363,15 +392,13 @@ def bilinear_K(U1: SpaceTimeField, U2: SpaceTimeField, alpha: float) -> SpaceTim
 
     This is the formal space-time L2 adjoint of u2 -> bilinear_I(u1, u2, a/2).
     """
-    if U1.space_grid != U2.space_grid or U1.time_grid != U2.time_grid:
-        raise ValueError("bilinear operators need matching space and time grids")
+    a, b = _matching_sublattices(U1, U2)
     power = np.abs(U1.space_grid.frequencies) ** alpha
     j = np.arange(power.size - 1)
     # the output column of the pair (j1, j2); pairs off the grid are never read
     j_out = j[:, None] + j[None, :] - U1.space_grid.zero_index
     kernel = np.sqrt(np.abs(power.take(j_out, mode="clip") - power[:-1, None]))
-    conj1 = _freeze(_conj_reverse(_masked_sublattice(U1)))
-    return _bilinear_convolve(SpaceTimeField(U1.space_grid, U1.time_grid, conj1), U2, kernel)
+    return _bilinear_convolve(_conj_reverse(a), b, kernel, U1)
 
 
 def spacetime_inner(U: SpaceTimeField, V: SpaceTimeField) -> complex:

@@ -192,11 +192,19 @@ def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1) -> np.n
 
 def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
     n = coeffs.shape[axis]
-    _, grid_slot, signs = _plan(n)
-    raw = np.take(coeffs * _along(signs, coeffs.ndim, axis), grid_slot, axis=axis)
-    out = np.fft.ifft(raw, axis=axis)
-    out *= n * math.sqrt(TWO_PI) / box_length
-    return out
+    z = n // 2 - 1
+    _, _, signs = _plan(n)
+    signs = _along(signs, coeffs.ndim, axis)
+    # the modes are signed straight into numpy's slots: k >= 0 (the ascending
+    # slice [z:]) into slots 0..N/2, k < 0 into the rest
+    head = (slice(None),) * (axis % coeffs.ndim)
+    pos, neg = head + (slice(z, None),), head + (slice(z),)
+    raw = np.empty(coeffs.shape, complex)
+    np.multiply(coeffs[pos], signs[pos], out=raw[head + (slice(n - z),)])
+    np.multiply(coeffs[neg], signs[neg], out=raw[head + (slice(n - z, None),)])
+    np.fft.ifft(raw, axis=axis, out=raw)
+    raw *= n * math.sqrt(TWO_PI) / box_length
+    return raw
 
 
 # A real field is synthesised from its k >= 0 modes alone, the ascending slice

@@ -388,10 +388,19 @@ class TestSubcommandKeys:
                 ["simulate", "--family", "random_bandlimited", "--band", "1000"],
                 "band 1000.0 exceeds the largest paired grid frequency",
             ),
+            (
+                ["verify-estimate", "--kind", "bilinear_str", "--samples", "0"],
+                "verify-estimate needs at least one sample, got samples=0: pass --samples 1 or more",
+            ),
+            (["verify-estimate", "--samples", "-3"], "got samples=-3: pass --samples 1 or more"),
+            (["sweep", "--samples", "0"], "sweep needs at least one sample"),
+            (["verify-resonance", "--samples", "0"], "verify-resonance needs at least one sample"),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
-             "picard-dt", "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band"],
+             "picard-dt", "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band",
+             "estimate-samples", "estimate-negative-samples", "sweep-samples",
+             "resonance-samples"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:

@@ -385,6 +385,86 @@ class TestBilinearOperators:
             expected = direct_convolution(gs, gt, first, u2.coeffs, weight)
             assert np.max(np.abs(out.coeffs - expected)) <= 1e-13 * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_space=st.sampled_from([8, 12, 16, 32]),
+        n_time=st.sampled_from([8, 12, 16]),
+        s=st.floats(0.1, 1.0),
+        alpha=st.floats(1.05, 1.95),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_match_the_per_column_loop(self, data, n_space, n_time, s, alpha, seed):
+        # the loop over the sparser factor's columns skips only exact zeros and
+        # keeps each cell's ascending-j1 order, so not one bit may move
+        gs, gt = FrequencyGrid(n_space, 9.0), FrequencyGrid(n_time, 1.3)
+        rng = np.random.default_rng(seed)
+
+        def rand_field():
+            c = rng.standard_normal((n_time, n_space)) + 1j * rng.standard_normal((n_time, n_space))
+            c[rng.random(c.shape) < 0.2] = 0.0
+            c[:, ~data.draw(column_support(n_space))] = 0.0
+            return SpaceTimeField(gs, gt, c)
+
+        u1, u2 = rand_field(), rand_field()
+        a, b = masked(u1.coeffs), masked(u2.coeffs)
+        power_I = np.abs(gs.frequencies[:-1]) ** (2 * s)
+        kernel_I = np.sqrt(np.abs(power_I[:, None] - power_I[None, :]))
+        power_K = np.abs(gs.frequencies) ** alpha
+        j = np.arange(n_space - 1)
+        j_out = j[:, None] + j[None, :] - gs.zero_index
+        kernel_K = np.sqrt(np.abs(power_K.take(j_out, mode="clip") - power_K[:-1, None]))
+        conj_a = np.zeros_like(a)
+        conj_a[:-1, :-1] = np.conj(a[-2::-1, -2::-1])
+        for out, expected in (
+            (bilinear_I(u1, u2, s), per_column_convolution(a, b, kernel_I, gs, gt)),
+            (bilinear_K(u1, u2, alpha), per_column_convolution(conj_a, b, kernel_K, gs, gt)),
+        ):
+            assert out.coeffs.tobytes() == expected.tobytes()
+
+
+@st.composite
+def column_support(draw, n):
+    """The kept xi columns of a factor: all, a narrow band, any subset (so
+    interior zero columns), or none."""
+    kind = draw(st.sampled_from(["all", "band", "subset", "none"]))
+    if kind == "band":
+        lo = draw(st.integers(0, n - 1))
+        return (np.arange(n) >= lo) & (np.arange(n) <= draw(st.integers(lo, lo + 3)))
+    if kind == "subset":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return np.full(n, kind == "all")
+
+
+def masked(c):
+    """The coefficients on the symmetric sublattice: the extreme row and column zeroed."""
+    c = np.array(c)
+    c[-1, :] = 0.0
+    c[:, -1] = 0.0
+    return c
+
+
+def per_column_convolution(a, b, kernel, gs, gt):
+    """The weighted convolution of masked sublattice coefficients as a loop
+    over every nonzero first-factor column j1 in the (tau, xi) layout, each
+    against every second-factor column whose sum with it lands on the
+    sublattice: the reference whose bytes bilinear_I and bilinear_K keep."""
+    m, n = a.shape
+    z_t, z_x = m // 2 - 1, n // 2 - 1
+    a_fft = np.fft.fft(a, n=2 * m, axis=0)
+    b_fft = np.fft.fft(b, n=2 * m, axis=0)
+    acc = np.zeros((2 * m, n), dtype=complex)
+    for j1 in np.flatnonzero(np.any(a_fft[:, : n - 1], axis=0)).tolist():
+        j2_lo = max(0, z_x - j1)
+        j2_hi = min(n - 2, n - 2 + z_x - j1)
+        acc[:, j1 + j2_lo - z_x : j1 + j2_hi + 1 - z_x] += (
+            a_fft[:, j1 : j1 + 1] * kernel[j1, j2_lo : j2_hi + 1] * b_fft[:, j2_lo : j2_hi + 1]
+        )
+    out = gt.spacing * gs.spacing * np.fft.ifft(acc, axis=0)[z_t : z_t + m]
+    out[-1, :] = 0.0
+    out[:, -1] = 0.0
+    return out
+
 
 class TestEstimateRatio:
     @pytest.fixture

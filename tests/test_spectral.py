@@ -112,6 +112,44 @@ class TestTransform:
         assert np.max(np.abs(_forward_raw(u.T, g.box_length, axis=1) - direct.T)) <= tol
 
 
+def take_formula_inverse(coeffs, box_length, axis):
+    """The inverse transform through the permutation into numpy's slots:
+    sign the ascending modes, np.take them into slot order, transform."""
+    n = coeffs.shape[axis]
+    k = np.arange(-n // 2 + 1, n // 2 + 1)
+    shape = [1] * coeffs.ndim
+    shape[axis] = n
+    signs = np.where(k % 2 == 0, 1.0, -1.0).reshape(shape)
+    out = np.fft.ifft(np.take(coeffs * signs, np.argsort(k % n), axis=axis), axis=axis)
+    out *= n * math.sqrt(TWO_PI) / box_length
+    return out
+
+
+class TestInverseSlots:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 64, 512]),
+        rows=st.integers(1, 5),
+        layout=st.sampled_from(["row", "axis 0", "axis 1"]),
+        complex_input=st.booleans(),
+        box=st.floats(1.0, 100.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_match_the_take_formula(self, n, rows, layout, complex_input, box, seed):
+        # zeros of both signs included, as a signed zero is where two
+        # formulas most easily part
+        shape, axis = {"row": ((n,), -1), "axis 0": ((n, rows), 0), "axis 1": ((rows, n), 1)}[layout]
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(shape)
+        if complex_input:
+            c = c + 1j * rng.standard_normal(shape)
+        c[rng.random(shape) < 0.2] = 0.0
+        c[rng.random(shape) < 0.2] = -0.0
+        out = _inverse_raw(c, box, axis)
+        assert out.dtype == complex and out.flags.c_contiguous
+        assert out.tobytes() == take_formula_inverse(c, box, axis).tobytes()
+
+
 class TestRealSynthesis:
     """A Hermitian field synthesised from its k >= 0 modes."""
 
