@@ -307,7 +307,7 @@ def _masked_sublattice(U: SpaceTimeField) -> np.ndarray:
     return c
 
 
-def _matching_sublattices(U1: SpaceTimeField, U2: SpaceTimeField) -> tuple[np.ndarray, np.ndarray]:
+def _matching_sublattices(U1: SpaceTimeField, U2: SpaceTimeField) -> tuple:
     """The masked sublattice coefficients of two factors on the same grids."""
     if U1.space_grid != U2.space_grid or U1.time_grid != U2.time_grid:
         raise ValueError("bilinear operators need matching space and time grids")
@@ -327,9 +327,9 @@ def _conj_reverse(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeField) -> SpaceTimeField:
-    """Direct weighted (tau, xi) convolution of masked sublattice coefficients
-    a and b, truncated to the common grid of grids.
+def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeField):
+    """Direct weighted (tau, xi) convolution of the masked sublattice
+    coefficients a and b, truncated to the space and time grids of grids.
 
     kernel[j1, j2] is the weight of first-factor column j1 against
     second-factor column j2, over the (n-1) x (n-1) sublattice columns.  The
@@ -340,11 +340,12 @@ def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeFie
     contiguous slab.
 
     The loop runs over the nonzero columns of the factor that has fewer, each
-    against the other factor's nonzero column span: the skipped pairs add
-    exact zeros to an accumulator that is never -0, which changes no bit.
-    Every output cell adds its terms (a * kernel) * b in ascending j1, so when
-    the loop is over the second factor's columns j2 runs descending; either
-    way the bytes are those of the plain loop over every j1.
+    against the other factor's nonzero column span.  The pairs it skips add
+    exact zeros, which change no bit of an accumulator that starts at +0 (a
+    sum is -0 only when both terms are).  Every output cell adds its terms
+    (a * kernel) * b in ascending j1, so the loop over the second factor's
+    columns runs j2 descending; either way the bytes are those of the plain
+    loop over every j1.
     """
     m, n = a.shape
     z_t, z_x = m // 2 - 1, n // 2 - 1
@@ -354,7 +355,7 @@ def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeFie
     b_cols = np.flatnonzero(np.any(b_fft[: n - 1], axis=1)).tolist()
     acc = np.zeros((n, 2 * m), dtype=complex)
     term = np.empty((n - 1, 2 * m), dtype=complex)
-    if a_cols and b_cols and len(b_cols) < len(a_cols):
+    if len(b_cols) < len(a_cols):
         for j2 in reversed(b_cols):
             # first-factor columns whose sum with j2 lands on the sublattice
             lo, hi = max(a_cols[0], z_x - j2), min(a_cols[-1], n - 2 + z_x - j2)
@@ -363,7 +364,7 @@ def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeFie
                 np.multiply(a_fft[lo : hi + 1], kernel[lo : hi + 1, j2, None], out=t)
                 np.multiply(t, b_fft[j2], out=t)
                 acc[lo + j2 - z_x : hi + 1 + j2 - z_x] += t
-    elif b_cols:
+    else:
         for j1 in a_cols:
             lo, hi = max(b_cols[0], z_x - j1), min(b_cols[-1], n - 2 + z_x - j1)
             if lo <= hi:
@@ -371,10 +372,10 @@ def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeFie
                 np.multiply(a_fft[j1], kernel[j1, lo : hi + 1, None], out=t)
                 np.multiply(t, b_fft[lo : hi + 1], out=t)
                 acc[j1 + lo - z_x : j1 + hi + 1 - z_x] += t
+    np.fft.ifft(acc, axis=1, out=acc)
     measure = grids.time_grid.spacing * grids.space_grid.spacing
-    out = np.multiply(
-        measure, np.fft.ifft(acc, axis=1, out=acc)[:, z_t : z_t + m].T, out=np.empty((m, n), complex)
-    )
+    # back to C-ordered (tau, xi) rows, whose reductions sum in the usual order
+    out = np.multiply(measure, acc[:, z_t : z_t + m].T, out=np.empty((m, n), complex))
     out[-1, :] = 0.0
     out[:, -1] = 0.0
     return SpaceTimeField(grids.space_grid, grids.time_grid, _freeze(out))

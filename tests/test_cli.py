@@ -390,7 +390,8 @@ class TestSubcommandKeys:
             ),
             (
                 ["verify-estimate", "--kind", "bilinear_str", "--samples", "0"],
-                "verify-estimate needs at least one sample, got samples=0: pass --samples 1 or more",
+                "verify-estimate needs at least one sample, got samples=0: "
+                "pass --samples 1 or more",
             ),
             (["verify-estimate", "--samples", "-3"], "got samples=-3: pass --samples 1 or more"),
             (["sweep", "--samples", "0"], "sweep needs at least one sample"),

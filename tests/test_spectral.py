@@ -138,7 +138,8 @@ class TestInverseSlots:
     def test_bytes_match_the_take_formula(self, n, rows, layout, complex_input, box, seed):
         # zeros of both signs included, as a signed zero is where two
         # formulas most easily part
-        shape, axis = {"row": ((n,), -1), "axis 0": ((n, rows), 0), "axis 1": ((rows, n), 1)}[layout]
+        layouts = {"row": ((n,), -1), "axis 0": ((n, rows), 0), "axis 1": ((rows, n), 1)}
+        shape, axis = layouts[layout]
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(shape)
         if complex_input:
