@@ -26,18 +26,18 @@ from .norms import (
     EstimateParams,
     SpaceTimeField,
     _lebesgue_of_samples,
-    _padded_time_dft,
+    _weighted_cells,
     _weighted_norm,
     bourgain_weights,
     localized_lift,
 )
 from .spectral import (
+    TWO_PI,
     FrequencyGrid,
     SpectralField,
     _FAMILIES,
-    _forward_raw,
     _freeze,
-    _inverse_raw,
+    _plan,
     _real_synthesis,
     _real_synthesis_table,
     _require_zero_mean,
@@ -495,17 +495,16 @@ def _draw_samples(kind: str, rng: np.random.Generator, n_samples: int, n_band: i
 
 def _random_spacetime(rng, grid, time_grid, band):
     """Random coefficients on the (tau, xi) sub-band |k_tau| <= m/3, |xi| <= band,
-    extreme modes zero."""
+    extreme modes zero.  The sub-band is a rectangle of rows and columns,
+    filled row by row."""
     m, n = time_grid.n_modes, grid.n_modes
     coeffs = np.zeros((m, n), dtype=complex)
-    tau_ok = np.abs(time_grid.mode_numbers) <= m // 3
-    xi_ok = np.abs(grid.frequencies) <= band
-    sel = np.outer(tau_ok, xi_ok)
-    sel[-1, :] = False
-    sel[:, -1] = False
-    k = int(np.sum(sel))
-    draws = rng.standard_normal((k, 2))
-    coeffs[sel] = draws[:, 0] + 1j * draws[:, 1]
+    rows = np.flatnonzero(np.abs(time_grid.mode_numbers[:-1]) <= m // 3)
+    cols = np.flatnonzero(np.abs(grid.frequencies[:-1]) <= band)
+    if cols.size:
+        block = coeffs[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        draws = rng.standard_normal(block.shape + (2,))
+        block[...] = draws[..., 0] + 1j * draws[..., 1]
     return SpaceTimeField(grid, time_grid, _freeze(coeffs))
 
 
@@ -566,12 +565,6 @@ class _FreeLifts:
         self.profile = np.sum(w * mags**2, axis=0) * measure
         self.column_max = np.max(mags, axis=0)
 
-    def trajectory(self, u0: SpectralField) -> Trajectory:
-        """The free evolution of u0 on the cutoff's time samples."""
-        paths = self.paths
-        coeffs = _freeze(paths.coeffs * u0.coeffs[None, :])
-        return Trajectory(u0.grid, paths.times, coeffs, paths.alpha)
-
     def lift(self, u0: SpectralField) -> SpaceTimeField:
         """localized_lift of the free evolution of u0."""
         coeffs = _freeze(self.kernel.coeffs * u0.coeffs[None, :])
@@ -599,13 +592,77 @@ def _extended_grid(grid: FrequencyGrid) -> FrequencyGrid:
     return FrequencyGrid(2 * grid.n_modes, grid.box_length)
 
 
-def _physical_on_extended(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Samples of the field on the doubled spatial grid (rows = time)."""
-    n = grid.n_modes
-    ext = np.zeros((coeffs.shape[0], 2 * n), dtype=complex)
-    # modes -N/2+1..N/2 sit at offset N/2 of the extended layout -N+1..N
-    ext[:, n // 2 : n // 2 + n] = coeffs
-    return _inverse_raw(ext, grid.box_length, axis=1)
+class _ProductField:
+    """Buffers for d/dx [ (psi_T u1)(psi_T u2) ] of two trajectories on grid,
+    sampled at times, on n_slots tau modes.  They are allocated once, and
+    each product is transformed in place in them: one instance serves one
+    resolution of one harness call.
+
+    A caller writes the two factors' coefficient rows into rows and calls the
+    instance, which overwrites rows and returns the coefficients on
+    (time_grid, ext), a buffer the next call overwrites.  The steps are those
+    of _inverse_raw of the spectrum zero-padded to the doubled grid, the
+    pointwise product, _forward_raw along x and _padded_time_dft, with the
+    same operands in the same order, so the bytes are theirs.  The
+    permutations between ascending and numpy's slot order are one sign
+    multiply per half of the modes, and a slot of the doubled grid that no
+    mode of grid reaches holds the zero that zero-padding and signing gives.
+    """
+
+    def __init__(self, grid: FrequencyGrid, times: np.ndarray, T: float, n_slots: int):
+        n, L = grid.n_modes, grid.box_length
+        self.n, self.ext = n, _extended_grid(grid)
+        dt = float(times[1] - times[0])
+        self.time_grid = FrequencyGrid(n_slots, n_slots * dt)
+        j0 = n_slots // 2 + int(round(float(times[0]) / dt))  # slot of the first sample
+        lo = max(0, -j0)
+        hi = max(lo, min(times.size, n_slots - j0))
+        psi = bump(times / T)[:, None]
+        if np.any(psi[:lo]) or np.any(psi[hi:]):
+            raise ValueError("time samples extend beyond the padded window")
+        self.samples, self.window = slice(lo, hi), slice(j0 + lo, j0 + hi)
+        # the real tables are held as the complex values a multiply would
+        # cast them to, so that no call casts
+        self.psi = psi[lo:hi] + 0j
+        self.signs = _plan(n)[2] + 0j
+        ext_slot, _, ext_signs = _plan(2 * n)
+        # the slots of modes N/2+1 .. 3N/2 of the doubled grid, one run
+        self.dead = slice(n // 2 + 1, 3 * n // 2 + 1)
+        dead_in = np.empty(2 * n, complex)
+        dead_in[ext_slot] = np.zeros(2 * n, complex) * ext_signs
+        self.dead_in = dead_in[self.dead]
+        self.x_scale = 2 * n * math.sqrt(TWO_PI) / L
+        self.x_signs = ext_signs * (L / (2 * n * math.sqrt(TWO_PI))) + 0j
+        t_signs = _plan(n_slots)[2] * (self.time_grid.box_length / (n_slots * math.sqrt(TWO_PI)))
+        self.t_signs = t_signs[:, None] + 0j
+        self.derivative = 1j * self.ext.frequencies
+        self.rows = np.empty((2, times.size, n), complex)
+        self.physical = np.empty((2, hi - lo, 2 * n), complex)
+        self.signal = np.zeros((n_slots, 2 * n), complex)  # rows outside window stay zero
+        self.spectrum = np.empty((n_slots, 2 * n), complex)
+        self.coeffs = np.empty((n_slots, 2 * n), complex)
+
+    def __call__(self) -> np.ndarray:
+        n, z, zz = self.n, self.n // 2 - 1, self.n - 1  # zz: zero index of the doubled grid
+        rows, f = self.rows[:, self.samples], self.physical
+        np.multiply(self.psi, rows, out=rows)
+        f[..., self.dead] = self.dead_in
+        # modes k >= 0 into slots 0..N/2, k < 0 into the last N/2-1 slots
+        np.multiply(rows[..., z:], self.signs[z:], out=f[..., : n - z])
+        np.multiply(rows[..., :z], self.signs[:z], out=f[..., 2 * n - z :])
+        np.fft.ifft(f, axis=-1, out=f)
+        f *= self.x_scale
+        product = np.multiply(f[0], f[1], out=f[0])
+        np.fft.fft(product, axis=-1, out=product)
+        signal = self.signal[self.window]
+        np.multiply(product[:, : 2 * n - zz], self.x_signs[zz:], out=signal[:, zz:])
+        np.multiply(product[:, 2 * n - zz :], self.x_signs[:zz], out=signal[:, :zz])
+        spectrum, coeffs = self.spectrum, self.coeffs
+        m, zt = spectrum.shape[0], self.time_grid.zero_index
+        np.fft.fft(self.signal, axis=0, out=spectrum)
+        np.multiply(spectrum[: m - zt], self.t_signs[zt:], out=coeffs[zt:])
+        np.multiply(spectrum[m - zt :], self.t_signs[:zt], out=coeffs[:zt])
+        return np.multiply(coeffs, self.derivative, out=coeffs)
 
 
 def product_derivative_field(
@@ -614,18 +671,15 @@ def product_derivative_field(
     """Space-time transform of d/dx [ (psi_T u1)(psi_T u2) ] on the doubled xi grid.
 
     The spatial product is formed pointwise on the refined physical grid, so
-    the xi convolution is exact (no aliasing) for the retained modes.
+    the xi convolution is exact (no aliasing) for the retained modes.  This is
+    one use of a _ProductField, which then hands its buffer over; the ratio
+    harness keeps one per resolution.
     """
     if traj1.grid != traj2.grid or traj1.n_times != traj2.n_times:
         raise ValueError("product factors need matching grids and time samples")
-    psi = bump(traj1.times / T)[:, None]
-    f1 = _physical_on_extended(psi * traj1.coeffs, traj1.grid)
-    f2 = _physical_on_extended(psi * traj2.coeffs, traj2.grid)
-    ext = _extended_grid(traj1.grid)
-    rows = _forward_raw(f1 * f2, ext.box_length, axis=1)
-    coeffs, time_grid = _padded_time_dft(rows, traj1.times, n_slots)
-    coeffs = coeffs * (1j * ext.frequencies)[None, :]
-    return SpaceTimeField(ext, time_grid, _freeze(coeffs))
+    product = _ProductField(traj1.grid, traj1.times, T, n_slots)
+    product.rows[0], product.rows[1] = traj1.coeffs, traj2.coeffs
+    return SpaceTimeField(product.ext, product.time_grid, _freeze(product()))
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +709,12 @@ def _kind_inputs(kind: str) -> dict:
     return _KIND_INPUTS[kind]
 
 
-def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
+def _dominant_regions(cells, lifts, time_grid, space_grid, p, top_cells):
     """Classify the dominant convolution cells of the heaviest output cells.
 
-    w_out is the b' weight table on the output lattice; the heaviest cells
+    cells is the table w_out |C|^2 of the product field C on time_grid and
+    the doubled space_grid, w_out its b' weights, and lifts the coefficients
+    U1, U2 of the two lifts on time_grid and space_grid.  The heaviest cells
     are taken in no particular order.  For each, the terms U1(tau1, xi1)
     U2(tau - tau1, xi - xi1) are formed on the block of (tau1, xi1) whose
     partner lies on the lifts' lattice, as the product of a block of U1 with
@@ -667,23 +723,22 @@ def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
     roundoff.  The cells kept are classified together, on the half
     |xi1| <= |xi2| and off xi1 = 0 and xi2 = 0.
     """
-    U1, U2 = lifts
-    contrib = w_out * np.abs(lhs_field.coeffs) ** 2
-    k = min(top_cells, contrib.size)
-    flat = np.argpartition(contrib, contrib.size - k, axis=None)[contrib.size - k :]
-    n_out = contrib.shape[1]
-    z_t_out, z_x_out = lhs_field.time_grid.zero_index, lhs_field.space_grid.zero_index
-    m_t, n_x = U1.coeffs.shape
+    u1, u2 = lifts
+    k = min(top_cells, cells.size)
+    flat = np.argpartition(cells, cells.size - k, axis=None)[cells.size - k :]
+    xi_out, n_out = _extended_grid(space_grid).frequencies, cells.shape[1]
+    z_t, z_x, z_x_out = time_grid.zero_index, space_grid.zero_index, n_out // 2 - 1
+    m_t, n_x = u1.shape
     # U2 reversed in both axes: row m_t-1-i2 holds row i2 of U2
-    u1, u2_rev = U1.coeffs, U2.coeffs[::-1, ::-1]
-    cells = []  # (output row, output column, row of tau1, column of xi1)
+    u2_rev = u2[::-1, ::-1]
+    found = []  # (output row, output column, row of tau1, column of xi1)
     for cell in flat:
         mi, ki = divmod(int(cell), n_out)
-        if contrib[mi, ki] <= 0.0 or lhs_field.space_grid.frequencies[ki] == 0.0:
+        if cells[mi, ki] <= 0.0 or xi_out[ki] == 0.0:
             continue
         # the partner of U1's row i1 is U2's row c_t - i1, and so for columns
-        c_t = mi - z_t_out + 2 * U1.time_grid.zero_index
-        c_x = ki - z_x_out + 2 * U1.space_grid.zero_index
+        c_t = mi + z_t
+        c_x = ki - z_x_out + 2 * z_x
         r_lo, r_hi = max(0, c_t - m_t + 1), min(m_t - 1, c_t)
         q_lo, q_hi = max(0, c_x - n_x + 1), min(n_x - 1, c_x)
         if r_lo > r_hi or q_lo > q_hi:
@@ -693,12 +748,13 @@ def _dominant_regions(lhs_field, w_out, lifts, p, top_cells):
         ]
         i, j = divmod(int(np.argmax(np.abs(terms))), terms.shape[1])
         if terms[i, j] != 0.0:
-            cells.append((mi, ki, r_lo + i, q_lo + j))
-    if not cells:
+            found.append((mi, ki, r_lo + i, q_lo + j))
+    if not found:
         return []
-    mi, ki, mi1, ki1 = np.array(cells).T
-    xi1, tau1 = U1.space_grid.frequencies[ki1], U1.taus[mi1]
-    xi2, tau2 = lhs_field.space_grid.frequencies[ki] - xi1, lhs_field.taus[mi] - tau1
+    mi, ki, mi1, ki1 = np.array(found).T
+    taus = time_grid.frequencies
+    xi1, tau1 = space_grid.frequencies[ki1], taus[mi1]
+    xi2, tau2 = xi_out[ki] - xi1, taus[mi] - tau1
     keep = (xi1 != 0.0) & (xi2 != 0.0)
     xi1, xi2, tau1, tau2 = xi1[keep], xi2[keep], tau1[keep], tau2[keep]
     swap = np.abs(xi1) > np.abs(xi2)
@@ -760,24 +816,33 @@ def _dual_bilinear_sides(p, free, inputs, histogram):
 
 def _main_bilinear_sides(p, free, inputs, histogram):
     """The b' norm of d/dx of the cut product and twice the norms' product; unless
-    histogram is None, each kept sample's dominant regions are tallied in it."""
-    grid, zero_mean = free.grid, p.omega > 0.0
-    # the product field lives on the lifts' tau grid and the doubled xi grid
-    w_out = bourgain_weights(free.kernel.taus, _extended_grid(grid).frequencies, p, p.b_prime)
-    # each product field is held until the next one exists: freed at once, it
-    # lets glibc trim the heap top, and every sample pages its ~1 MB in anew
-    held = []
+    histogram is None, each kept sample's dominant regions are tallied in it.
+
+    The buffers of one resolution are allocated here, once: a _ProductField,
+    whose rows take each sample's free evolutions and whose field lives on
+    the lifts' tau grid and the doubled xi grid; the cell table w_out |C|^2,
+    which gives the norm and the heaviest cells; and the two lifts the
+    regions are read from.
+    """
+    grid, zero_mean, paths = free.grid, p.omega > 0.0, free.paths
+    product = _ProductField(grid, paths.times, free.T, free.n_time)
+    w_out = bourgain_weights(free.kernel.taus, product.ext.frequencies, p, p.b_prime)
+    cells = np.empty(w_out.shape)
+    lifts = np.empty((2,) + free.kernel.coeffs.shape, complex)
+    dtau, dxi = product.time_grid.spacing, product.ext.spacing
 
     def sides(pair):
         u1, u2 = (_field_from_descriptor(grid, d, zero_mean) for d in pair)
-        paths = free.trajectory(u1), free.trajectory(u2)
-        lhs_field = product_derivative_field(*paths, free.T, free.n_time)
-        held[:] = [lhs_field]
-        lhs = _weighted_norm(lhs_field, w_out, p.omega)
+        for u0, rows in zip((u1, u2), product.rows):
+            np.multiply(paths.coeffs, u0.coeffs, out=rows)
+        _weighted_cells(product(), w_out, p.omega, out=cells)
+        lhs = math.sqrt(float(np.sum(cells)) * dtau * dxi)
         rhs = 2.0 * free.norm(u1) * free.norm(u2)
         if histogram is not None and rhs > 0.0:
-            lifts = (free.lift(u1), free.lift(u2))
-            for label in _dominant_regions(lhs_field, w_out, lifts, p, int(inputs["top_cells"])):
+            for u0, out in zip((u1, u2), lifts):
+                np.multiply(free.kernel.coeffs, u0.coeffs, out=out)
+            top_cells = int(inputs["top_cells"])
+            for label in _dominant_regions(cells, lifts, product.time_grid, grid, p, top_cells):
                 histogram["d_part"][label.d_part] += 1
                 histogram["a_part"][label.a_part] += 1
         return lhs, rhs

@@ -23,17 +23,31 @@ from fbo_lab import (
 from fbo_lab import estimates
 from fbo_lab.estimates import (
     _classify_arrays,
+    _draw_band_modes,
     _draw_samples,
+    _envelope,
     _field_from_descriptor,
     _free_cutoff_trajectory,
     _FreeLifts,
     _n_band,
+    _ProductField,
+    _random_spacetime,
     _strichartz_sides,
     _x_params,
+    product_derivative_field,
 )
 from fbo_lab.evolution import Trajectory
-from fbo_lab.norms import localized_lift, mixed_lebesgue_norm
-from fbo_lab.spectral import FrequencyGrid, SpectralField, bump, japanese_bracket, make_test_field
+from fbo_lab.norms import _padded_time_dft, _weighted_cells, localized_lift, mixed_lebesgue_norm
+from fbo_lab.spectral import (
+    _FAMILIES,
+    FrequencyGrid,
+    SpectralField,
+    _forward_raw,
+    _inverse_raw,
+    bump,
+    japanese_bracket,
+    make_test_field,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -671,10 +685,118 @@ def test_dominant_regions_match_the_full_term_matrix(seed):
     def key(label):
         return label.d_part, label.a_part
 
-    got = estimates._dominant_regions(lhs_field, w_out, lifts, p, top_cells)
+    # main_bilinear's cell table, filled as the harness fills it (omega = 0,
+    # as this random field is not mean-zero)
+    cells = _weighted_cells(lhs_field.coeffs, w_out, 0.0, out=np.empty(w_out.shape))
+    assert cells.tobytes() == (w_out * np.abs(lhs_field.coeffs) ** 2).tobytes()
+    arrays = tuple(lift.coeffs for lift in lifts)
+    got = estimates._dominant_regions(cells, arrays, gt, gs, p, top_cells)
     expected = full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells)
     assert len(expected) > 0
     assert sorted(got, key=key) == sorted(expected, key=key)
+
+
+def ascending_product_field(traj1, traj2, T, n_slots):
+    """product_derivative_field through the ascending transforms, each factor
+    zero-padded to the doubled grid: the reference whose bytes _ProductField
+    keeps.  Returns the coefficients and the tau grid."""
+    n, box = traj1.grid.n_modes, traj1.grid.box_length
+    psi = bump(traj1.times / T)[:, None]
+
+    def physical(c):
+        padded = np.zeros((c.shape[0], 2 * n), dtype=complex)
+        padded[:, n // 2 : n // 2 + n] = c
+        return _inverse_raw(padded, box, axis=1)
+
+    rows = _forward_raw(physical(psi * traj1.coeffs) * physical(psi * traj2.coeffs), box, axis=1)
+    coeffs, time_grid = _padded_time_dft(rows, traj1.times, n_slots)
+    return coeffs * (1j * FrequencyGrid(2 * n, box).frequencies)[None, :], time_grid
+
+
+class TestProductField:
+    """main_bilinear's per-resolution product field against the ascending
+    formula it replaced, byte for byte."""
+
+    L, T = 16.0, 0.5
+
+    @staticmethod
+    @st.composite
+    def factor(draw, grid):
+        """A draw of any family, zero mean on or off; a wave packet may sit
+        at the largest paired carrier, where its envelope reaches the
+        unpaired N/2 mode; or a zero factor, whose product is all signed
+        zeros."""
+        family = draw(st.sampled_from(_FAMILIES + ("zero",)))
+        if family == "zero":
+            return SpectralField(grid, np.zeros(grid.n_modes, dtype=complex))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        top = grid.n_modes // 2 - 1
+        if family == "random_bandlimited":
+            desc = {"family": family, "modes": _draw_band_modes(rng, draw(st.integers(1, top)))}
+        else:
+            desc = _envelope(rng, family)
+            if family == "wave_packet":
+                j = draw(st.one_of(st.sampled_from([top, -top]), st.integers(-top, top)))
+                desc["carrier"] = j * grid.spacing
+        return _field_from_descriptor(grid, desc, draw(st.booleans()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(res=st.sampled_from(estimates._KIND_INPUTS["main_bilinear"]["resolutions"]), data=st.data())
+    def test_bytes_match_the_ascending_formula(self, res, data):
+        n_space, n_time = res
+        grid = FrequencyGrid(n_space, self.L)
+        ones = SpectralField(grid, np.ones(n_space, dtype=complex))
+        paths = _free_cutoff_trajectory(ones, 1.5, self.T, n_time, 2.0)
+        product = _ProductField(grid, paths.times, self.T, n_time)
+        for _ in range(2):  # sample B after sample A, on one workspace
+            u1, u2 = (data.draw(self.factor(grid)) for _ in range(2))
+            trajs = [Trajectory(grid, paths.times, paths.coeffs * u.coeffs, 1.5) for u in (u1, u2)]
+            expected, time_grid = ascending_product_field(*trajs, self.T, n_time)
+            for u, rows in zip((u1, u2), product.rows):
+                np.multiply(paths.coeffs, u.coeffs, out=rows)
+            assert product().tobytes() == expected.tobytes()
+            assert product.time_grid == time_grid
+            # the public one-shot builds a fresh workspace
+            fresh = product_derivative_field(*trajs, self.T, n_time)
+            assert fresh.coeffs.tobytes() == product.coeffs.tobytes()
+            assert (fresh.space_grid, fresh.time_grid) == (product.ext, time_grid)
+
+    def test_the_unpaired_mode_is_reached(self):
+        # the top-of-band packets above do put weight on the N/2 mode
+        grid = FrequencyGrid(64, self.L)
+        top = grid.n_modes // 2 - 1
+        u = make_test_field(grid, "wave_packet", width=0.8, carrier=top * grid.spacing)
+        assert abs(u.coeffs[-1]) > 1e-3 * np.max(np.abs(u.coeffs))
+
+    def test_rejects_a_cutoff_beyond_the_window(self):
+        grid = FrequencyGrid(16, self.L)
+        times = np.linspace(-1.0, 1.0, 41)  # psi_T reaches |t| = 1, the window holds 16 slots
+        with pytest.raises(ValueError, match="beyond the padded window"):
+            _ProductField(grid, times, self.T, 16)
+
+
+def masked_random_spacetime(rng, grid, time_grid, band):
+    """_random_spacetime through a boolean mask over the whole (tau, xi)
+    grid: the reference whose bytes the rectangle fill keeps."""
+    m, n = time_grid.n_modes, grid.n_modes
+    coeffs = np.zeros((m, n), dtype=complex)
+    sel = np.outer(np.abs(time_grid.mode_numbers) <= m // 3, np.abs(grid.frequencies) <= band)
+    sel[-1, :] = False
+    sel[:, -1] = False
+    draws = rng.standard_normal((int(np.sum(sel)), 2))
+    coeffs[sel] = draws[:, 0] + 1j * draws[:, 1]
+    return coeffs
+
+
+@pytest.mark.parametrize("n_space, n_time", [(8, 8), (16, 24), (48, 48), (64, 64), (64, 512)])
+@pytest.mark.parametrize("band", [-1.0, 0.1, 3.0, 100.0])
+def test_random_spacetime_fills_the_masked_block(n_space, n_time, band):
+    grid, time_grid = FrequencyGrid(n_space, 16.0), FrequencyGrid(n_time, 0.5 * n_time)
+    for seed in range(3):
+        v = _random_spacetime(np.random.default_rng(seed), grid, time_grid, band)
+        expected = masked_random_spacetime(np.random.default_rng(seed), grid, time_grid, band)
+        assert v.coeffs.tobytes() == expected.tobytes()
+        assert np.any(expected) == (band >= 0.0)
 
 
 class TestFreeLifts:
@@ -702,7 +824,9 @@ class TestFreeLifts:
         free = _FreeLifts(grid, p, self.T, n_time)
         for u0 in self.fields(grid, zero_mean=False):
             traj, lift = self.direct_lift(u0, p.alpha, n_time)
-            assert np.array_equal(free.trajectory(u0).coeffs, traj.coeffs)
+            # the trajectory rows main_bilinear writes into its product field
+            assert np.array_equal(free.paths.times, traj.times)
+            assert np.array_equal(free.paths.coeffs * u0.coeffs, traj.coeffs)
             ours = free.lift(u0)
             assert ours.time_grid == lift.time_grid
             err = np.max(np.abs(ours.coeffs - lift.coeffs))
