@@ -4,13 +4,10 @@ from .conservation import AprioriReport, apriori_check, l2_drift
 from .estimates import (
     RatioReport,
     RegionLabel,
-    SymbolWeights,
     bilinear_I,
     bilinear_K,
     classify_region,
-    convolution_weights,
     estimate_ratio,
-    modulation_weights,
     resonance,
     resonance_infimum,
     spacetime_inner,

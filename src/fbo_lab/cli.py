@@ -254,11 +254,11 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float, float]]:
 def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: one point for the subcommands that run
-    one, a dt the solver accepts (for picard, on its grid), a known kind and
-    epsilon at every point, and at least one sample.  The inputs built on the
-    way, which reject their own bad values, are returned for the runner: the
-    initial field of simulate and picard, the parameters of verify-estimate
-    and of each sweep point."""
+    one, a dt the solver accepts, at least 0 retained modes, a tol and
+    max_iter picard accepts, a known kind and epsilon at every point, and at
+    least one sample.  The inputs built on the way, which reject their own
+    bad values, are returned for the runner: the initial field of simulate
+    and picard, the parameters of verify-estimate and of each sweep point."""
     subcommand = config.subcommand
     if "samples" in SUBCOMMAND_KEYS[subcommand] and config.samples < 1:
         raise ConfigError(
@@ -267,10 +267,18 @@ def _check_config(config: ExperimentConfig) -> tuple:
         )
     if subcommand in ("simulate", "picard"):
         _single(config, "alpha")
-        if subcommand == "picard":
-            _check_picard_dt(config.t_span, config.dt)
-        else:
-            _check_dt(config.t_span, config.dt)
+        _check_dt(config.t_span, config.dt)
+        if subcommand == "simulate" and config.retained_modes < 0:
+            raise ConfigError(
+                f"retained_modes must be at least 0, got {config.retained_modes}: "
+                "pass --retained-modes 16, or as many modes as the CSV should keep"
+            )
+        if subcommand == "picard" and not config.tol > 0.0:
+            raise ConfigError(f"tol must be positive, got {config.tol!r}: pass --tol 1e-08, say")
+        if subcommand == "picard" and config.max_iter < 1:
+            raise ConfigError(
+                f"max_iter must be at least 1, got {config.max_iter}: pass --max-iter 30, say"
+            )
         return (_initial_field(config, FrequencyGrid(config.n_modes, config.box_length)),)
     if subcommand == "verify-estimate":
         alpha, s = _single(config, "alpha"), _single(config, "s")
@@ -316,43 +324,12 @@ def _run_simulate(config: ExperimentConfig, u0: SpectralField) -> int:
     return EXIT_OK
 
 
-def _steps_match(T: float, dt: float) -> bool:
-    """True when every reference time k*T/m lies on the Picard grid j*W/n.
-
-    The reference solve uses m = round(T/dt) steps over T and the Picard
-    iteration n = round(W/dt) steps over W = 2*max(T, 1); the reference
-    step must then be a whole number q of Picard steps.
-    """
-    window = 2.0 * max(T, 1.0)
-    ratio = (T / max(1, round(T / dt))) / (window / max(1, round(window / dt)))
-    q = round(ratio)
-    return q >= 1 and abs(ratio - q) <= 1e-9 * q
-
-
 def _check_dt(T: float, dt: float) -> None:
     """Reject a t_span or dt that solve_reference would, naming the fix."""
     if not (T > 0.0 and dt > 0.0):
         raise ConfigError(f"t_span and dt must be positive, got {T}, {dt}")
     if dt > T:
         raise ConfigError(f"dt={dt} exceeds t_span={T}; use dt <= {T!r}")
-
-
-def _check_picard_dt(T: float, dt: float) -> None:
-    """Reject a dt whose reference times fall off the Picard grid, naming one that fits."""
-    _check_dt(T, dt)
-    if _steps_match(T, dt):
-        return
-    m0 = max(1, round(T / dt))
-    fits = (T / m for d in range(10_000) for m in (m0 - d, m0 + d) if m >= 1)
-    good = next((dt_fit for dt_fit in fits if _steps_match(T, dt_fit)), None)
-    fix = (
-        f"use dt={good!r}, which divides both" if good is not None
-        else "choose dt dividing both"
-    )
-    raise ConfigError(
-        f"dt={dt} puts the reference times off the Picard time grid: the steps "
-        f"must divide t_span={T!r} and 2*max(t_span, 1)={2.0 * max(T, 1.0)!r}; {fix}"
-    )
 
 
 def _run_picard(config: ExperimentConfig, u0: SpectralField) -> int:

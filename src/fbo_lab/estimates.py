@@ -66,43 +66,6 @@ def resonance(xi1, xi2, alpha: float):
     return out
 
 
-@dataclass(frozen=True)
-class SymbolWeights:
-    """Elliptic weight sigma = |tau| + |xi|^(1+a) and modulation lam = tau - xi|xi|^a.
-
-    The per-factor entries are populated only when built for a convolution
-    triple (tau, xi) = (tau1, xi1) + (tau2, xi2).
-    """
-
-    sigma: float
-    lam: float
-    sigma_1: float | None = None
-    lam_1: float | None = None
-    sigma_2: float | None = None
-    lam_2: float | None = None
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma is nonnegative by construction")
-
-
-def modulation_weights(tau: float, xi: float, alpha: float) -> SymbolWeights:
-    """Evaluate sigma and lambda at a single (tau, xi) point."""
-    sigma = abs(tau) + abs(xi) ** (1.0 + alpha)
-    lam = tau - float(dispersion_symbol(np.asarray(xi, float), alpha))
-    return SymbolWeights(float(sigma), float(lam))
-
-
-def convolution_weights(
-    tau1: float, xi1: float, tau2: float, xi2: float, alpha: float
-) -> SymbolWeights:
-    """Weights for a constrained triple; lam - lam1 - lam2 = -resonance(xi1, xi2)."""
-    w = modulation_weights(tau1 + tau2, xi1 + xi2, alpha)
-    w1 = modulation_weights(tau1, xi1, alpha)
-    w2 = modulation_weights(tau2, xi2, alpha)
-    return SymbolWeights(w.sigma, w.lam, w1.sigma, w1.lam, w2.sigma, w2.lam)
-
-
 # ---------------------------------------------------------------------------
 # region classifier
 
@@ -225,10 +188,13 @@ class RatioReport:
 def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) -> RatioReport:
     """Report of the smallest of the admissible ratios.
 
-    The trend compares the first half of the samples with all of them;
-    extremal maps a name to per-sample values, reported at the argmin.
+    The trend compares the first half of the samples, at least one, with
+    all of them; extremal maps a name to per-sample values, reported at the
+    argmin.  With no admissible ratio, every sample was skipped: a ValueError.
     """
-    half = ratios.size // 2
+    if ratios.size == 0:
+        raise ValueError(f"every sample of {kind} was skipped ({skipped} skipped)")
+    half = max(1, ratios.size // 2)
     trend = (
         (f"n={half}", float(np.min(ratios[:half]))),
         (f"n={ratios.size}", float(np.min(ratios))),
@@ -269,7 +235,7 @@ def resonance_infimum(
     _check_inputs("resonance_infimum", spec, ("n_samples",))
     n_samples = int(spec.get("n_samples", 1_000_000))
     if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
 
     ladder = 2.0 ** np.arange(-10, 11, dtype=float)
     ladder = np.concatenate([-ladder[::-1], ladder])
@@ -287,8 +253,6 @@ def resonance_infimum(
     valid = (xi1 != 0.0) & (xi2 != 0.0) & (xi != 0.0)
     skipped = int(np.sum(~valid))
     xi1, xi2, xi = xi1[valid], xi2[valid], xi[valid]
-    if xi1.size == 0:
-        raise ValueError("sampler produced no admissible tuples")
     mags = np.vstack([np.abs(xi1), np.abs(xi2), np.abs(xi)])
     lo = np.min(mags, axis=0)
     hi = np.max(mags, axis=0)
@@ -696,7 +660,7 @@ _KIND_INPUTS = {
     "dual_bilinear": _BILINEAR_INPUTS,
     "main_bilinear": dict(
         _BILINEAR_INPUTS, n_samples=200, resolutions=((56, 448), (64, 512)), band=10.0,
-        band_fraction=None, top_cells=8,
+        band_fraction=None,
     ),
     "smoothing": dict(n_samples=100_000),
 }
@@ -709,8 +673,12 @@ def _kind_inputs(kind: str) -> dict:
     return _KIND_INPUTS[kind]
 
 
-def _dominant_regions(cells, lifts, time_grid, space_grid, p, top_cells):
-    """Classify the dominant convolution cells of the heaviest output cells.
+#: How many of each main_bilinear sample's heaviest output cells have their regions tallied.
+TOP_CELLS = 8
+
+
+def _dominant_regions(cells, lifts, time_grid, space_grid, p, top_cells=TOP_CELLS):
+    """Classify the dominant convolution cells of the top_cells heaviest output cells.
 
     cells is the table w_out |C|^2 of the product field C on time_grid and
     the doubled space_grid, w_out its b' weights, and lifts the coefficients
@@ -841,8 +809,7 @@ def _main_bilinear_sides(p, free, inputs, histogram):
         if histogram is not None and rhs > 0.0:
             for u0, out in zip((u1, u2), lifts):
                 np.multiply(free.kernel.coeffs, u0.coeffs, out=out)
-            top_cells = int(inputs["top_cells"])
-            for label in _dominant_regions(cells, lifts, product.time_grid, grid, p, top_cells):
+            for label in _dominant_regions(cells, lifts, product.time_grid, grid, p):
                 histogram["d_part"][label.d_part] += 1
                 histogram["a_part"][label.a_part] += 1
         return lhs, rhs
@@ -881,7 +848,7 @@ def estimate_ratio(
     its draws are Hermitian, so the L4t Linfx side synthesises each one as a
     real field from its k >= 0 modes), 'bilinear_str' and 'dual_bilinear'
     (the two weighted convolutions), 'main_bilinear' (the derivative product
-    estimate, with a histogram of the regions of each sample's top_cells
+    estimate, with a histogram of the regions of each sample's TOP_CELLS
     dominant contributions at the last resolution), or 'smoothing' (the
     pointwise frequency lower bound, reported as an infimum).  inputs may set
     only these keys (defaults shown):
@@ -891,7 +858,7 @@ def estimate_ratio(
     - bilinear_str, dual_bilinear: n_samples=100, resolutions=((48, 48),
       (64, 64)) (spatial x tau modes), box_length=16.0, band=3.0, T=0.5
     - main_bilinear: n_samples=200, resolutions=((56, 448), (64, 512)),
-      box_length=16.0, band=10.0, band_fraction=None, T=0.5, top_cells=8
+      box_length=16.0, band=10.0, band_fraction=None, T=0.5
     - smoothing: n_samples=100000
 
     The samples are drawn once, within band, and shared by every resolution,
@@ -899,7 +866,7 @@ def estimate_ratio(
     grid.  A band_fraction in (0, 1] instead gives each resolution that
     fraction of its largest paired frequency as band, with fresh draws; band
     and band_fraction are exclusive, so inputs may set at most one of them.
-    top_cells is at least 1.  Samples where the right side vanishes are
+    n_samples is at least 1.  Samples where the right side vanishes are
     skipped and counted.
     """
     keys = _kind_inputs(kind)
@@ -910,13 +877,10 @@ def estimate_ratio(
             "band and band_fraction are exclusive: set band for draws shared by every "
             "resolution, or band_fraction for a band that grows with the grid, not both"
         )
-    if int(given.get("top_cells", 1)) < 1:
-        raise ValueError(
-            f"top_cells must be at least 1, got {given['top_cells']}: set it to the number "
-            "of heaviest output cells to classify per sample, or leave it out for 8"
-        )
     inputs = {**keys, **given}
     n_samples = int(inputs["n_samples"])
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     if kind == "smoothing":
         return _smoothing_report(p, n_samples, seed)
 

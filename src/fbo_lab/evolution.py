@@ -350,6 +350,10 @@ def picard_solve(
 ) -> tuple[Trajectory, PicardHistory]:
     """Iterate the Duhamel operator from the zero trajectory toward a fixed point.
 
+    The time grid is solve_reference's: the step is T / max(1, round(T/dt)),
+    taken over the fewest whole steps that cover [-W, W], W = 2 max(T, 1),
+    so every time of solve_reference(u0, T, dt, ...) is a time here.  The
+    grid may reach past W by less than one step.  dt defaults to W / 1024.
     Stops when the sup-in-time L2 gap between successive iterates drops to
     tol; non-convergence is reported through the history, not raised.
     """
@@ -358,8 +362,8 @@ def picard_solve(
     window = 2.0 * max(T, 1.0)
     if dt is None:
         dt = window / 1024.0
-    n = max(1, int(round(window / dt)))
-    dt_eff = window / n
+    dt_eff = T / max(1, int(round(T / dt)))
+    n = math.ceil(window / dt_eff - 1e-9)  # an exact fit is not rounded up by a step
     times = np.arange(-n, n + 1) * dt_eff
     grid = u0.grid
     current = Trajectory(grid, times, np.zeros((times.size, grid.n_modes), complex), float(alpha))

@@ -14,7 +14,6 @@ and refinement trends are the honest way to judge it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -142,9 +141,6 @@ class EstimateParams:
             b = 0.5 + 0.6 * (b_prime + 0.5)
         admissible = s >= s_min - _ADMISSIBLE_TOL
         return cls(alpha, s, admissible_omega(alpha), b, b_prime, epsilon, admissible)
-
-    def replace(self, **changes) -> "EstimateParams":
-        return dataclasses.replace(self, **changes)
 
 
 def sobolev_norm(u: SpectralField, s: float, omega: float) -> float:

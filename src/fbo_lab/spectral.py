@@ -311,9 +311,7 @@ def dispersion_symbol(xi: np.ndarray, alpha: float) -> np.ndarray:
     return xi * np.abs(xi) ** alpha
 
 
-def propagate(
-    u: SpectralField, t: float, alpha: float, *, allow_alpha_outside: bool = False
-) -> SpectralField:
+def propagate(u: SpectralField, t: float, alpha: float) -> SpectralField:
     """Exact free propagator: multiply each coefficient by exp(i*t*xi*|xi|^alpha).
 
     Unit-modulus phases make this exactly norm preserving for every weighted
@@ -321,11 +319,8 @@ def propagate(
     """
     if not (np.isfinite(t) and np.isfinite(alpha)):
         raise ValueError(f"t and alpha must be finite, got t={t}, alpha={alpha}")
-    if not (1.0 < alpha < 2.0) and not allow_alpha_outside:
-        raise ValueError(
-            f"alpha={alpha} outside the supported open interval (1, 2); "
-            "pass allow_alpha_outside=True to evaluate anyway"
-        )
+    if not (1.0 < alpha < 2.0):
+        raise ValueError(f"alpha={alpha} outside the supported open interval (1, 2)")
     phase = np.exp(1j * t * dispersion_symbol(u.grid.frequencies, alpha))
     return SpectralField(u.grid, u.coeffs * phase)
 

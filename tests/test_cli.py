@@ -295,25 +295,46 @@ class TestPicardCommand:
         assert len(rows) > 10
 
 
-    def test_mismatched_dt_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
-        import fbo_lab.cli as cli
+    PICARD_ARGV = ["picard", "--n-modes", "32", "--box-length", "16", "--amplitude", "0.1"]
 
-        def never(*args, **kwargs):
-            raise AssertionError("no solve may start before the dt check")
+    def test_any_simulate_dt_runs_on_the_reference_grid(self, tmp_path):
+        # 0.3 / 0.007 is no whole number, and 2.0 / (0.3 / 43) neither
+        out = tmp_path / "pic"
+        argv = ["--t-span", "0.3", "--dt", "0.007", "--out", str(out)]
+        assert main(self.PICARD_ARGV + argv) == EXIT_OK
+        rows = read(out / "picard_vs_reference.csv").strip().split("\n")[1:]
+        times = np.arange(-43, 44) * (0.3 / 43)
+        assert [row.split(",")[0] for row in rows] == [repr(float(t)) for t in times]
+        assert max(float(row.split(",")[1]) for row in rows) <= 1e-5
 
-        monkeypatch.setattr(cli, "picard_solve", never)
-        monkeypatch.setattr(cli, "solve_reference", never)
-        argv = ["picard", "--n-modes", "32", "--box-length", "16", "--amplitude", "0.1"]
-        out = str(tmp_path / "pic")
-        rc = main(argv + ["--t-span", "0.3", "--dt", "0.007", "--out", out])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "off the Picard time grid" in err
-        fit = err.split("use dt=")[1].split(",")[0]
-        assert main(argv + ["--t-span", "0.3", "--dt", "0.5", "--out", out]) == EXIT_CONFIG
-        assert "exceeds t_span" in capsys.readouterr().err
-        monkeypatch.undo()
-        assert main(argv + ["--t-span", "0.3", "--dt", fit, "--out", out]) == EXIT_OK
+    #: picard_history.json of --max-iter 8 runs at (t_span, dt) whose reference
+    #: step also divided 2 max(t_span, 1), as written when the Picard grid
+    #: was stepped by 2 max(t_span, 1) / round(2 max(t_span, 1) / dt).
+    EARLIER_HISTORIES = {
+        ("0.5", "0.005"): (
+            "0.11195151379152735", "0.0021994733428328268", "4.505466987109858e-05",
+            "7.869024433205761e-07", "1.3134356145425525e-08", "2.0036646681564205e-10",
+            "1.7767723729400879e-07",
+        ),
+        ("1.5", "0.01"): (
+            "0.11195151379152735", "0.0031270848196119985", "8.247895325889583e-05",
+            "2.049445682384665e-06", "4.452319832398515e-08", "9.072892957035851e-10",
+            "0.055974391542966954",
+        ),
+    }
+
+    @pytest.mark.parametrize("t_span, dt", list(EARLIER_HISTORIES), ids=["T<1", "T>1"])
+    def test_history_bytes_match_the_earlier_grid(self, tmp_path, t_span, dt):
+        *gaps, sup_gap = self.EARLIER_HISTORIES[t_span, dt]
+        expected = "".join([
+            '{\n  "converged": true,\n  "cross_validation_sup_gap": ', sup_gap,
+            ',\n  "iterate_differences": [\n    ', ",\n    ".join(gaps),
+            '\n  ],\n  "iterations": 6\n}\n',
+        ])
+        out = tmp_path / "pic"
+        argv = ["--t-span", t_span, "--dt", dt, "--max-iter", "8", "--out", str(out)]
+        assert main(self.PICARD_ARGV + argv) == EXIT_OK
+        assert read(out / "picard_history.json") == expected
 
 
 class TestSweep:
@@ -380,7 +401,13 @@ class TestSubcommandKeys:
                 ["verify-estimate", "--alpha", "1.2", "--epsilon", "0.5"],
                 "epsilon=0.5 exceeds (alpha-1)/4 = 0.05 at alpha=1.2",
             ),
-            (["picard", "--t-span", "0.3", "--dt", "0.007"], "off the Picard time grid"),
+            (["picard", "--t-span", "0.3", "--dt", "0.5"], "dt=0.5 exceeds t_span=0.3; use dt <="),
+            (["picard", "--tol", "0"], "tol must be positive, got 0.0: pass --tol 1e-08"),
+            (["picard", "--max-iter", "0"], "max_iter must be at least 1, got 0: pass --max-iter"),
+            (
+                ["simulate", "--retained-modes", "-1", "--n-modes", "32"],
+                "retained_modes must be at least 0, got -1: pass --retained-modes 16",
+            ),
             (["sweep", "--alpha", "1.3,1.5"], "epsilon=0.1 exceeds (alpha-1)/4 = 0.075"),
             (["verify-estimate", "--kind", "smoothing", "--b", "0.9"], "b must lie in (1/2, b'+1)"),
             (["simulate", "--dt", "0"], "t_span and dt must be positive, got 1.0, 0.0"),
@@ -399,9 +426,9 @@ class TestSubcommandKeys:
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
-             "picard-dt", "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band",
-             "estimate-samples", "estimate-negative-samples", "sweep-samples",
-             "resonance-samples"],
+             "picard-dt", "picard-tol", "picard-max-iter", "simulate-retained-modes",
+             "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band", "estimate-samples",
+             "estimate-negative-samples", "sweep-samples", "resonance-samples"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,7 @@ from fbo_lab import (
     bilinear_K,
     bourgain_norm,
     classify_region,
-    convolution_weights,
     estimate_ratio,
-    modulation_weights,
     resonance,
     resonance_infimum,
     spacetime_inner,
@@ -45,6 +44,7 @@ from fbo_lab.spectral import (
     _forward_raw,
     _inverse_raw,
     bump,
+    dispersion_symbol,
     japanese_bracket,
     make_test_field,
 )
@@ -108,45 +108,16 @@ class TestResonanceInfimum:
         with pytest.raises(ValueError):
             resonance_infimum(1.5, {"n": 10}, seed=0)
 
+    def test_one_sample_is_its_own_trend(self):
+        report = resonance_infimum(1.5, {"n_samples": 1}, seed=0)
+        assert report.sample_count == 1 and report.skipped == 0
+        assert report.refinement_trend == (("n=1", report.inf_ratio), ("n=1", report.inf_ratio))
+
     @pytest.mark.parametrize("key", ["freq_limit", "dyadic_exponent_range"])
     def test_sampler_reads_only_n_samples(self, key):
         message = rf"unknown input keys for resonance_infimum: \['{key}'\]; it reads \['n_samples'\]"
         with pytest.raises(ValueError, match=message):
             resonance_infimum(1.5, {"n_samples": 10, key: 1.0}, seed=0)
-
-
-class TestSymbolWeights:
-    def test_pointwise_example(self):
-        w = modulation_weights(2.0, -1.0, 1.5)
-        assert w.sigma == pytest.approx(3.0)
-        assert w.lam == pytest.approx(3.0)
-
-    def test_origin(self):
-        w = modulation_weights(0.0, 0.0, 1.5)
-        assert w.sigma == 0.0
-        assert w.lam == 0.0
-
-    def test_on_characteristic(self):
-        xi = 1.7
-        tau = xi * abs(xi) ** 1.5
-        assert modulation_weights(tau, xi, 1.5).lam == pytest.approx(0.0, abs=1e-14)
-
-    def test_convolution_identity(self):
-        # on the constraint, lam - lam1 - lam2 = -h, so the absolute values
-        # agree exactly with the resonance function
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            tau1, xi1, tau2, xi2 = rng.uniform(-20, 20, 4)
-            w = convolution_weights(tau1, xi1, tau2, xi2, 1.5)
-            h = resonance(xi1, xi2, 1.5)
-            assert w.lam - w.lam_1 - w.lam_2 == pytest.approx(-h, abs=1e-11)
-            assert abs(w.lam - w.lam_1 - w.lam_2) == pytest.approx(abs(h), abs=1e-11)
-
-    def test_negative_sigma_rejected(self):
-        from fbo_lab import SymbolWeights
-
-        with pytest.raises(ValueError):
-            SymbolWeights(-1.0, 0.0)
 
 
 class TestClassifyRegion:
@@ -497,8 +468,8 @@ class TestEstimateRatio:
         p = EstimateParams.default_admissible(1.5)
         with pytest.raises(ValueError):
             estimate_ratio("strichartz", {"bogus": 1}, p, 0)
-        # top_cells is read by main_bilinear alone
-        for kind in ("strichartz", "bilinear_str", "dual_bilinear"):
+        # no kind reads top_cells: main_bilinear classifies TOP_CELLS cells per sample
+        for kind in estimates._KIND_INPUTS:
             with pytest.raises(ValueError, match=r"unknown input keys .*\['top_cells'\]"):
                 estimate_ratio(kind, {"n_samples": 2, "top_cells": 4}, p, 0)
 
@@ -526,11 +497,9 @@ class TestEstimateRatio:
     @pytest.mark.parametrize(
         "inputs, message",
         [
-            ({"top_cells": 0}, r"top_cells must be at least 1, got 0: set it to the number"),
-            ({"top_cells": -3}, r"top_cells must be at least 1, got -3"),
             ({"band": 4.0, "band_fraction": 0.7}, r"band and band_fraction are exclusive"),
         ],
-        ids=["top_cells_0", "top_cells_negative", "band_and_band_fraction"],
+        ids=["band_and_band_fraction"],
     )
     def test_main_bilinear_inputs_rejected_before_compute(self, no_free_lifts, inputs, message):
         p = EstimateParams.default_admissible(1.5)
@@ -553,6 +522,26 @@ class TestEstimateRatio:
         assert report.inf_ratio == pytest.approx(expected, rel=1e-12)
         assert report.skipped >= 1
         assert report.extremal_sample["beta"] == pytest.approx(-0.25)
+
+    @pytest.mark.parametrize("kind", ["strichartz", "smoothing"])
+    def test_no_samples_rejected_up_front(self, no_free_lifts, kind):
+        p = EstimateParams.default_admissible(1.5)
+        with pytest.raises(ValueError, match=r"n_samples must be positive, got 0"):
+            estimate_ratio(kind, {"n_samples": 0}, p, 0)
+
+    def test_smoothing_with_one_admissible_sample(self):
+        # the first draw, beta = -1, has xi = 0 and is skipped; beta = -0.5 is kept
+        p = EstimateParams.default_admissible(1.5)
+        report = estimate_ratio("smoothing", {"n_samples": 2}, p, seed=0)
+        assert report.sample_count == 1 and report.skipped == 1
+        assert report.extremal_sample["beta"] == -0.5
+        assert report.refinement_trend == (("n=1", report.inf_ratio), ("n=1", report.inf_ratio))
+
+    def test_smoothing_with_no_admissible_sample(self):
+        p = EstimateParams.default_admissible(1.5)
+        message = r"every sample of smoothing was skipped \(1 skipped\)"
+        with pytest.raises(ValueError, match=message):
+            estimate_ratio("smoothing", {"n_samples": 1}, p, seed=0)
 
     def test_smoothing_lower_bound_holds(self):
         for alpha in (1.1, 1.5, 1.9):
@@ -654,8 +643,11 @@ def full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells):
             continue
         if abs(xi1) > abs(xi2):
             xi1, xi2, tau1, tau2 = xi2, xi1, tau2, tau1
-        weights = convolution_weights(tau1, xi1, tau2, xi2, p.alpha)
-        labels.append(classify_region(xi1, xi2, weights.lam, weights.lam_1, weights.lam_2))
+        lam, lam1, lam2 = (
+            tau - float(dispersion_symbol(xi, p.alpha))
+            for tau, xi in ((tau1 + tau2, xi1 + xi2), (tau1, xi1), (tau2, xi2))
+        )
+        labels.append(classify_region(xi1, xi2, lam, lam1, lam2))
     return labels
 
 
@@ -838,7 +830,7 @@ class TestFreeLifts:
         grid, n_time = self.GRIDS[grid_index]
         p = EstimateParams.default_admissible(1.5)
         assert p.omega > 0.0
-        at_b_prime = p.replace(b=p.b_prime, admissible=False)
+        at_b_prime = dataclasses.replace(p, b=p.b_prime, admissible=False)
         for params, zero_mean in ((p, True), (at_b_prime, True), (_x_params(p), False)):
             free = _FreeLifts(grid, params, self.T, n_time)
             for u0 in self.fields(grid, zero_mean):

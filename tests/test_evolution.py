@@ -489,6 +489,21 @@ class TestPicard:
                 )
         assert sup_gap <= 1e-4
 
+    @pytest.mark.parametrize(
+        "T, dt, n",
+        # 2 max(T, 1) over the step is 333.33, then 420, 30 and 122 in whole
+        # steps, each computed a few ulps above the whole number
+        [(0.3, 0.006, 334), (0.3, 0.3 / 63, 420), (1.1, 1.1 / 15, 30), (2.5, 2.5 / 61, 122)],
+    )
+    def test_grid_steps_as_the_reference_over_the_fewest_covering_steps(self, T, dt, n):
+        g = make_grid(16, 8.0)
+        u0 = SpectralField(g, np.zeros(16, complex))
+        traj, _ = picard_solve(u0, T, 1.5, max_iter=1, dt=dt)
+        ref = solve_reference(u0, T, dt, 1.5, nonlinear=False)
+        m = ref.n_times // 2
+        assert traj.n_times == 2 * n + 1
+        assert np.array_equal(traj.times[n - m : n + m + 1], ref.times)
+
     def test_contraction_factor_grows_with_amplitude(self):
         g = make_grid(128, 32.0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,7 +250,7 @@ class TestBourgainNorm:
         u0 = make_test_field(g, "random_bandlimited", seed=9, band=3.0)
         traj = free_trajectory(u0, 1.5, 2.0, 0.02)
         U = localized_lift(traj, 1.0)
-        p = EstimateParams.default_admissible(1.5).replace(omega=0.0, admissible=False)
+        p = dataclasses.replace(EstimateParams.default_admissible(1.5), omega=0.0, admissible=False)
         doubled = type(U)(U.space_grid, U.time_grid, 2.0 * np.asarray(U.coeffs))
         assert bourgain_norm(doubled, p) == pytest.approx(
             2.0 * bourgain_norm(U, p), rel=1e-13
@@ -262,7 +263,7 @@ class TestBourgainNorm:
         U = localized_lift(traj, 1.0)
         base = EstimateParams(1.5, 0.0, 0.0, 0.3, -0.25, 0.0)
         assert bourgain_norm(U, base, b=0.4) >= bourgain_norm(U, base, b=0.3)
-        hi_s = base.replace(s=0.5)
+        hi_s = dataclasses.replace(base, s=0.5)
         assert bourgain_norm(U, hi_s) >= bourgain_norm(U, base)
 
     def test_translation_invariance(self):
@@ -270,7 +271,7 @@ class TestBourgainNorm:
         u0 = make_test_field(g, "random_bandlimited", seed=11, band=3.0)
         shift = np.exp(-1j * g.frequencies * 2.345)
         u0s = SpectralField(g, u0.coeffs * shift)
-        p = EstimateParams.default_admissible(1.5).replace(omega=0.0, admissible=False)
+        p = dataclasses.replace(EstimateParams.default_admissible(1.5), omega=0.0, admissible=False)
         norms = []
         for field in (u0, u0s):
             traj = free_trajectory(field, 1.5, 2.0, 0.02)

@@ -289,12 +289,12 @@ class TestPropagate:
         b = propagate(u, 0.9, 1.7)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
 
-    def test_alpha_outside_needs_override(self):
+    def test_alpha_outside_rejected(self):
         g = make_grid(32, 7.0)
         u = make_test_field(g, "gaussian")
-        with pytest.raises(ValueError):
-            propagate(u, 0.1, 2.0)
-        propagate(u, 0.1, 2.0, allow_alpha_outside=True)
+        for alpha in (1.0, 2.0):
+            with pytest.raises(ValueError, match=r"outside the supported open interval \(1, 2\)"):
+                propagate(u, 0.1, alpha)
 
     def test_nonfinite_rejected(self):
         g = make_grid(32, 7.0)
