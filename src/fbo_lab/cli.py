@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .conservation import apriori_check, l2_drift
-from .estimates import _KIND_INPUTS, RatioReport, _kind_inputs, estimate_ratio, resonance_infimum
+from .estimates import _KIND_INPUTS, RatioReport, _checked_inputs, estimate_ratio, resonance_infimum
 from .evolution import (
     BlowUpError,
     export_trajectory_binary,
@@ -255,10 +255,12 @@ def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: one point for the subcommands that run
     one, a dt the solver accepts, at least 0 retained modes, a tol and
-    max_iter picard accepts, a known kind and epsilon at every point, and at
-    least one sample.  The inputs built on the way, which reject their own
-    bad values, are returned for the runner: the initial field of simulate
-    and picard, the parameters of verify-estimate and of each sweep point."""
+    max_iter picard accepts, a known kind and epsilon at every point, at
+    least one sample, and verify-estimate's inputs as estimate_ratio checks
+    them.  The inputs built on the way, which reject their own bad values,
+    are returned for the runner: the initial field of simulate and picard,
+    the parameters and estimate inputs of verify-estimate, and the
+    parameters of each sweep point."""
     subcommand = config.subcommand
     if "samples" in SUBCOMMAND_KEYS[subcommand] and config.samples < 1:
         raise ConfigError(
@@ -283,8 +285,12 @@ def _check_config(config: ExperimentConfig) -> tuple:
     if subcommand == "verify-estimate":
         alpha, s = _single(config, "alpha"), _single(config, "s")
         _check_epsilon(config, [(alpha, s)])
-        _kind_inputs(config.kind)
-        return (_build_params(config, alpha, s),)
+        p = _build_params(config, alpha, s)
+        inputs = {"n_samples": config.samples}
+        if config.band is not None:
+            inputs["band"] = config.band
+        _checked_inputs(config.kind, inputs, p)
+        return p, inputs
     if subcommand == "sweep":
         points = _sweep_points(config)
         _check_epsilon(config, [(alpha, s) for alpha, s, _ in points])
@@ -370,10 +376,7 @@ def _run_verify_resonance(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_verify_estimate(config: ExperimentConfig, p: EstimateParams) -> int:
-    inputs = {"n_samples": config.samples}
-    if config.band is not None:
-        inputs["band"] = config.band
+def _run_verify_estimate(config: ExperimentConfig, p: EstimateParams, inputs: dict) -> int:
     report = estimate_ratio(config.kind, inputs, p, config.seed)
     _write_json(
         os.path.join(config.out, f"estimate_{config.kind}.json"), report.to_json_dict()

@@ -16,6 +16,7 @@ roundoff: the two sides sum the same terms in different orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from .evolution import Trajectory
 from .norms import (
     EstimateParams,
     SpaceTimeField,
+    _cutoff_time_dft,
     _lebesgue_of_samples,
     _weighted_cells,
     _weighted_norm,
@@ -188,9 +190,11 @@ class RatioReport:
 def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) -> RatioReport:
     """Report of the smallest of the admissible ratios.
 
-    The trend compares the first half of the samples, at least one, with
-    all of them; extremal maps a name to per-sample values, reported at the
-    argmin.  With no admissible ratio, every sample was skipped: a ValueError.
+    The sample count is that of the draws, the skipped ones included, as for
+    the sampled kinds.  The trend compares the first half of the admissible
+    ratios, at least one, with all of them; extremal maps a name to
+    per-sample values, reported at the argmin.  With no admissible ratio,
+    every sample was skipped: a ValueError.
     """
     if ratios.size == 0:
         raise ValueError(f"every sample of {kind} was skipped ({skipped} skipped)")
@@ -203,8 +207,8 @@ def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) 
     sample = {name: float(values[i_min]) for name, values in extremal.items()}
     sample["ratio"] = float(ratios[i_min])
     return RatioReport(
-        kind, int(ratios.size), seed, trend, inf_ratio=sample["ratio"], extremal_sample=sample,
-        skipped=skipped,
+        kind, int(ratios.size) + skipped, seed, trend, inf_ratio=sample["ratio"],
+        extremal_sample=sample, skipped=skipped,
     )
 
 
@@ -488,10 +492,8 @@ def _field_from_descriptor(
     return make_test_field(grid, desc["family"], zero_mean=zero_mean, **kwargs)
 
 
-def _free_cutoff_trajectory(
-    u0: SpectralField, alpha: float, T: float, n_time: int, pad_factor: float
-) -> Trajectory:
-    """Exact free evolution sampled so the cutoff lift has n_time tau modes."""
+def _free_cutoff_times(T: float, n_time: int, pad_factor: float) -> np.ndarray:
+    """The sample times of a free evolution whose cutoff lift has n_time tau modes."""
     window = 2.0 * pad_factor * 2.0 * T
     dt = window / n_time
     n = int(round(2.0 * T / dt))
@@ -499,7 +501,14 @@ def _free_cutoff_trajectory(
         raise ValueError(
             f"n_time={n_time} does not place the cutoff support on the time grid"
         )
-    times = np.arange(-n, n + 1) * dt
+    return np.arange(-n, n + 1) * dt
+
+
+def _free_cutoff_trajectory(
+    u0: SpectralField, alpha: float, T: float, n_time: int, pad_factor: float
+) -> Trajectory:
+    """Exact free evolution sampled so the cutoff lift has n_time tau modes."""
+    times = _free_cutoff_times(T, n_time, pad_factor)
     phases = np.exp(
         1j * np.outer(times, dispersion_symbol(u0.grid.frequencies, alpha))
     )
@@ -516,23 +525,53 @@ class _FreeLifts:
     w |kernel|^2 dtau dxi with w = bourgain_weights at b = p.b.  A norm then
     costs O(N) per sample.  One instance serves one resolution of one harness
     call.
+
+    The tables are built from the N/2+1 columns k >= 0: phases, the free
+    group at times, the kernel, w and |kernel|^2.  The k < 0 entries come
+    from the mirror (tau, -xi) <-> (-tau, xi), under which w is invariant
+    and |kernel| is up to roundoff.  Mirrored, the tau grid reaches -m/2, not
+    m/2, so w gets the extra row tau = -taus[-1] and |kernel|^2 a copy of row
+    m/2 there (the transform is periodic in tau): profile(xi) sums rows 1..m
+    and profile(-xi) rows 0..m-1.  column_max, a max over a period, is even.
+    paths (the all-ones trajectory) and kernel are built on first use by
+    their full formulas, so that each lift keeps its bytes; strichartz never
+    builds them.
     """
 
     def __init__(self, grid: FrequencyGrid, p: EstimateParams, T: float, n_time: int):
         self.grid, self.p, self.T, self.n_time = grid, p, T, n_time
-        ones = SpectralField(grid, np.ones(grid.n_modes, dtype=complex))
-        self.paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0)
-        self.kernel = localized_lift(self.paths, T, pad_factor=2.0)
-        mags = np.abs(self.kernel.coeffs)
-        w = bourgain_weights(self.kernel.taus, grid.frequencies, p, p.b)
-        measure = self.kernel.time_grid.spacing * grid.spacing
-        self.profile = np.sum(w * mags**2, axis=0) * measure
-        self.column_max = np.max(mags, axis=0)
+        z = grid.zero_index
+        self.times = _free_cutoff_times(T, n_time, 2.0)
+        self.phases = np.exp(
+            1j * np.outer(self.times, dispersion_symbol(grid.frequencies[z:], p.alpha))
+        )
+        half, self.time_grid = _cutoff_time_dft(self.phases, self.times, T, 2.0)
+        taus = self.time_grid.frequencies
+        w = bourgain_weights(np.concatenate(([-taus[-1]], taus)), grid.frequencies[z:], p, p.b)
+        mags = np.empty(w.shape)
+        np.abs(half, out=mags[1:])
+        mags[0] = mags[-1]
+        column_max = np.max(mags[1:], axis=0)
+        cells = np.multiply(w, np.square(mags, out=mags), out=mags)
+        measure = self.time_grid.spacing * grid.spacing
+        pos = np.sum(cells[1:], axis=0) * measure
+        neg = np.sum(cells[:-1], axis=0) * measure
+        self.profile = np.concatenate((neg[z:0:-1], pos))
+        self.column_max = np.concatenate((column_max[z:0:-1], column_max))
+
+    @functools.cached_property
+    def paths(self) -> Trajectory:
+        ones = SpectralField(self.grid, np.ones(self.grid.n_modes, dtype=complex))
+        return _free_cutoff_trajectory(ones, self.p.alpha, self.T, self.n_time, 2.0)
+
+    @functools.cached_property
+    def kernel(self) -> SpaceTimeField:
+        return localized_lift(self.paths, self.T, pad_factor=2.0)
 
     def lift(self, u0: SpectralField) -> SpaceTimeField:
         """localized_lift of the free evolution of u0."""
         coeffs = _freeze(self.kernel.coeffs * u0.coeffs[None, :])
-        return SpaceTimeField(u0.grid, self.kernel.time_grid, coeffs)
+        return SpaceTimeField(u0.grid, self.time_grid, coeffs)
 
     def norm(self, u0: SpectralField) -> float:
         """bourgain_norm of the lift of u0, with its omega > 0 zero-mode check."""
@@ -743,16 +782,17 @@ def _strichartz_sides(p, free, inputs, histogram):
     the left side is synthesised as a real field from its k >= 0 modes, with
     the cutoff, the group, <D>^gamma and the synthesis constants in one table.
     """
-    grid, paths = free.grid, free.paths
+    grid, times = free.grid, free.times
     gamma = (p.alpha - 1.0) / 4.0
-    psi = bump(paths.times / free.T)[:, None]
-    cut_paths = psi * paths.coeffs * japanese_bracket(grid.frequencies) ** gamma
-    table = _real_synthesis_table(cut_paths, grid.box_length)
+    psi = bump(times / free.T)[:, None]
+    bracket = japanese_bracket(grid.frequencies[grid.zero_index :]) ** gamma
+    table = _real_synthesis_table(psi * free.phases * bracket, grid.box_length)
+    dt = float(times[1] - times[0])
 
     def sides(desc):
         u0 = _field_from_descriptor(grid, desc, False)
         samples = _real_synthesis(table, u0.coeffs)
-        return _lebesgue_of_samples(samples, grid, paths.dt, 4.0, math.inf), free.norm(u0)
+        return _lebesgue_of_samples(samples, grid, dt, 4.0, math.inf), free.norm(u0)
 
     return sides
 
@@ -770,7 +810,7 @@ def _bilinear_str_sides(p, free, inputs, histogram):
 def _dual_bilinear_sides(p, free, inputs, histogram):
     """The norm at modulation exponent -b of bilinear_K of a lift and a random
     field, and the product of the lift's norm and the field's L2 norm."""
-    grid, time_grid = free.grid, free.kernel.time_grid
+    grid, time_grid = free.grid, free.time_grid
     w_dual = bourgain_weights(time_grid.frequencies, grid.frequencies, free.p, -p.b)
 
     def sides(desc):
@@ -794,9 +834,10 @@ def _main_bilinear_sides(p, free, inputs, histogram):
     """
     grid, zero_mean, paths = free.grid, p.omega > 0.0, free.paths
     product = _ProductField(grid, paths.times, free.T, free.n_time)
-    w_out = bourgain_weights(free.kernel.taus, product.ext.frequencies, p, p.b_prime)
+    w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
     cells = np.empty(w_out.shape)
-    lifts = np.empty((2,) + free.kernel.coeffs.shape, complex)
+    if histogram is not None:
+        lifts = np.empty((2,) + free.kernel.coeffs.shape, complex)
     dtau, dxi = product.time_grid.spacing, product.ext.spacing
 
     def sides(pair):
@@ -839,6 +880,61 @@ def _smoothing_report(p: EstimateParams, n_samples: int, seed: int) -> RatioRepo
     return _infimum_report("smoothing", ratios, seed, int(np.sum(~valid)), {"beta": beta[valid]})
 
 
+def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
+    """The checks of estimate_ratio that need no compute, which the CLI runs
+    before it writes anything.  Returns kind's inputs with their defaults and
+    its resolutions as (label, spatial modes, tau modes), coarsest first.
+
+    A strichartz lift's energy sits at tau = phi(xi) = xi|xi|^alpha, spread
+    over a few 1/T by the cutoff; at the tau Nyquist pi/dt it wraps round and
+    is weighted at the wrong modulation.  So a band whose centre
+    phi(band) + 4/T reaches pi/dt is rejected.
+    """
+    keys = _kind_inputs(kind)
+    given = inputs or {}
+    _check_inputs(f"kind {kind!r}", given, keys)
+    if "band" in given and given.get("band_fraction") is not None:
+        raise ValueError(
+            "band and band_fraction are exclusive: set band for draws shared by every "
+            "resolution, or band_fraction for a band that grows with the grid, not both"
+        )
+    inputs = {**keys, **given}
+    n_samples = int(inputs["n_samples"])
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if kind == "smoothing":
+        return inputs, []
+
+    L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
+    if kind == "strichartz":
+        n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
+        resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
+    else:
+        resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
+    band_fraction = inputs.get("band_fraction")
+    coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), L)
+    fits = coarsest.nyquist - coarsest.spacing
+    if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
+        raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
+    if band_fraction is None and band > fits:
+        raise ValueError(
+            f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "
+            f"box of {L}: the largest band that fits is {fits!r}"
+        )
+    # dt = 8T / n_time on the lifts' pad-2 window; strichartz has one n_time
+    # at every resolution, and the named band is rounded down so that it fits
+    nyquist = math.pi * resolutions[0][2] / (8.0 * T)
+    centre = float(dispersion_symbol(band, p.alpha)) + 4.0 / T
+    if kind == "strichartz" and centre >= nyquist:
+        fits = max(nyquist - 4.0 / T, 0.0) ** (1.0 / (1.0 + p.alpha))
+        raise ValueError(
+            f"band {band!r} puts the strichartz lifts' energy centre phi(band) + 4/T = "
+            f"{centre:.6g} at or past the tau Nyquist pi/dt = {nyquist:.6g}: the largest "
+            f"band that fits is {math.floor(fits * 1e4) / 1e4:.4f}"
+        )
+    return inputs, resolutions
+
+
 def estimate_ratio(
     kind: str, inputs: dict | None, p: EstimateParams, seed: int = 0
 ) -> RatioReport:
@@ -869,38 +965,12 @@ def estimate_ratio(
     n_samples is at least 1.  Samples where the right side vanishes are
     skipped and counted.
     """
-    keys = _kind_inputs(kind)
-    given = inputs or {}
-    _check_inputs(f"kind {kind!r}", given, keys)
-    if "band" in given and given.get("band_fraction") is not None:
-        raise ValueError(
-            "band and band_fraction are exclusive: set band for draws shared by every "
-            "resolution, or band_fraction for a band that grows with the grid, not both"
-        )
-    inputs = {**keys, **given}
+    inputs, resolutions = _checked_inputs(kind, inputs, p)
     n_samples = int(inputs["n_samples"])
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     if kind == "smoothing":
         return _smoothing_report(p, n_samples, seed)
-
     L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
-    if kind == "strichartz":
-        n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
-        resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
-    else:
-        resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
     band_fraction = inputs.get("band_fraction")
-    coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), L)
-    fits = coarsest.nyquist - coarsest.spacing
-    if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
-        raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
-    if band_fraction is None and band > fits:
-        raise ValueError(
-            f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "
-            f"box of {L}: the largest band that fits is {fits!r}"
-        )
-
     dxi = 2.0 * math.pi / L
     if band_fraction is None:
         descs = _draw_samples(kind, np.random.default_rng(seed), n_samples, _n_band(band, dxi), dxi)

@@ -299,9 +299,11 @@ def duhamel_apply(
 ) -> Trajectory:
     """One application of the cutoff Duhamel operator.
 
-    Returns t -> psi(t) W(t) u0 + psi_T(t) * integral_0^t W(t-t') N(u)(t') dt'
-    on the guess trajectory's own time grid, where N(u) = -(1/2) d/dx (u^2)
-    and the time integral is trapezoidal with the exact propagator inside.
+    Returns t -> psi(t / max(T, 1)) W(t) u0 + psi_T(t) * integral_0^t
+    W(t-t') N(u)(t') dt' on the guess trajectory's own time grid, where
+    N(u) = -(1/2) d/dx (u^2) and the time integral is trapezoidal with the
+    exact propagator inside.  The free term's cutoff is 1 on |t| <= max(T, 1),
+    so on |t| <= T the fixed point is the flow.
     """
     if not (T > 0.0):
         raise ValueError(f"T must be positive, got {T}")
@@ -333,9 +335,9 @@ def duhamel_apply(
     acc[:i0] = (0.5 * dt) * (h[:i0] + h[1 : i0 + 1])
     np.cumsum(acc[i0:], axis=0, out=acc[i0:])
     np.subtract.accumulate(acc[i0::-1], axis=0, out=acc[i0::-1])
-    psi_1 = bump(t)[:, None]
+    psi_free = bump(t / max(T, 1.0))[:, None]
     psi_T = bump(t / T)[:, None]
-    out = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
+    out = np.conj(back_phase) * (psi_free * u0.coeffs[None, :] + psi_T * acc)
     return Trajectory(grid, t, _freeze(out), float(alpha))
 
 

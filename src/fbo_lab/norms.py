@@ -214,25 +214,29 @@ def localized_lift(traj: Trajectory, T: float, pad_factor: float = 4.0) -> Space
     weighted norms decays exponentially with the padding; the default of 4
     puts a further doubling below 1e-6 relative at the unit cutoff scale.
     """
+    coeffs, time_grid = _cutoff_time_dft(traj.coeffs, traj.times, T, pad_factor)
+    return SpaceTimeField(traj.grid, time_grid, _freeze(coeffs))
+
+
+def _cutoff_time_dft(rows: np.ndarray, t: np.ndarray, T: float, pad_factor: float) -> tuple:
+    """localized_lift of trajectory rows sampled at the uniform times t, with
+    any number of columns; returns (coeffs, time_grid)."""
     if not (T > 0.0):
         raise ValueError(f"T must be positive, got {T}")
     if pad_factor < 2.0:
         raise ValueError(f"pad_factor must be at least 2, got {pad_factor}")
-    t = traj.times
     if t[0] > -2.0 * T + 1e-9 or t[-1] < 2.0 * T - 1e-9:
         raise ValueError(
             f"trajectory window [{t[0]:.6g}, {t[-1]:.6g}] too short for the "
             f"cutoff support [-{2 * T:.6g}, {2 * T:.6g}]"
         )
-    dt = traj.dt
+    dt = float(t[1] - t[0])
     half_window = pad_factor * 2.0 * T
     m = int(math.ceil(half_window / dt - 1e-12))
     n_time = 2 * m
     if n_time < 8:
         raise ValueError("time window holds fewer than 8 samples; decrease dt")
-    rows = bump(t / T)[:, None] * traj.coeffs
-    coeffs, time_grid = _padded_time_dft(rows, t, n_time)
-    return SpaceTimeField(traj.grid, time_grid, _freeze(coeffs))
+    return _padded_time_dft(bump(t / T)[:, None] * rows, t, n_time)
 
 
 def _padded_time_dft(rows: np.ndarray, times: np.ndarray, n_slots: int) -> tuple:
@@ -265,9 +269,10 @@ def bourgain_weights(
     tau = taus[:, None]
     xi = xis[None, :]
     lam = tau - dispersion_symbol(xi, p.alpha)
-    sigma = np.abs(tau) + np.abs(xi) ** (1.0 + p.alpha)
     w = japanese_bracket(xi) ** (2.0 * p.s - 2.0 * p.alpha * p.omega)
-    w = w * japanese_bracket(sigma) ** (2.0 * p.omega)
+    if p.omega > 0.0:  # at omega = 0 the factor is exactly 1
+        sigma = np.abs(tau) + np.abs(xi) ** (1.0 + p.alpha)
+        w = w * japanese_bracket(sigma) ** (2.0 * p.omega)
     w = w * japanese_bracket(lam) ** (2.0 * b)
     if p.omega > 0.0:
         w = w * _singular_power(xi, -2.0 * p.omega)

@@ -211,14 +211,15 @@ def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1) -> np.nd
 # [z:] with z the zero index: the k < 0 modes are their conjugates.
 
 
-def _real_synthesis_table(weights: np.ndarray, box_length: float) -> np.ndarray:
-    """The half-spectrum table of a multiplier: the k >= 0 columns of weights
-    (rows of N ascending modes, or one row) times the (-1)^k origin phase and
-    the synthesis scale, to be built once and passed to _real_synthesis."""
-    n = weights.shape[-1]
+def _real_synthesis_table(half: np.ndarray, box_length: float) -> np.ndarray:
+    """The half-spectrum table of a multiplier on N ascending modes, from
+    half, its k >= 0 columns (the last N/2+1, in rows or one row): times the
+    (-1)^k origin phase and the synthesis scale, to be built once and passed
+    to _real_synthesis."""
+    n = 2 * (half.shape[-1] - 1)
     z = n // 2 - 1
     _, _, signs = _plan(n)
-    return weights[..., z:] * (signs[z:] * (n * math.sqrt(TWO_PI) / box_length))
+    return half * (signs[z:] * (n * math.sqrt(TWO_PI) / box_length))
 
 
 def _real_synthesis(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -255,6 +255,15 @@ class TestVerifyEstimate:
         summary = read(out / "summary.csv").strip().split("\n")
         assert summary[1].startswith("smoothing,1.5,")
 
+    def test_infimum_sample_count_is_the_draws(self, tmp_path):
+        # one of the two draws (beta = -1) has xi = 0 and is skipped
+        out = tmp_path / "est"
+        argv = ["verify-estimate", "--kind", "smoothing", "--samples", "2", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(read(out / "estimate_smoothing.json"))
+        assert payload["sample_count"] == 2 and payload["skipped"] == 1
+        assert read(out / "summary.csv").strip().split("\n")[1].split(",")[6] == "2"
+
     def test_bilinear_kind_small(self, tmp_path):
         out = tmp_path / "est2"
         rc = main(
@@ -309,7 +318,9 @@ class TestPicardCommand:
 
     #: picard_history.json of --max-iter 8 runs at (t_span, dt) whose reference
     #: step also divided 2 max(t_span, 1), as written when the Picard grid
-    #: was stepped by 2 max(t_span, 1) / round(2 max(t_span, 1) / dt).
+    #: was stepped by 2 max(t_span, 1) / round(2 max(t_span, 1) / dt).  The
+    #: t_span > 1 history is that grid's with the free term cut by
+    #: bump(t / max(T, 1)), as duhamel_apply cuts it.
     EARLIER_HISTORIES = {
         ("0.5", "0.005"): (
             "0.11195151379152735", "0.0021994733428328268", "4.505466987109858e-05",
@@ -317,11 +328,22 @@ class TestPicardCommand:
             "1.7767723729400879e-07",
         ),
         ("1.5", "0.01"): (
-            "0.11195151379152735", "0.0031270848196119985", "8.247895325889583e-05",
-            "2.049445682384665e-06", "4.452319832398515e-08", "9.072892957035851e-10",
-            "0.055974391542966954",
+            "0.11195151379152735", "0.003401478500841086", "9.782324395866016e-05",
+            "2.7264260207223525e-06", "6.391727520051667e-08", "1.4766597743877332e-09",
+            "7.109329808506235e-07",
         ),
     }
+
+    def test_t_span_above_one_iterates_to_the_flow(self, tmp_path):
+        # the free term is cut by bump(t / 1.5), which is 1 on |t| <= 1.5;
+        # cut by bump(t), the gap was 7.3e-3 at t = 1.25 and 5.6e-2 at 1.5
+        out = tmp_path / "pic"
+        argv = ["--t-span", "1.5", "--dt", "0.01", "--max-iter", "8", "--out", str(out)]
+        assert main(self.PICARD_ARGV + argv) == EXIT_OK
+        rows = read(out / "picard_vs_reference.csv").strip().split("\n")[1:]
+        gaps = {float(t): float(gap) for t, gap in (row.split(",") for row in rows)}
+        assert min(gaps) == -1.5 and max(gaps) == 1.5
+        assert max(gaps.values()) <= 1e-6
 
     @pytest.mark.parametrize("t_span, dt", list(EARLIER_HISTORIES), ids=["T<1", "T>1"])
     def test_history_bytes_match_the_earlier_grid(self, tmp_path, t_span, dt):
@@ -423,12 +445,21 @@ class TestSubcommandKeys:
             (["verify-estimate", "--samples", "-3"], "got samples=-3: pass --samples 1 or more"),
             (["sweep", "--samples", "0"], "sweep needs at least one sample"),
             (["verify-resonance", "--samples", "0"], "verify-resonance needs at least one sample"),
+            (
+                ["verify-estimate", "--kind", "strichartz", "--band", "12"],
+                "pi/dt = 314.159: the largest band that fits is 9.9227",
+            ),
+            (
+                ["verify-estimate", "--kind", "strichartz", "--band", "13"],
+                "band 13.0 does not fit the coarsest grid",
+            ),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
              "picard-dt", "picard-tol", "picard-max-iter", "simulate-retained-modes",
              "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band", "estimate-samples",
-             "estimate-negative-samples", "sweep-samples", "resonance-samples"],
+             "estimate-negative-samples", "sweep-samples", "resonance-samples",
+             "strichartz-tau-nyquist", "strichartz-band"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:

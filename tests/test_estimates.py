@@ -36,7 +36,13 @@ from fbo_lab.estimates import (
     product_derivative_field,
 )
 from fbo_lab.evolution import Trajectory
-from fbo_lab.norms import _padded_time_dft, _weighted_cells, localized_lift, mixed_lebesgue_norm
+from fbo_lab.norms import (
+    _padded_time_dft,
+    _weighted_cells,
+    bourgain_weights,
+    localized_lift,
+    mixed_lebesgue_norm,
+)
 from fbo_lab.spectral import (
     _FAMILIES,
     FrequencyGrid,
@@ -506,6 +512,18 @@ class TestEstimateRatio:
         with pytest.raises(ValueError, match=message):
             estimate_ratio("main_bilinear", {"n_samples": 2, **inputs}, p, 0)
 
+    def test_strichartz_band_past_the_tau_nyquist_rejected_before_compute(self, no_free_lifts):
+        # dt = 0.01, so pi/dt = 314.16, and 12^2.5 + 4 = 502.8; the band fits
+        # the coarsest grid (up to 12.47), so only the tau check rejects it
+        p = EstimateParams.default_admissible(1.5)
+        message = r"pi/dt = 314.159: the largest band that fits is 9.9227"
+        for band in (12.0, 9.923):
+            with pytest.raises(ValueError, match=message):
+                estimate_ratio("strichartz", {"n_samples": 2, "band": band}, p, 0)
+        for band in (8.0, 9.9227):  # the default, and the largest band named
+            inputs, resolutions = estimates._checked_inputs("strichartz", {"band": band}, p)
+            assert inputs["band"] == band and len(resolutions) == 2
+
     def test_band_at_the_largest_paired_frequency_runs(self):
         p = EstimateParams.default_admissible(1.5)
         grid = FrequencyGrid(32, 16.0)
@@ -533,7 +551,8 @@ class TestEstimateRatio:
         # the first draw, beta = -1, has xi = 0 and is skipped; beta = -0.5 is kept
         p = EstimateParams.default_admissible(1.5)
         report = estimate_ratio("smoothing", {"n_samples": 2}, p, seed=0)
-        assert report.sample_count == 1 and report.skipped == 1
+        # the count is of the draws, the skipped one included
+        assert report.sample_count == 2 and report.skipped == 1
         assert report.extremal_sample["beta"] == -0.5
         assert report.refinement_trend == (("n=1", report.inf_ratio), ("n=1", report.inf_ratio))
 
@@ -837,6 +856,63 @@ class TestFreeLifts:
                 _, lift = self.direct_lift(u0, p.alpha, n_time)
                 expected = bourgain_norm(lift, params)
                 assert free.norm(u0) == pytest.approx(expected, rel=1e-12)
+
+    def full_profile(self, grid, p, T, n_time):
+        """The kernel and the profile from the tables over all N columns."""
+        ones = SpectralField(grid, np.ones(grid.n_modes, complex))
+        kernel = localized_lift(_free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0), T, 2.0)
+        w = bourgain_weights(kernel.taus, grid.frequencies, p, p.b)
+        measure = kernel.time_grid.spacing * grid.spacing
+        return kernel, np.sum(w * np.abs(kernel.coeffs) ** 2, axis=0) * measure
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_space=st.sampled_from([8, 12, 16, 32, 48]),
+        quarter_time=st.integers(2, 24),
+        T=st.sampled_from([0.25, 0.5, 1.0, 1.7]),
+        b=st.floats(0.3, 0.9),
+        omega=st.floats(0.01, 0.45),
+        box=st.floats(4.0, 40.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_half_tables_match_the_full_formula(
+        self, n_space, quarter_time, T, b, omega, box, seed
+    ):
+        # small tau counts put the top columns' energy past the tau Nyquist
+        grid, n_time, z = FrequencyGrid(n_space, box), 4 * quarter_time, n_space // 2 - 1
+        p = EstimateParams(1.5, -0.2, omega, b, -0.4)
+        free = _FreeLifts(grid, p, T, n_time)
+        ones = SpectralField(grid, np.ones(n_space, complex))
+        paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0)
+        assert free.paths.coeffs.tobytes() == paths.coeffs.tobytes()
+        kernel, profile = self.full_profile(grid, p, T, n_time)
+        assert free.kernel.coeffs.tobytes() == kernel.coeffs.tobytes()
+        assert free.time_grid == kernel.time_grid
+        assert free.profile[z:].tobytes() == profile[z:].tobytes()
+        np.testing.assert_allclose(free.profile[:z], profile[:z], rtol=1e-13, atol=0.0)
+        column_max = np.max(np.abs(kernel.coeffs), axis=0)
+        np.testing.assert_allclose(free.column_max, column_max, rtol=1e-13, atol=0.0)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(n_space) + 1j * rng.standard_normal(n_space)
+        c[z] = 0.0
+        u0 = SpectralField(grid, c)
+        lift = localized_lift(_free_cutoff_trajectory(u0, p.alpha, T, n_time, 2.0), T, 2.0)
+        assert free.norm(u0) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
+
+    @pytest.mark.parametrize("res", [(48, 48), (64, 64), (64, 512)])
+    def test_the_mirror_takes_the_extra_tau_row(self, res):
+        # bilinear_str's and main_bilinear's grids alias their top columns in
+        # tau, and there profile(-xi) is far from profile(xi): mirroring the
+        # k >= 0 profile without the row tau = -taus[-1] would miss that
+        (n_space, n_time), T = res, 0.5
+        grid, z = FrequencyGrid(n_space, 16.0), n_space // 2 - 1
+        admissible = EstimateParams.default_admissible(1.5)
+        for p in (admissible, _x_params(admissible)):
+            _, profile = self.full_profile(grid, p, T, n_time)
+            pos, neg = profile[z + 1 : 2 * z + 1], profile[z - 1 :: -1]
+            assert np.max(np.abs(pos - neg) / pos) > 0.5
+            free = _FreeLifts(grid, p, T, n_time)
+            np.testing.assert_allclose(free.profile, profile, rtol=1e-13, atol=0.0)
 
     def test_zero_mode_check_matches_bourgain_norm(self):
         grid, n_time = self.GRIDS[0]

@@ -395,6 +395,16 @@ class TestDuhamel:
             expected = bump(np.asarray(t)) * propagate(u0, t, 1.5).coeffs
             assert np.max(np.abs(out.coeffs[i] - expected)) <= 1e-12
 
+    def test_free_term_is_uncut_up_to_t_span_above_one(self):
+        g = make_grid(32, 16.0)
+        u0 = make_test_field(g, "gaussian", amplitude=0.3)
+        T = 1.5
+        out = duhamel_apply(self.make_zero_guess(g, T), u0, T, 1.5)
+        for t in (-1.5, 1.25, 2.0, 3.0):
+            i = out.index_of_time(t)
+            expected = bump(np.asarray(t / T)) * propagate(u0, t, 1.5).coeffs
+            assert np.max(np.abs(out.coeffs[i] - expected)) <= 1e-12
+
     def test_all_zero(self):
         g = make_grid(64, 16.0)
         u0 = SpectralField(g, np.zeros(64, complex))

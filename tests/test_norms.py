@@ -19,8 +19,8 @@ from fbo_lab import (
     propagate,
     sobolev_norm,
 )
-from fbo_lab.norms import _padded_time_dft, admissible_b_prime_bound
-from fbo_lab.spectral import _forward_raw, dispersion_symbol
+from fbo_lab.norms import _padded_time_dft, admissible_b_prime_bound, bourgain_weights
+from fbo_lab.spectral import _forward_raw, _singular_power, dispersion_symbol, japanese_bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,6 +277,23 @@ class TestBourgainNorm:
             traj = free_trajectory(field, 1.5, 2.0, 0.02)
             norms.append(bourgain_norm(localized_lift(traj, 1.0), p))
         assert norms[0] == pytest.approx(norms[1], rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0 / 6.0])
+    def test_weights_are_the_bytes_of_the_full_formula(self, omega):
+        # at omega = 0 the <|tau| + |xi|^(1+a)>^(2 omega) factor is skipped:
+        # it is exactly 1, and w * 1.0 is w
+        taus = make_grid(96, 7.0).frequencies
+        xis = make_grid(64, 16.0).frequencies
+        p = EstimateParams(1.5, -0.275, omega, 0.52, -0.4, 0.0)
+        for b in (p.b, p.b_prime):
+            tau, xi = taus[:, None], xis[None, :]
+            sigma = np.abs(tau) + np.abs(xi) ** (1.0 + p.alpha)
+            w = japanese_bracket(xi) ** (2.0 * p.s - 2.0 * p.alpha * omega)
+            w = w * japanese_bracket(sigma) ** (2.0 * omega)
+            w = w * japanese_bracket(tau - dispersion_symbol(xi, p.alpha)) ** (2.0 * b)
+            if omega > 0.0:
+                w = w * _singular_power(xi, -2.0 * omega)
+            assert bourgain_weights(taus, xis, p, b).tobytes() == w.tobytes()
 
     def test_zero_mode_check_with_positive_omega(self):
         g = make_grid(64, 16.0)
