@@ -349,11 +349,17 @@ def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeFie
     return SpaceTimeField(grids.space_grid, grids.time_grid, _freeze(out))
 
 
+def _I_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
+    """bilinear_I's kernel ||xi1|^(2s) - |xi2|^(2s)|^(1/2) over the (n-1) x (n-1)
+    sublattice column pairs of grid."""
+    power = np.abs(grid.frequencies[:-1]) ** (2 * s)
+    return np.sqrt(np.abs(power[:, None] - power[None, :]))
+
+
 def bilinear_I(U1: SpaceTimeField, U2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Convolution against the kernel ||xi1|^(2s) - |xi2|^(2s)|^(1/2)."""
     a, b = _matching_sublattices(U1, U2)
-    power = np.abs(U1.space_grid.frequencies[:-1]) ** (2 * s)
-    return _bilinear_convolve(a, b, np.sqrt(np.abs(power[:, None] - power[None, :])), U1)
+    return _bilinear_convolve(a, b, _I_weight(U1.space_grid, s), U1)
 
 
 def bilinear_K(U1: SpaceTimeField, U2: SpaceTimeField, alpha: float) -> SpaceTimeField:
@@ -798,10 +804,58 @@ def _strichartz_sides(p, free, inputs, histogram):
 
 
 def _bilinear_str_sides(p, free, inputs, histogram):
-    """The L2 norm of bilinear_I of two lifts and the product of their norms."""
+    """The L2 norm of bilinear_I of two lifts and the product of their norms.
+
+    Every lift is kernel * u0, so column j of a masked lift is u0[j] times
+    column j of the masked kernel, and its zero-padded time transform is
+    u0[j] F[j].  The output column o = j1 + j2 - z_x of bilinear_I is then
+    the sum over the pairs (j1, j2) of u1[j1] u2[j2] P(j1, j2), with
+    P(j1, j2) = dtau dxi weight[j1, j2] (the window [z_t, z_t + m) of
+    ifft(F[j1] F[j2])) and its last tau row zero.  P is symmetric and
+    vanishes on j1 = j2 with the weight, so each output column sums the pairs
+    j1 < j2 against u1[j1] u2[j2] + u1[j2] u2[j1].  The table H[o, :, k],
+    k < z_x, holds P of the k-th such pair of column o, and zero past the
+    last; it is built once per resolution, and a sample's left side is one
+    batched product of H with those sums.  The product is an einsum, which
+    calls no BLAS: on a 2-core box with OpenBLAS's default threads, a batched
+    matmul of this size stalled in some runs, at about 25 ms per sample
+    against 0.4 ms.
+    """
+    grid, c = free.grid, _masked_sublattice(free.kernel)
+    m, n = c.shape
+    z_t, z_x = m // 2 - 1, n // 2 - 1
+    spectra = np.fft.fft(c.T[: n - 1], n=2 * m, axis=1)
+    j1, j2 = np.triu_indices(n - 1, k=1)
+    on_grid = (j1 + j2 >= z_x) & (j1 + j2 <= n - 2 + z_x)
+    j1, j2 = j1[on_grid], j2[on_grid]
+    measure = free.time_grid.spacing * grid.spacing
+    weight = measure * _I_weight(grid, p.alpha / 2.0)
+    # the first j1 of output column o; the pair (j1, j2) of o is its column
+    # j1 - first[o], and no column has more than z_x pairs
+    first = np.maximum(0, np.arange(n) + z_x - (n - 2))
+    table = np.zeros((n, m, z_x), complex)
+    # 128 pairs at a time, so that the build holds little beside the table
+    for lo in range(0, j1.size, 128):
+        i1, i2 = j1[lo : lo + 128], j2[lo : lo + 128]
+        pairs = spectra[i1]
+        pairs *= spectra[i2]
+        np.fft.ifft(pairs, axis=1, out=pairs)
+        window = pairs[:, z_t : z_t + m]
+        window *= weight[i1, i2][:, None]
+        window[:, -1] = 0.0
+        o = i1 + i2 - z_x
+        table[o, :, i1 - first[o]] = window
+    # the pair of each (o, k); a pair past the last of o is clipped onto a zero of the table
+    pair1 = first[:, None] + np.arange(z_x)
+    pair2 = np.clip(np.arange(n)[:, None] + z_x - pair1, 0, n - 1)
+    pair1 = np.clip(pair1, 0, n - 1)
+
     def sides(pair):
-        u1, u2 = (_field_from_descriptor(free.grid, d, False) for d in pair)
-        lhs = bilinear_I(free.lift(u1), free.lift(u2), p.alpha / 2.0).l2_norm()
+        u1, u2 = (_field_from_descriptor(grid, d, False) for d in pair)
+        a, b = u1.coeffs, u2.coeffs
+        v = a[pair1] * b[pair2] + a[pair2] * b[pair1]
+        out = np.einsum("otk,ok->ot", table, v)
+        lhs = math.sqrt(float(np.sum(np.abs(out) ** 2)) * measure)
         return lhs, free.norm(u1) * free.norm(u2)
 
     return sides

@@ -21,6 +21,7 @@ from fbo_lab import (
 )
 from fbo_lab import estimates
 from fbo_lab.estimates import (
+    _bilinear_str_sides,
     _classify_arrays,
     _draw_band_modes,
     _draw_samples,
@@ -964,6 +965,46 @@ class TestStrichartzSides:
                 lhs, rhs = sides(desc)
                 assert lhs == pytest.approx(self.complex_path(p, free, u0), rel=1e-13, abs=0.0)
                 assert rhs == free.norm(u0)
+
+
+class TestBilinearStrSides:
+    """The left side from the per-resolution pair table against its oracle,
+    the L2 norm of bilinear_I of the two lifts."""
+
+    L, T = 16.0, 0.5  # the kind's defaults
+
+    @staticmethod
+    def modes(rng, kind, n_band):
+        if kind == "real":
+            return _draw_band_modes(rng, n_band)
+        if kind == "complex":
+            draws = rng.standard_normal((2 * n_band + 1, 2))
+            return draws[:, 0] + 1j * draws[:, 1]
+        return np.zeros(2 * n_band + 1, complex)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        res=st.sampled_from([(32, 32), (48, 48), (64, 64)]),
+        kinds=st.tuples(*[st.sampled_from(["real", "complex", "zero"])] * 2),
+        data=st.data(),
+    )
+    def test_matches_bilinear_I_of_the_lifts(self, res, kinds, data):
+        (n_space, n_time), p = res, EstimateParams.default_admissible(1.5)
+        grid = FrequencyGrid(n_space, self.L)
+        free = _FreeLifts(grid, _x_params(p), self.T, n_time)
+        sides = _bilinear_str_sides(p, free, {}, None)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # up to the largest paired mode, so the whole sublattice is reached
+        n_bands = [data.draw(st.integers(1, n_space // 2 - 1), label="n_band") for _ in kinds]
+        pair = [{"family": "random_bandlimited", "modes": self.modes(rng, kind, n_band)}
+                for kind, n_band in zip(kinds, n_bands)]
+        u1, u2 = (_field_from_descriptor(grid, d, False) for d in pair)
+        lhs, rhs = sides(pair)
+        expected = bilinear_I(free.lift(u1), free.lift(u2), p.alpha / 2.0).l2_norm()
+        if "zero" in kinds:
+            assert lhs == 0.0
+        assert lhs == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert rhs == free.norm(u1) * free.norm(u2)
 
 
 # Trends of small fixed configs, recorded before the free lifts were factored

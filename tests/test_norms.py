@@ -25,6 +25,30 @@ from fbo_lab.spectral import _forward_raw, _singular_power, dispersion_symbol, j
 TWO_PI = 2.0 * math.pi
 
 
+def trapezoid_transform(f, t, lams):
+    """[np.trapezoid(f * np.exp(-1j * lam * t), t) for lam in lams] for uniformly
+    spaced t and lams, as one Bluestein chirp-z sum: with t_k = t_0 + k h and
+    lam_j = lam_0 + j d, jk = (j^2 + k^2 - (j - k)^2) / 2 turns the sum over k
+    into a convolution with the chirp exp(i d h r^2 / 2), taken by FFT."""
+    n_t, n_lam = t.size, lams.size
+    h, d = (t[-1] - t[0]) / (n_t - 1), (lams[-1] - lams[0]) / (n_lam - 1)
+    weights = np.full(n_t, h)
+    weights[[0, -1]] = 0.5 * h
+    k, j = np.arange(n_t, dtype=float), np.arange(n_lam, dtype=float)
+    theta = d * h
+    b = weights * f * np.exp(-1j * (lams[0] * h * k + 0.5 * theta * k**2))
+    r = np.arange(-(n_t - 1), n_lam, dtype=float)
+    conv = np.fft.ifft(np.fft.fft(b, r.size) * np.fft.fft(np.exp(0.5j * theta * r**2)))
+    lam = lams[0] + j * d
+    return np.exp(-1j * (lam * t[0] + 0.5 * theta * j**2)) * conv[n_t - 1 :]
+
+
+def assert_matches_the_quadrature_loop(values, f, t, lams, picks):
+    """The chirp-z values against np.trapezoid at the frequencies picks."""
+    loop = np.array([np.trapezoid(f * np.exp(-1j * lams[i] * t), t) for i in picks])
+    assert np.max(np.abs(values[picks] - loop)) <= 1e-12 * np.max(np.abs(values))
+
+
 def free_trajectory(u0, alpha, t_span, dt):
     n = int(round(t_span / dt))
     times = np.arange(-n, n + 1) * dt
@@ -147,9 +171,9 @@ class TestLocalizedLift:
         tf = np.linspace(-2 * T, 2 * T, 40001)
         psi = bump(tf / T)
         taus = U.taus
-        oracle = np.array(
-            [np.trapezoid(psi * np.exp(-1j * tau * tf), tf) for tau in taus]
-        ) / math.sqrt(TWO_PI)
+        transform = trapezoid_transform(psi, tf, taus)
+        assert_matches_the_quadrature_loop(transform, psi, tf, taus, [0, 517, 800, 1203, -1])
+        oracle = transform / math.sqrt(TWO_PI)
         peak = np.max(np.abs(oracle))
         assert np.max(np.abs(U.coeffs[:, mode] - oracle)) <= 1e-7 * peak
         other = np.delete(U.coeffs, mode, axis=1)
@@ -236,9 +260,9 @@ class TestBourgainNorm:
         tf = np.linspace(-2 * T, 2 * T, 20001)
         psi = bump(tf / T)
         lam = np.linspace(-60.0, 60.0, 4001)
-        prof = np.array(
-            [abs(np.trapezoid(psi * np.exp(-1j * L * tf), tf)) for L in lam]
-        )
+        transform = trapezoid_transform(psi, tf, lam)
+        assert_matches_the_quadrature_loop(transform, psi, tf, lam, [0, 1377, 2000, 3999])
+        prof = np.abs(transform)
         oracle = math.sqrt(
             np.trapezoid((1 + lam**2) ** 0.52 * prof**2, lam)
             / np.trapezoid(prof**2, lam)
