@@ -37,7 +37,6 @@ from .spectral import (
     BUMP_PROFILE,
     FrequencyGrid,
     SpectralField,
-    apply_multiplier,
     bump,
     forward_transform,
     inverse_transform,

@@ -21,6 +21,7 @@ from .conservation import apriori_check, l2_drift
 from .estimates import _KIND_INPUTS, RatioReport, _checked_inputs, estimate_ratio, resonance_infimum
 from .evolution import (
     BlowUpError,
+    _check_dt,
     export_trajectory_binary,
     export_trajectory_csv,
     picard_solve,
@@ -328,14 +329,6 @@ def _run_simulate(config: ExperimentConfig, u0: SpectralField) -> int:
     ]
     _write_text(os.path.join(config.out, "conservation.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
-
-
-def _check_dt(T: float, dt: float) -> None:
-    """Reject a t_span or dt that solve_reference would, naming the fix."""
-    if not (T > 0.0 and dt > 0.0):
-        raise ConfigError(f"t_span and dt must be positive, got {T}, {dt}")
-    if dt > T:
-        raise ConfigError(f"dt={dt} exceeds t_span={T}; use dt <= {T!r}")
 
 
 def _run_picard(config: ExperimentConfig, u0: SpectralField) -> int:

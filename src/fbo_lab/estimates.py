@@ -28,6 +28,7 @@ from .norms import (
     SpaceTimeField,
     _cutoff_time_dft,
     _lebesgue_of_samples,
+    _time_window,
     _weighted_cells,
     _weighted_norm,
     bourgain_weights,
@@ -498,9 +499,10 @@ def _field_from_descriptor(
     return make_test_field(grid, desc["family"], zero_mean=zero_mean, **kwargs)
 
 
-def _free_cutoff_times(T: float, n_time: int, pad_factor: float) -> np.ndarray:
-    """The sample times of a free evolution whose cutoff lift has n_time tau modes."""
-    window = 2.0 * pad_factor * 2.0 * T
+def _free_cutoff_times(T: float, n_time: int) -> np.ndarray:
+    """The sample times of a free evolution whose cutoff lift has n_time tau
+    modes: the window is twice the cutoff support [-2T, 2T], pad factor 2."""
+    window = 8.0 * T
     dt = window / n_time
     n = int(round(2.0 * T / dt))
     if abs(n * dt - 2.0 * T) > 1e-9:
@@ -510,11 +512,9 @@ def _free_cutoff_times(T: float, n_time: int, pad_factor: float) -> np.ndarray:
     return np.arange(-n, n + 1) * dt
 
 
-def _free_cutoff_trajectory(
-    u0: SpectralField, alpha: float, T: float, n_time: int, pad_factor: float
-) -> Trajectory:
+def _free_cutoff_trajectory(u0: SpectralField, alpha: float, T: float, n_time: int) -> Trajectory:
     """Exact free evolution sampled so the cutoff lift has n_time tau modes."""
-    times = _free_cutoff_times(T, n_time, pad_factor)
+    times = _free_cutoff_times(T, n_time)
     phases = np.exp(
         1j * np.outer(times, dispersion_symbol(u0.grid.frequencies, alpha))
     )
@@ -547,7 +547,7 @@ class _FreeLifts:
     def __init__(self, grid: FrequencyGrid, p: EstimateParams, T: float, n_time: int):
         self.grid, self.p, self.T, self.n_time = grid, p, T, n_time
         z = grid.zero_index
-        self.times = _free_cutoff_times(T, n_time, 2.0)
+        self.times = _free_cutoff_times(T, n_time)
         self.phases = np.exp(
             1j * np.outer(self.times, dispersion_symbol(grid.frequencies[z:], p.alpha))
         )
@@ -568,7 +568,7 @@ class _FreeLifts:
     @functools.cached_property
     def paths(self) -> Trajectory:
         ones = SpectralField(self.grid, np.ones(self.grid.n_modes, dtype=complex))
-        return _free_cutoff_trajectory(ones, self.p.alpha, self.T, self.n_time, 2.0)
+        return _free_cutoff_trajectory(ones, self.p.alpha, self.T, self.n_time)
 
     @functools.cached_property
     def kernel(self) -> SpaceTimeField:
@@ -621,18 +621,11 @@ class _ProductField:
     def __init__(self, grid: FrequencyGrid, times: np.ndarray, T: float, n_slots: int):
         n, L = grid.n_modes, grid.box_length
         self.n, self.ext = n, _extended_grid(grid)
-        dt = float(times[1] - times[0])
-        self.time_grid = FrequencyGrid(n_slots, n_slots * dt)
-        j0 = n_slots // 2 + int(round(float(times[0]) / dt))  # slot of the first sample
-        lo = max(0, -j0)
-        hi = max(lo, min(times.size, n_slots - j0))
         psi = bump(times / T)[:, None]
-        if np.any(psi[:lo]) or np.any(psi[hi:]):
-            raise ValueError("time samples extend beyond the padded window")
-        self.samples, self.window = slice(lo, hi), slice(j0 + lo, j0 + hi)
+        self.time_grid, self.samples, self.window = _time_window(times, n_slots, psi)
         # the real tables are held as the complex values a multiply would
         # cast them to, so that no call casts
-        self.psi = psi[lo:hi] + 0j
+        self.psi = psi[self.samples] + 0j
         self.signs = _plan(n)[2] + 0j
         ext_slot, _, ext_signs = _plan(2 * n)
         # the slots of modes N/2+1 .. 3N/2 of the doubled grid, one run
@@ -646,7 +639,7 @@ class _ProductField:
         self.t_signs = t_signs[:, None] + 0j
         self.derivative = 1j * self.ext.frequencies
         self.rows = np.empty((2, times.size, n), complex)
-        self.physical = np.empty((2, hi - lo, 2 * n), complex)
+        self.physical = np.empty((2, self.psi.shape[0], 2 * n), complex)
         self.signal = np.zeros((n_slots, 2 * n), complex)  # rows outside window stay zero
         self.spectrum = np.empty((n_slots, 2 * n), complex)
         self.coeffs = np.empty((n_slots, 2 * n), complex)

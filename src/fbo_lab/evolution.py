@@ -180,7 +180,7 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
     return q, f1, f2, f3
 
 
-def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str, nonlinear: bool):
+def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
     """Step rows of slot-ordered coefficients in place, each by its signed step
     in the column dt; products keep the operand order of the ascending schemes,
     as complex products round differently when swapped."""
@@ -190,9 +190,6 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str, non
         )
     _, grid_slot, _ = _plan(grid.n_modes)
     lin = 1j * dispersion_symbol(grid.frequencies[grid_slot], alpha)
-    if not nonlinear:
-        phase = np.exp(dt * lin)
-        return lambda c: np.multiply(phase, c, out=c)
     nl = _slot_kernel(grid)
     half = np.exp(0.5 * dt * lin)
     a, b, hc, k0, k1, k2 = (np.empty((dt.shape[0], grid.n_modes), complex) for _ in range(6))
@@ -237,6 +234,14 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str, non
     return etdrk4
 
 
+def _check_dt(t_span: float, dt: float) -> None:
+    """Reject a t_span or dt that solve_reference cannot step, naming the fix."""
+    if not (t_span > 0.0 and dt > 0.0):
+        raise ValueError(f"t_span and dt must be positive, got {t_span}, {dt}")
+    if dt > t_span:
+        raise ValueError(f"dt={dt} exceeds t_span={t_span}; use dt <= {t_span!r}")
+
+
 def solve_reference(
     u0: SpectralField,
     t_span: float,
@@ -244,7 +249,6 @@ def solve_reference(
     alpha: float,
     scheme: str = "split_step",
     *,
-    nonlinear: bool = True,
     blowup_factor: float = 10.0,
 ) -> Trajectory:
     """Integrate forward and backward from t=0 over [-t_span, t_span].
@@ -256,10 +260,7 @@ def solve_reference(
     BlowUpError names the signed t of the first step at which that happens,
     the forward t when both directions cross on the same step.
     """
-    if not (t_span > 0.0 and dt > 0.0):
-        raise ValueError(f"t_span and dt must be positive, got {t_span}, {dt}")
-    if dt > t_span:
-        raise ValueError(f"dt={dt} exceeds t_span={t_span}")
+    _check_dt(t_span, dt)
     grid = u0.grid
     n = max(1, int(round(t_span / dt)))
     dt_eff = t_span / n
@@ -273,7 +274,7 @@ def solve_reference(
             stacklevel=2,
         )
     steps = np.array([[dt_eff], [-dt_eff]])
-    step = _stepper(grid, steps, alpha, scheme, nonlinear)
+    step = _stepper(grid, steps, alpha, scheme)
     limit = blowup_factor * max(_l2_raw(u0.coeffs, grid.spacing), np.finfo(float).tiny)
     coeffs = np.empty((2 * n + 1, grid.n_modes), dtype=complex)
     coeffs[n] = u0.coeffs
@@ -392,6 +393,8 @@ _HEADER = struct.Struct("<8sIIddI")  # magic, version, N, L, dt, count
 
 def retained_mode_indices(grid: FrequencyGrid, max_modes: int | None) -> np.ndarray:
     """Indices of the modes kept in CSV exports: smallest |xi| first, then sign."""
+    if max_modes is not None and max_modes < 0:
+        raise ValueError(f"max_modes must be at least 0, got {max_modes}")
     if max_modes is None or max_modes >= grid.n_modes:
         return np.arange(grid.n_modes)
     xi = grid.frequencies

@@ -239,21 +239,27 @@ def _cutoff_time_dft(rows: np.ndarray, t: np.ndarray, T: float, pad_factor: floa
     return _padded_time_dft(bump(t / T)[:, None] * rows, t, n_time)
 
 
-def _padded_time_dft(rows: np.ndarray, times: np.ndarray, n_slots: int) -> tuple:
-    """Zero-pad time samples into n_slots and transform; returns (coeffs, time_grid).
-
-    Padded slot j holds time -window/2 + j*dt, aligned with the samples' own
-    uniform grid; a nonzero sample that falls outside the window is rejected.
-    """
+def _time_window(times: np.ndarray, n_slots: int, rows: np.ndarray) -> tuple:
+    """(time_grid, samples, slots) of n_slots padded slots on the uniform times:
+    slot j holds time -window/2 + j*dt, and samples and slots slice the
+    samples that fall in the window and the slots that hold them.  rows, the
+    samples along axis 0 or anything zero where they are, must be zero
+    outside the window."""
     dt = float(times[1] - times[0])
-    time_grid = FrequencyGrid(n_slots, n_slots * dt)
     j0 = n_slots // 2 + int(round(float(times[0]) / dt))  # slot of the first sample
     lo = max(0, -j0)
     hi = max(lo, min(times.size, n_slots - j0))
     if np.any(rows[:lo]) or np.any(rows[hi:]):
         raise ValueError("time samples extend beyond the padded window")
+    return FrequencyGrid(n_slots, n_slots * dt), slice(lo, hi), slice(j0 + lo, j0 + hi)
+
+
+def _padded_time_dft(rows: np.ndarray, times: np.ndarray, n_slots: int) -> tuple:
+    """Zero-pad time samples into the n_slots of _time_window and transform;
+    returns (coeffs, time_grid)."""
+    time_grid, samples, slots = _time_window(times, n_slots, rows)
     signal = np.zeros((n_slots, rows.shape[1]), dtype=complex)
-    signal[j0 + lo : j0 + hi] = rows[lo:hi]
+    signal[slots] = rows[samples]
     return _forward_raw(signal, time_grid.box_length, axis=0), time_grid
 
 
@@ -307,10 +313,6 @@ def _weighted_cells(coeffs: np.ndarray, w: np.ndarray, omega: float, out=None) -
     return np.multiply(w, np.square(mags, out=mags), out=mags)
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    return float(np.trapezoid(values, dx=dt))
-
-
 def mixed_lebesgue_norm(traj: Trajectory, p_time: float, q_space: float) -> float:
     """L^p in time of the spatial L^q norms, trapezoidal in t, exact max for q=inf."""
     grid = traj.grid
@@ -333,4 +335,4 @@ def _lebesgue_of_samples(
         space = (np.sum(mags**q_space, axis=1) * dx) ** (1.0 / q_space)
     if math.isinf(p_time):
         return float(np.max(space))
-    return _trapezoid(space**p_time, dt) ** (1.0 / p_time)
+    return float(np.trapezoid(space**p_time, dx=dt)) ** (1.0 / p_time)

@@ -1,4 +1,4 @@
-"""Periodic spectral representation: grids, transforms, multipliers, propagator.
+"""Periodic spectral representation: grids, transforms, propagator.
 
 Conventions used throughout the package:
 
@@ -142,22 +142,6 @@ class SpectralField:
             )
         object.__setattr__(self, "coeffs", c)
 
-    def is_conjugate_symmetric(self, rtol: float = 1e-12) -> bool:
-        """True when coeffs(-xi) == conj(coeffs(xi)) within rtol (real field)."""
-        return _is_hermitian(self.coeffs, rtol)
-
-
-def _is_hermitian(coeffs: np.ndarray, rtol: float = 1e-12) -> bool:
-    # Pairing on the asymmetric layout: reverse the first N-1 entries
-    # (k = -N/2+1 .. N/2-1); the extreme mode must be real.
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if scale == 0.0:
-        return True
-    paired = coeffs[:-1]
-    err = float(np.max(np.abs(paired - np.conj(paired[::-1]))))
-    err = max(err, abs(float(np.imag(coeffs[-1]))))
-    return err <= rtol * scale
-
 
 # The plan of a size N caches the slot permutation between ascending mode
 # order and numpy's fft order and the (-1)^k phase of the half-box origin;
@@ -267,28 +251,6 @@ def _singular_power(xi: np.ndarray, power: float) -> np.ndarray:
     """|xi|^power off the zero mode and 0 on it, for the singular low-frequency weights."""
     nz = xi != 0.0
     return np.where(nz, np.abs(np.where(nz, xi, 1.0)) ** power, 0.0)
-
-
-def apply_multiplier(u: SpectralField, kind: str, s: float) -> SpectralField:
-    """Apply |D|^s (kind='homogeneous') or J^s = <D>^s (kind='bessel').
-
-    A homogeneous multiplier with s < 0 is singular at xi = 0 and requires
-    mean-zero input; s = 0 is the identity for both kinds.
-    """
-    xi = u.grid.frequencies
-    if kind == "bessel":
-        weights = japanese_bracket(xi) ** s
-    elif kind == "homogeneous":
-        if s == 0.0:
-            return u
-        if s < 0.0:
-            _require_zero_mean(u.coeffs, u.grid.zero_index, "homogeneous multiplier with negative power")
-            weights = _singular_power(xi, s)
-        else:
-            weights = np.abs(xi) ** s
-    else:
-        raise ValueError(f"unknown multiplier kind {kind!r}; use 'homogeneous' or 'bessel'")
-    return SpectralField(u.grid, u.coeffs * weights)
 
 
 def _require_zero_mean(coeffs: np.ndarray, zero_index: int, what: str, first: int = 0) -> None:

@@ -758,7 +758,7 @@ class TestProductField:
         n_space, n_time = res
         grid = FrequencyGrid(n_space, self.L)
         ones = SpectralField(grid, np.ones(n_space, dtype=complex))
-        paths = _free_cutoff_trajectory(ones, 1.5, self.T, n_time, 2.0)
+        paths = _free_cutoff_trajectory(ones, 1.5, self.T, n_time)
         product = _ProductField(grid, paths.times, self.T, n_time)
         for _ in range(2):  # sample B after sample A, on one workspace
             u1, u2 = (data.draw(self.factor(grid)) for _ in range(2))
@@ -827,7 +827,7 @@ class TestFreeLifts:
         return real, SpectralField(grid, c)
 
     def direct_lift(self, u0, alpha, n_time):
-        traj = _free_cutoff_trajectory(u0, alpha, self.T, n_time, 2.0)
+        traj = _free_cutoff_trajectory(u0, alpha, self.T, n_time)
         return traj, localized_lift(traj, self.T, pad_factor=2.0)
 
     @pytest.mark.parametrize("grid_index", [0, 1])
@@ -861,7 +861,7 @@ class TestFreeLifts:
     def full_profile(self, grid, p, T, n_time):
         """The kernel and the profile from the tables over all N columns."""
         ones = SpectralField(grid, np.ones(grid.n_modes, complex))
-        kernel = localized_lift(_free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0), T, 2.0)
+        kernel = localized_lift(_free_cutoff_trajectory(ones, p.alpha, T, n_time), T, 2.0)
         w = bourgain_weights(kernel.taus, grid.frequencies, p, p.b)
         measure = kernel.time_grid.spacing * grid.spacing
         return kernel, np.sum(w * np.abs(kernel.coeffs) ** 2, axis=0) * measure
@@ -884,7 +884,7 @@ class TestFreeLifts:
         p = EstimateParams(1.5, -0.2, omega, b, -0.4)
         free = _FreeLifts(grid, p, T, n_time)
         ones = SpectralField(grid, np.ones(n_space, complex))
-        paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time, 2.0)
+        paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time)
         assert free.paths.coeffs.tobytes() == paths.coeffs.tobytes()
         kernel, profile = self.full_profile(grid, p, T, n_time)
         assert free.kernel.coeffs.tobytes() == kernel.coeffs.tobytes()
@@ -897,7 +897,7 @@ class TestFreeLifts:
         c = rng.standard_normal(n_space) + 1j * rng.standard_normal(n_space)
         c[z] = 0.0
         u0 = SpectralField(grid, c)
-        lift = localized_lift(_free_cutoff_trajectory(u0, p.alpha, T, n_time, 2.0), T, 2.0)
+        lift = localized_lift(_free_cutoff_trajectory(u0, p.alpha, T, n_time), T, 2.0)
         assert free.norm(u0) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
 
     @pytest.mark.parametrize("res", [(48, 48), (64, 64), (64, 512)])

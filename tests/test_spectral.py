@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fbo_lab import (
     SpectralField,
-    apply_multiplier,
     bump,
     forward_transform,
     inverse_transform,
@@ -91,11 +90,6 @@ class TestTransform:
         g = make_grid(16, 5.0)
         with pytest.raises(ValueError):
             forward_transform(np.ones(15), g)
-
-    def test_real_field_conjugate_symmetry(self):
-        g = make_grid(64, 20.0)
-        f = forward_transform(np.random.default_rng(2).standard_normal(64), g)
-        assert f.is_conjugate_symmetric()
 
     @pytest.mark.parametrize("n", [8, 10, 30, 256])
     def test_matches_direct_riemann_sum(self, n):
@@ -215,48 +209,6 @@ class TestTransformProperties:
         assert l2_norm(f) == pytest.approx(physical, rel=1e-13)
         back = inverse_transform(f)
         assert np.max(np.abs(back - u)) <= 1e-13 * np.max(np.abs(u))
-
-
-class TestMultipliers:
-    def test_bessel_zero_is_identity(self):
-        g = make_grid(32, 9.0)
-        u = make_test_field(g, "gaussian")
-        out = apply_multiplier(u, "bessel", 0.0)
-        assert np.allclose(out.coeffs, u.coeffs, rtol=0, atol=0)
-
-    def test_homogeneous_half_on_cos_2x(self):
-        g = make_grid(32, TWO_PI)
-        u = forward_transform(np.cos(2 * g.nodes()), g)
-        out = apply_multiplier(u, "homogeneous", 0.5)
-        expected = math.sqrt(2.0) * np.cos(2 * g.nodes())
-        assert np.max(np.abs(inverse_transform(out).real - expected)) <= 1e-12
-
-    def test_homogeneous_kills_constant(self):
-        g = make_grid(32, 7.0)
-        u = forward_transform(np.ones(32), g)
-        out = apply_multiplier(u, "homogeneous", 1.0)
-        assert np.max(np.abs(out.coeffs)) <= 1e-15
-
-    def test_negative_homogeneous_requires_zero_mean(self):
-        g = make_grid(32, 7.0)
-        u = make_test_field(g, "gaussian")
-        with pytest.raises(ValueError):
-            apply_multiplier(u, "homogeneous", -0.5)
-        ok = make_test_field(g, "gaussian", zero_mean=True)
-        apply_multiplier(ok, "homogeneous", -0.5)
-
-    def test_bessel_composition(self):
-        g = make_grid(64, 11.0)
-        u = make_test_field(g, "random_bandlimited", seed=3, band=2.0)
-        one = apply_multiplier(apply_multiplier(u, "bessel", 0.7), "bessel", -0.3)
-        two = apply_multiplier(u, "bessel", 0.4)
-        assert np.max(np.abs(one.coeffs - two.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
-
-    def test_unknown_kind(self):
-        g = make_grid(32, 7.0)
-        u = make_test_field(g, "gaussian")
-        with pytest.raises(ValueError):
-            apply_multiplier(u, "riesz", 1.0)
 
 
 class TestPropagate:
