@@ -38,6 +38,7 @@ from fbo_lab.evolution import (
     retained_mode_indices,
 )
 from fbo_lab.spectral import _forward_raw, _inverse_raw, _l2_raw, bump, dispersion_symbol
+from realdata import hermitian_error, real_fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +72,16 @@ class TestNonlinearity:
         out = inverse_transform(nonlinearity(u))
         assert np.max(np.abs(out.real - 0.5 * np.sin(2 * g.nodes()))) <= 1e-13
         assert np.max(np.abs(out.imag)) <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(u0=real_fields())
+    def test_reality_preserved(self, u0):
+        assert hermitian_error(u0.coeffs) <= 1e-12
+        # Relative to a bound on every coefficient of -(1/2) d/dx (u^2), as
+        # |(u^2)^(xi)| <= (2 pi)^(-1/2) ||u||^2: the dealiasing leaves only
+        # roundoff of a packet near the Nyquist, so its own size is no scale.
+        bound = 0.5 * u0.grid.nyquist * l2_norm(u0) ** 2 / math.sqrt(2.0 * math.pi)
+        assert hermitian_error(nonlinearity(u0).coeffs, bound) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -114,6 +125,16 @@ class TestSolveReference:
             errs.append(np.max(np.abs(traj.coeffs[-1] - fine)))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9  # Strang is 2; the exponential scheme is higher
+
+    @settings(max_examples=20, deadline=None)
+    @given(u0=real_fields(), alpha=st.floats(1.1, 1.9))
+    def test_reality_preserved_along_flow(self, u0, alpha):
+        states = solve_reference(u0, 0.5, 5e-3, alpha).coeffs
+        # The unpaired mode N/2 has no partner on the grid, and the free group
+        # turns it by exp(i t xi|xi|^alpha): a state is real there only while
+        # u0 holds nothing there.  The dealiased nonlinearity never reads it.
+        unpaired = abs(u0.coeffs[-1]) <= 1e-11 * np.max(np.abs(u0.coeffs))
+        assert hermitian_error(states, unpaired=unpaired) <= 1e-11
 
     def test_scaling_symmetry(self):
         # if u solves the flow then lam^alpha u(lam^(alpha+1) t, lam x) does;

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fbo_lab import (
     SpectralField,
@@ -23,6 +24,7 @@ from fbo_lab.spectral import (
     _real_synthesis_table,
     dispersion_symbol,
 )
+from realdata import hermitian_error
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,6 +87,15 @@ class TestTransform:
         dx = g.box_length / g.n_modes
         phys = math.sqrt(np.sum(np.abs(u) ** 2) * dx)
         assert l2_norm(f) == pytest.approx(phys, rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_modes=st.sampled_from([8, 10, 30, 64, 256]), data=st.data())
+    def test_real_field_conjugate_symmetry(self, n_modes, data):
+        # subnormal samples keep no relative precision through the FFT's products
+        real = st.floats(-1e3, 1e3, allow_subnormal=False)
+        samples = data.draw(arrays(np.float64, n_modes, elements=real))
+        transformed = forward_transform(samples, make_grid(n_modes, 7.3))
+        assert hermitian_error(transformed.coeffs) <= 1e-12
 
     def test_size_mismatch_rejected(self):
         g = make_grid(16, 5.0)
