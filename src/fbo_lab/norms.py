@@ -317,17 +317,16 @@ def mixed_lebesgue_norm(traj: Trajectory, p_time: float, q_space: float) -> floa
     """L^p in time of the spatial L^q norms, trapezoidal in t, exact max for q=inf."""
     grid = traj.grid
     samples = _inverse_raw(traj.coeffs, grid.box_length, axis=1)
-    return _lebesgue_of_samples(samples, grid, traj.dt, p_time, q_space)
+    return _lebesgue_of_samples(np.abs(samples), grid, traj.dt, p_time, q_space)
 
 
 def _lebesgue_of_samples(
-    samples: np.ndarray, grid: FrequencyGrid, dt: float, p_time: float, q_space: float
+    mags: np.ndarray, grid: FrequencyGrid, dt: float, p_time: float, q_space: float
 ) -> float:
-    """mixed_lebesgue_norm of physical samples (rows = times dt apart, real or
-    complex) on grid's nodes."""
+    """mixed_lebesgue_norm of physical samples from their moduli mags (rows =
+    times dt apart) on grid's nodes."""
     if p_time < 1.0 or q_space < 1.0:
         raise ValueError(f"exponents must be >= 1, got p={p_time}, q={q_space}")
-    mags = np.abs(samples)
     dx = grid.box_length / grid.n_modes
     if math.isinf(q_space):
         space = np.max(mags, axis=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -21,15 +22,20 @@ from fbo_lab import (
 )
 from fbo_lab import estimates
 from fbo_lab.estimates import (
+    _SUPPORT_FLOOR,
+    TOP_CELLS,
     _bilinear_str_sides,
     _classify_arrays,
+    _DominantRegions,
     _draw_band_modes,
+    _draw_pair,
     _draw_samples,
     _envelope,
     _field_from_descriptor,
     _free_cutoff_trajectory,
     _FreeLifts,
     _n_band,
+    _packet_descriptor,
     _ProductField,
     _random_spacetime,
     _strichartz_sides,
@@ -680,9 +686,12 @@ def test_dominant_regions_match_the_full_term_matrix(seed):
     def rand_coeffs(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    # band-limited like real lifts, so some output cells see only zero terms
+    # a kernel times band-limited coefficients, like real lifts, so some
+    # output cells see only zero terms
     band = np.abs(gs.mode_numbers) <= 6
-    lifts = tuple(SpaceTimeField(gs, gt, rand_coeffs((m_t, n_x)) * band) for _ in range(2))
+    kernel = rand_coeffs((m_t, n_x))
+    coeffs = tuple(rand_coeffs(n_x) * band for _ in range(2))
+    lifts = tuple(SpaceTimeField(gs, gt, kernel * c) for c in coeffs)
     # the heaviest output cells sit on and next to the lattice's edges, where
     # the block of (tau1, xi1) with a partner on the lifts' lattice is partial
     lhs = 1e-3 * rand_coeffs((m_t, 2 * n_x))
@@ -701,11 +710,126 @@ def test_dominant_regions_match_the_full_term_matrix(seed):
     # as this random field is not mean-zero)
     cells = _weighted_cells(lhs_field.coeffs, w_out, 0.0, out=np.empty(w_out.shape))
     assert cells.tobytes() == (w_out * np.abs(lhs_field.coeffs) ** 2).tobytes()
-    arrays = tuple(lift.coeffs for lift in lifts)
-    got = estimates._dominant_regions(cells, arrays, gt, gs, p, top_cells)
+    got = estimates._DominantRegions(kernel, gt, gs, p)(cells, *coeffs, top_cells)
     expected = full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells)
     assert len(expected) > 0
     assert sorted(got, key=key) == sorted(expected, key=key)
+
+
+def block_dominant_terms(cells, lifts, top_cells):
+    """The search _DominantRegions.terms replaced, kept as its oracle: for
+    each of the top_cells heaviest cells (an exact tie going to the smaller
+    flat index), the first argmax of |U1 U2| over the whole block of
+    (tau1, xi1) whose partner lies on the lifts' lattice, as sorted
+    (output row, output column, row of tau1, column of xi1) tuples."""
+    u1, u2 = lifts
+    flat = np.lexsort((np.arange(cells.size), -cells.ravel()))[:top_cells]
+    n_out, (m_t, n_x) = cells.shape[1], u1.shape
+    xi_out = FrequencyGrid(n_out, 1.0).mode_numbers
+    u2_rev = u2[::-1, ::-1]
+    found = []
+    for cell in flat:
+        mi, ki = divmod(int(cell), n_out)
+        if cells[mi, ki] <= 0.0 or xi_out[ki] == 0:
+            continue
+        c_t = mi + m_t // 2 - 1
+        c_x = ki - (n_out // 2 - 1) + 2 * (n_x // 2 - 1)
+        r_lo, r_hi = max(0, c_t - m_t + 1), min(m_t - 1, c_t)
+        q_lo, q_hi = max(0, c_x - n_x + 1), min(n_x - 1, c_x)
+        if r_lo > r_hi or q_lo > q_hi:
+            continue
+        terms = u1[r_lo : r_hi + 1, q_lo : q_hi + 1] * u2_rev[
+            m_t - 1 - c_t + r_lo : m_t - c_t + r_hi, n_x - 1 - c_x + q_lo : n_x - c_x + q_hi
+        ]
+        i, j = divmod(int(np.argmax(np.abs(terms))), terms.shape[1])
+        if terms[i, j] != 0.0:
+            found.append((mi, ki, r_lo + i, q_lo + j))
+    return sorted(found)
+
+
+@functools.cache
+def main_bilinear_resolution(n_space, n_time):
+    """The per-resolution objects of main_bilinear at alpha = 1.5 and its
+    default box and T: the params, the free lifts, the product field, the b'
+    weights and the region search."""
+    p, grid = EstimateParams.default_admissible(1.5), FrequencyGrid(n_space, 16.0)
+    free = _FreeLifts(grid, p, 0.5, n_time)
+    product = _ProductField(grid, free.paths.times, 0.5, n_time)
+    w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
+    return p, free, product, w_out, _DominantRegions(free.kernel.coeffs, product.time_grid, grid, p)
+
+
+class TestDominantTerms:
+    """The support search of the dominant terms against the block search."""
+
+    @staticmethod
+    def found(search, cells, u1, u2, top_cells=TOP_CELLS):
+        return sorted(zip(*(a.tolist() for a in search.terms(cells, u1, u2, top_cells))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        res=st.sampled_from(estimates._KIND_INPUTS["main_bilinear"]["resolutions"]),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.tuples(*[st.sampled_from(["drawn", "drawn", "top", "zero"])] * 2),
+        zero_mean=st.booleans(),
+    )
+    def test_terms_match_the_block_search(self, res, seed, kinds, zero_mean):
+        p, free, product, w_out, search = main_bilinear_resolution(*res)
+        grid, dxi = free.grid, free.grid.spacing
+        rng = np.random.default_rng(seed)
+        pair = list(_draw_pair(rng, _n_band(10.0, dxi), dxi))
+        top = grid.n_modes // 2 - 1
+        for i, kind in enumerate(kinds):
+            if kind != "drawn":
+                # a packet at the largest paired carrier reaches the unpaired mode
+                pair[i] = _packet_descriptor(rng, top if rng.random() < 0.5 else -top, dxi)
+        fields = [_field_from_descriptor(grid, d, zero_mean) for d in pair]
+        for u, rows in zip(fields, product.rows):
+            np.multiply(free.paths.coeffs, u.coeffs, out=rows)
+        cells = _weighted_cells(product(), w_out, 0.0)
+        # a zero factor meets the cells of the field it stands in for, so
+        # that the heaviest cells are positive
+        u1, u2 = (np.zeros(grid.n_modes, complex) if kind == "zero" else u.coeffs
+                  for u, kind in zip(fields, kinds))
+        lifts = (free.kernel.coeffs * u1, free.kernel.coeffs * u2)
+        expected = block_dominant_terms(cells, lifts, TOP_CELLS)
+        assert self.found(search, cells, u1, u2) == expected
+        assert (len(expected) == 0) == ("zero" in kinds)
+
+    def test_a_cell_off_the_supports_falls_back_to_the_block(self):
+        rng = np.random.default_rng(5)
+        n_x, m_t = 16, 24
+        gs, gt = FrequencyGrid(n_x, 16.0), FrequencyGrid(m_t, 0.8)
+        kernel = rng.standard_normal((m_t, n_x)) + 1j * rng.standard_normal((m_t, n_x))
+        u1, u2 = np.zeros(n_x, complex), np.zeros(n_x, complex)
+        u1[3], u1[6], u2[10] = 1.0, 1e-5, 1.0
+        # the output column of lift columns 6 and 10 sees only terms of u1[6],
+        # far below the first lift's peak at column 3, so outside its support
+        cells = np.zeros((m_t, 2 * n_x))
+        cells[m_t // 2, 6 + 10 + 1] = 1.0
+        search = _DominantRegions(kernel, gt, gs, EstimateParams.default_admissible(1.5))
+        found = self.found(search, cells, u1, u2, top_cells=1)
+        assert found == block_dominant_terms(cells, (kernel * u1, kernel * u2), 1)
+        ((_, _, r1, q1),) = found
+        power = np.abs(kernel) ** 2
+        assert q1 == 6
+        assert power[r1, q1] * abs(u1[q1]) ** 2 < _SUPPORT_FLOOR**2 * np.max(power * np.abs(u1) ** 2)
+        assert len(search(cells, u1, u2, top_cells=1)) == 1
+
+    def test_an_exact_tie_goes_to_the_first_in_row_major_order(self):
+        # a kernel of ones: every term of a cell has the same modulus
+        n_x, m_t = 8, 8
+        gs, gt = FrequencyGrid(n_x, 8.0), FrequencyGrid(m_t, 0.8)
+        u = np.zeros(n_x, complex)
+        u[2:6] = 1.0
+        cells = np.zeros((m_t, 2 * n_x))
+        cells[3, 10] = 2.0
+        cells[5, 9] = 1.0
+        search = _DominantRegions(np.ones((m_t, n_x), complex), gt, gs, EstimateParams.default_admissible(1.5))
+        found = self.found(search, cells, u, u)
+        assert found == block_dominant_terms(cells, (np.ones((m_t, n_x)) * u,) * 2, TOP_CELLS)
+        # the first row with a partner on the lattice, then the first column
+        assert found == [(3, 10, 0, 4), (5, 9, 1, 3)]
 
 
 def ascending_product_field(traj1, traj2, T, n_slots):
