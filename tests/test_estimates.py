@@ -796,6 +796,19 @@ class TestDominantTerms:
         assert self.found(search, cells, u1, u2) == expected
         assert (len(expected) == 0) == ("zero" in kinds)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        k=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_top_cells_match_a_full_sort(self, shape, k, seed):
+        # small integer values, so that most tables have ties at the k-th cell
+        cells = np.random.default_rng(seed).integers(0, 4, size=shape).astype(float)
+        k = min(k, cells.size)
+        expected = np.lexsort((np.arange(cells.size), -cells.ravel()))[:k]
+        assert estimates._top_cells(cells, k).tolist() == expected.tolist()
+
     def test_a_cell_off_the_supports_falls_back_to_the_block(self):
         rng = np.random.default_rng(5)
         n_x, m_t = 16, 24
