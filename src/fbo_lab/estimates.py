@@ -26,13 +26,12 @@ from .evolution import Trajectory
 from .norms import (
     EstimateParams,
     SpaceTimeField,
-    _cutoff_time_dft,
     _lebesgue_of_samples,
+    _padded_time_dft,
     _time_window,
     _weighted_cells,
     _weighted_norm,
     bourgain_weights,
-    localized_lift,
 )
 from .spectral import (
     TWO_PI,
@@ -308,39 +307,31 @@ def _bilinear_convolve(a: np.ndarray, b: np.ndarray, kernel, grids: SpaceTimeFie
     Each column's transform is a row here, so a block of columns is one
     contiguous slab.
 
-    The loop runs over the nonzero columns of the factor that has fewer, each
-    against the other factor's nonzero column span.  The pairs it skips add
-    exact zeros, which change no bit of an accumulator that starts at +0 (a
-    sum is -0 only when both terms are).  Every output cell adds its terms
-    (a * kernel) * b in ascending j1, so the loop over the second factor's
-    columns runs j2 descending; either way the bytes are those of the plain
-    loop over every j1.
+    The loop runs over the second factor's nonzero columns j2, each against
+    the first factor's nonzero column span (dual_bilinear's second factor
+    fills only |xi| <= band, no more columns than its first).  The pairs it
+    skips add exact zeros, which change no bit of an accumulator that starts
+    at +0 (a sum is -0 only when both terms are).  Every output cell adds its
+    terms (a * kernel) * b in ascending j1, so j2 runs descending, and the
+    bytes are those of the plain loop over every j1.
     """
     m, n = a.shape
     z_t, z_x = m // 2 - 1, n // 2 - 1
     a_fft = np.fft.fft(a.T, n=2 * m, axis=1, out=np.empty((n, 2 * m), complex))
     b_fft = np.fft.fft(b.T, n=2 * m, axis=1, out=np.empty((n, 2 * m), complex))
     a_cols = np.flatnonzero(np.any(a_fft[: n - 1], axis=1)).tolist()
-    b_cols = np.flatnonzero(np.any(b_fft[: n - 1], axis=1)).tolist()
+    # an all-zero first factor has no column span, and adds no term
+    b_cols = np.flatnonzero(np.any(b_fft[: n - 1], axis=1)).tolist() if a_cols else []
     acc = np.zeros((n, 2 * m), dtype=complex)
     term = np.empty((n - 1, 2 * m), dtype=complex)
-    if len(b_cols) < len(a_cols):
-        for j2 in reversed(b_cols):
-            # first-factor columns whose sum with j2 lands on the sublattice
-            lo, hi = max(a_cols[0], z_x - j2), min(a_cols[-1], n - 2 + z_x - j2)
-            if lo <= hi:
-                t = term[: hi - lo + 1]
-                np.multiply(a_fft[lo : hi + 1], kernel[lo : hi + 1, j2, None], out=t)
-                np.multiply(t, b_fft[j2], out=t)
-                acc[lo + j2 - z_x : hi + 1 + j2 - z_x] += t
-    else:
-        for j1 in a_cols:
-            lo, hi = max(b_cols[0], z_x - j1), min(b_cols[-1], n - 2 + z_x - j1)
-            if lo <= hi:
-                t = term[: hi - lo + 1]
-                np.multiply(a_fft[j1], kernel[j1, lo : hi + 1, None], out=t)
-                np.multiply(t, b_fft[lo : hi + 1], out=t)
-                acc[j1 + lo - z_x : j1 + hi + 1 - z_x] += t
+    for j2 in reversed(b_cols):
+        # first-factor columns whose sum with j2 lands on the sublattice
+        lo, hi = max(a_cols[0], z_x - j2), min(a_cols[-1], n - 2 + z_x - j2)
+        if lo <= hi:
+            t = term[: hi - lo + 1]
+            np.multiply(a_fft[lo : hi + 1], kernel[lo : hi + 1, j2, None], out=t)
+            np.multiply(t, b_fft[j2], out=t)
+            acc[lo + j2 - z_x : hi + 1 + j2 - z_x] += t
     np.fft.ifft(acc, axis=1, out=acc)
     measure = grids.time_grid.spacing * grids.space_grid.spacing
     # back to C-ordered (tau, xi) rows, whose reductions sum in the usual order
@@ -512,15 +503,6 @@ def _free_cutoff_times(T: float, n_time: int) -> np.ndarray:
     return np.arange(-n, n + 1) * dt
 
 
-def _free_cutoff_trajectory(u0: SpectralField, alpha: float, T: float, n_time: int) -> Trajectory:
-    """Exact free evolution sampled so the cutoff lift has n_time tau modes."""
-    times = _free_cutoff_times(T, n_time)
-    phases = np.exp(
-        1j * np.outer(times, dispersion_symbol(u0.grid.frequencies, alpha))
-    )
-    return Trajectory(u0.grid, times, _freeze(phases * u0.coeffs[None, :]), alpha)
-
-
 class _FreeLifts:
     """Free cutoff evolutions on one grid, their lifts and restriction norms.
 
@@ -530,7 +512,7 @@ class _FreeLifts:
     profile(xi) |u0(xi)|^2, where profile(xi) is the tau sum of
     w |kernel|^2 dtau dxi with w = bourgain_weights at b = p.b.  A norm then
     costs O(N) per sample.  One instance serves one resolution of one harness
-    call.
+    call, with one cutoff psi = bump(times / T) for its tables and lifts.
 
     The tables are built from the N/2+1 columns k >= 0: phases, the free
     group at times (exponentiated at t >= 0 only), the kernel, w and
@@ -540,15 +522,17 @@ class _FreeLifts:
     m/2, so w gets the extra row tau = -taus[-1] and |kernel|^2 a copy of row
     m/2 there (the transform is periodic in tau): profile(xi) sums rows 1..m
     and profile(-xi) rows 0..m-1.  column_max, a max over a period, is even.
-    paths (the all-ones trajectory) and kernel are built on first use by
-    their full formulas, so that each lift keeps its bytes; strichartz never
-    builds them.
+    paths, the free group over all N columns, and kernel, its lift, are built
+    on first use; strichartz never builds them.  phi being odd, the columns
+    xi < 0 of paths are bitwise the conjugates of the columns -xi, but at
+    t = 0, where the conjugate is 1 - 0j and the formula's 1 + 0j is set.
     """
 
     def __init__(self, grid: FrequencyGrid, p: EstimateParams, T: float, n_time: int):
         self.grid, self.p, self.T, self.n_time = grid, p, T, n_time
         z = grid.zero_index
         self.times = _free_cutoff_times(T, n_time)
+        self.psi = bump(self.times / T)[:, None]
         phi = dispersion_symbol(grid.frequencies[z:], p.alpha)
         # the times are symmetric, and the row at -t is bitwise the conjugate
         # of the row at t, but at xi = 0, where the formula gives 1 + 0j
@@ -557,7 +541,7 @@ class _FreeLifts:
         np.exp(1j * np.outer(self.times[n:], phi), out=self.phases[n:])
         np.conjugate(self.phases[:n:-1, 1:], out=self.phases[:n, 1:])
         self.phases[:n, 0] = 1.0
-        half, self.time_grid = _cutoff_time_dft(self.phases, self.times, T, 2.0)
+        half, self.time_grid = _padded_time_dft(self.psi * self.phases, self.times, n_time)
         taus = self.time_grid.frequencies
         w = bourgain_weights(np.concatenate(([-taus[-1]], taus)), grid.frequencies[z:], p, p.b)
         mags = np.empty(w.shape)
@@ -572,13 +556,16 @@ class _FreeLifts:
         self.column_max = np.concatenate((column_max[z:0:-1], column_max))
 
     @functools.cached_property
-    def paths(self) -> Trajectory:
-        ones = SpectralField(self.grid, np.ones(self.grid.n_modes, dtype=complex))
-        return _free_cutoff_trajectory(ones, self.p.alpha, self.T, self.n_time)
+    def paths(self) -> np.ndarray:
+        z = self.grid.zero_index
+        paths = np.concatenate((np.conjugate(self.phases[:, z:0:-1]), self.phases), axis=1)
+        paths[self.times.size // 2, :z] = 1.0
+        return _freeze(paths)
 
     @functools.cached_property
     def kernel(self) -> SpaceTimeField:
-        return localized_lift(self.paths, self.T, pad_factor=2.0)
+        coeffs, _ = _padded_time_dft(self.psi * self.paths, self.times, self.n_time)
+        return SpaceTimeField(self.grid, self.time_grid, _freeze(coeffs))
 
     def lift(self, u0: SpectralField) -> SpaceTimeField:
         """localized_lift of the free evolution of u0."""
@@ -708,13 +695,6 @@ _KIND_INPUTS = {
     ),
     "smoothing": dict(n_samples=100_000),
 }
-
-
-def _kind_inputs(kind: str) -> dict:
-    """The input keys and defaults of kind; an unknown kind is a ValueError."""
-    if kind not in _KIND_INPUTS:
-        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
-    return _KIND_INPUTS[kind]
 
 
 #: How many of each main_bilinear sample's heaviest output cells have their regions tallied.
@@ -874,9 +854,8 @@ def _strichartz_sides(p, free, inputs, histogram):
     """
     grid, times = free.grid, free.times
     gamma = (p.alpha - 1.0) / 4.0
-    psi = bump(times / free.T)[:, None]
     bracket = japanese_bracket(grid.frequencies[grid.zero_index :]) ** gamma
-    table = _real_synthesis_table(psi * free.phases * bracket, grid.box_length)
+    table = _real_synthesis_table(free.psi * free.phases * bracket, grid.box_length)
     dt = float(times[1] - times[0])
 
     def sides(desc):
@@ -973,7 +952,7 @@ def _main_bilinear_sides(p, free, inputs, histogram):
     _DominantRegions per resolution.
     """
     grid, zero_mean, paths = free.grid, p.omega > 0.0, free.paths
-    product = _ProductField(grid, paths.times, free.T, free.n_time)
+    product = _ProductField(grid, free.times, free.T, free.n_time)
     w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
     cells = np.empty(w_out.shape)
     if histogram is not None:
@@ -983,7 +962,7 @@ def _main_bilinear_sides(p, free, inputs, histogram):
     def sides(pair):
         u1, u2 = (_field_from_descriptor(grid, d, zero_mean) for d in pair)
         for u0, rows in zip((u1, u2), product.rows):
-            np.multiply(paths.coeffs, u0.coeffs, out=rows)
+            np.multiply(paths, u0.coeffs, out=rows)
         _weighted_cells(product(), w_out, p.omega, out=cells)
         lhs = math.sqrt(float(np.sum(cells)) * dtau * dxi)
         rhs = 2.0 * free.norm(u1) * free.norm(u2)
@@ -1028,7 +1007,9 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     is weighted at the wrong modulation.  So a band whose centre
     phi(band) + 4/T reaches pi/dt is rejected.
     """
-    keys = _kind_inputs(kind)
+    if kind not in _KIND_INPUTS:
+        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
+    keys = _KIND_INPUTS[kind]
     given = inputs or {}
     _check_inputs(f"kind {kind!r}", given, keys)
     if "band" in given and given.get("band_fraction") is not None:
@@ -1044,6 +1025,8 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
         return inputs, []
 
     L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
+    if not T > 0.0:
+        raise ValueError(f"T must be positive, got {T}")
     if kind == "strichartz":
         n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
         resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
@@ -1054,6 +1037,9 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     fits = coarsest.nyquist - coarsest.spacing
     if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
         raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
+    if band_fraction is None and not band > 0.0:  # nan fails it too
+        raise ValueError(
+            f"band must be positive, got {band!r}: pass band={min(keys['band'], fits)!r}, say")
     if band_fraction is None and band > fits:
         raise ValueError(
             f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "

@@ -208,19 +208,14 @@ class SpaceTimeField:
 def localized_lift(traj: Trajectory, T: float, pad_factor: float = 4.0) -> SpaceTimeField:
     """Time transform of psi_T(t) u(t), per spatial frequency.
 
-    The cutoff confines the signal to [-2T, 2T]; the transform window is
-    pad_factor times that support (at least 2), realized by zero padding, so
-    the tau grid refines as the padding grows.  Window wrap-around in the
-    weighted norms decays exponentially with the padding; the default of 4
-    puts a further doubling below 1e-6 relative at the unit cutoff scale.
+    The cutoff confines the signal to [-2T, 2T], which the uniform times of
+    traj must cover; the transform window is pad_factor times that support
+    (at least 2), realized by zero padding, so the tau grid refines as the
+    padding grows.  Window wrap-around in the weighted norms decays
+    exponentially with the padding; the default of 4 puts a further doubling
+    below 1e-6 relative at the unit cutoff scale.
     """
-    coeffs, time_grid = _cutoff_time_dft(traj.coeffs, traj.times, T, pad_factor)
-    return SpaceTimeField(traj.grid, time_grid, _freeze(coeffs))
-
-
-def _cutoff_time_dft(rows: np.ndarray, t: np.ndarray, T: float, pad_factor: float) -> tuple:
-    """localized_lift of trajectory rows sampled at the uniform times t, with
-    any number of columns; returns (coeffs, time_grid)."""
+    t = traj.times
     if not (T > 0.0):
         raise ValueError(f"T must be positive, got {T}")
     if pad_factor < 2.0:
@@ -236,7 +231,8 @@ def _cutoff_time_dft(rows: np.ndarray, t: np.ndarray, T: float, pad_factor: floa
     n_time = 2 * m
     if n_time < 8:
         raise ValueError("time window holds fewer than 8 samples; decrease dt")
-    return _padded_time_dft(bump(t / T)[:, None] * rows, t, n_time)
+    coeffs, time_grid = _padded_time_dft(bump(t / T)[:, None] * traj.coeffs, t, n_time)
+    return SpaceTimeField(traj.grid, time_grid, _freeze(coeffs))
 
 
 def _time_window(times: np.ndarray, n_slots: int, rows: np.ndarray) -> tuple:

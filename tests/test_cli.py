@@ -453,13 +453,32 @@ class TestSubcommandKeys:
                 ["verify-estimate", "--kind", "strichartz", "--band", "13"],
                 "band 13.0 does not fit the coarsest grid",
             ),
+            (["verify-estimate", "--band", "nan"], "band must be positive, got nan: pass band=10.0"),
+            (
+                ["verify-estimate", "--kind", "dual_bilinear", "--band", "-1"],
+                "band must be positive, got -1.0: pass band=3.0",
+            ),
+            (
+                ["verify-estimate", "--kind", "main_bilinear", "--band", "-1"],
+                "band must be positive, got -1.0: pass band=10.0",
+            ),
+            (
+                ["verify-estimate", "--kind", "strichartz", "--band", "-1"],
+                "band must be positive, got -1.0: pass band=8.0",
+            ),
+            (
+                ["verify-estimate", "--kind", "bilinear_str", "--band", "0"],
+                "band must be positive, got 0.0: pass band=3.0",
+            ),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
              "picard-dt", "picard-tol", "picard-max-iter", "simulate-retained-modes",
              "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band", "estimate-samples",
              "estimate-negative-samples", "sweep-samples", "resonance-samples",
-             "strichartz-tau-nyquist", "strichartz-band"],
+             "strichartz-tau-nyquist", "strichartz-band", "estimate-band-nan",
+             "dual-bilinear-negative-band", "main-bilinear-negative-band",
+             "strichartz-negative-band", "bilinear-str-zero-band"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:

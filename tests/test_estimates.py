@@ -32,7 +32,7 @@ from fbo_lab.estimates import (
     _draw_samples,
     _envelope,
     _field_from_descriptor,
-    _free_cutoff_trajectory,
+    _free_cutoff_times,
     _FreeLifts,
     _n_band,
     _packet_descriptor,
@@ -393,7 +393,7 @@ class TestBilinearOperators:
         seed=st.integers(0, 2**16),
     )
     def test_bytes_match_the_per_column_loop(self, data, n_space, n_time, s, alpha, seed):
-        # the loop over the sparser factor's columns skips only exact zeros and
+        # the loop over the second factor's columns skips only exact zeros and
         # keeps each cell's ascending-j1 order, so not one bit may move
         gs, gt = FrequencyGrid(n_space, 9.0), FrequencyGrid(n_time, 1.3)
         rng = np.random.default_rng(seed)
@@ -404,21 +404,45 @@ class TestBilinearOperators:
             c[:, ~data.draw(column_support(n_space))] = 0.0
             return SpaceTimeField(gs, gt, c)
 
-        u1, u2 = rand_field(), rand_field()
-        a, b = masked(u1.coeffs), masked(u2.coeffs)
-        power_I = np.abs(gs.frequencies[:-1]) ** (2 * s)
-        kernel_I = np.sqrt(np.abs(power_I[:, None] - power_I[None, :]))
-        power_K = np.abs(gs.frequencies) ** alpha
-        j = np.arange(n_space - 1)
-        j_out = j[:, None] + j[None, :] - gs.zero_index
-        kernel_K = np.sqrt(np.abs(power_K.take(j_out, mode="clip") - power_K[:-1, None]))
-        conj_a = np.zeros_like(a)
-        conj_a[:-1, :-1] = np.conj(a[-2::-1, -2::-1])
-        for out, expected in (
-            (bilinear_I(u1, u2, s), per_column_convolution(a, b, kernel_I, gs, gt)),
-            (bilinear_K(u1, u2, alpha), per_column_convolution(conj_a, b, kernel_K, gs, gt)),
-        ):
-            assert out.coeffs.tobytes() == expected.tobytes()
+        assert_bytes_match_the_per_column_loop(rand_field(), rand_field(), s, alpha)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [((2, 3), (0, 1, 2, 3, 4, 5, 8, 10)), ((), (1, 4, 7)), ((1, 4, 7), ())],
+        ids=["first-has-fewer", "first-zero", "second-zero"],
+    )
+    def test_bytes_match_the_per_column_loop_on_fixed_columns(self, first, second):
+        # the loop takes the second factor's columns whichever factor has fewer
+        gs, gt = FrequencyGrid(12, 9.0), FrequencyGrid(8, 1.3)
+        rng = np.random.default_rng(len(first) + 10 * len(second))
+
+        def field(columns):
+            c = np.zeros((gt.n_modes, gs.n_modes), complex)
+            draws = rng.standard_normal((gt.n_modes, len(columns), 2))
+            c[:, list(columns)] = draws[..., 0] + 1j * draws[..., 1]
+            return SpaceTimeField(gs, gt, c)
+
+        assert_bytes_match_the_per_column_loop(field(first), field(second), 0.6, 1.4)
+
+
+def assert_bytes_match_the_per_column_loop(u1, u2, s, alpha):
+    """bilinear_I(u1, u2, s) and bilinear_K(u1, u2, alpha) hold the bytes of
+    per_column_convolution with their kernels."""
+    gs, gt, n_space = u1.space_grid, u1.time_grid, u1.space_grid.n_modes
+    a, b = masked(u1.coeffs), masked(u2.coeffs)
+    power_I = np.abs(gs.frequencies[:-1]) ** (2 * s)
+    kernel_I = np.sqrt(np.abs(power_I[:, None] - power_I[None, :]))
+    power_K = np.abs(gs.frequencies) ** alpha
+    j = np.arange(n_space - 1)
+    j_out = j[:, None] + j[None, :] - gs.zero_index
+    kernel_K = np.sqrt(np.abs(power_K.take(j_out, mode="clip") - power_K[:-1, None]))
+    conj_a = np.zeros_like(a)
+    conj_a[:-1, :-1] = np.conj(a[-2::-1, -2::-1])
+    for out, expected in (
+        (bilinear_I(u1, u2, s), per_column_convolution(a, b, kernel_I, gs, gt)),
+        (bilinear_K(u1, u2, alpha), per_column_convolution(conj_a, b, kernel_K, gs, gt)),
+    ):
+        assert out.coeffs.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -497,8 +521,15 @@ class TestEstimateRatio:
              r"band 3.0 does not fit .* 16 modes .* largest band that fits is 2.748"),
             ("main_bilinear", {"band_fraction": 0.0}, r"band_fraction must lie in \(0, 1\]"),
             ("main_bilinear", {"band_fraction": 1.2}, r"band_fraction must lie in \(0, 1\]"),
+            # a band that is not positive names the default band, or the largest that fits
+            ("strichartz", {"band": -1.0}, r"band must be positive, got -1.0: pass band=8.0, say"),
+            ("dual_bilinear", {"band": math.nan}, r"band must be positive, got nan: pass band=3.0,"),
+            ("main_bilinear", {"band": 0.0}, r"band must be positive, got 0.0: pass band=10.0,"),
+            ("bilinear_str", {"band": -math.inf, "resolutions": ((16, 16), (32, 32))},
+             r"band must be positive, got -inf: pass band=2.748"),
         ],
-        ids=["strichartz", "main_bilinear", "unordered_resolutions", "fraction_0", "fraction_1.2"],
+        ids=["strichartz", "main_bilinear", "unordered_resolutions", "fraction_0", "fraction_1.2",
+             "strichartz_negative", "dual_bilinear_nan", "main_bilinear_zero", "bilinear_str_minus_inf"],
     )
     def test_band_outside_the_coarsest_grid_rejected_before_compute(
         self, no_free_lifts, kind, inputs, message
@@ -506,6 +537,13 @@ class TestEstimateRatio:
         p = EstimateParams.default_admissible(1.5)
         with pytest.raises(ValueError, match=message):
             estimate_ratio(kind, inputs, p, 0)
+
+    @pytest.mark.parametrize("T", [0.0, -0.5, math.nan])
+    def test_a_cutoff_that_is_not_positive_is_rejected_before_compute(self, no_free_lifts, T):
+        p = EstimateParams.default_admissible(1.5)
+        for kind in ("strichartz", "bilinear_str", "dual_bilinear", "main_bilinear"):
+            with pytest.raises(ValueError, match=r"T must be positive"):
+                estimate_ratio(kind, {"n_samples": 2, "T": T}, p, 0)
 
     @pytest.mark.parametrize(
         "inputs, message",
@@ -754,7 +792,7 @@ def main_bilinear_resolution(n_space, n_time):
     weights and the region search."""
     p, grid = EstimateParams.default_admissible(1.5), FrequencyGrid(n_space, 16.0)
     free = _FreeLifts(grid, p, 0.5, n_time)
-    product = _ProductField(grid, free.paths.times, 0.5, n_time)
+    product = _ProductField(grid, free.times, 0.5, n_time)
     w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
     return p, free, product, w_out, _DominantRegions(free.kernel.coeffs, product.time_grid, grid, p)
 
@@ -785,7 +823,7 @@ class TestDominantTerms:
                 pair[i] = _packet_descriptor(rng, top if rng.random() < 0.5 else -top, dxi)
         fields = [_field_from_descriptor(grid, d, zero_mean) for d in pair]
         for u, rows in zip(fields, product.rows):
-            np.multiply(free.paths.coeffs, u.coeffs, out=rows)
+            np.multiply(free.paths, u.coeffs, out=rows)
         cells = _weighted_cells(product(), w_out, 0.0)
         # a zero factor meets the cells of the field it stands in for, so
         # that the heaviest cells are positive
@@ -895,7 +933,7 @@ class TestProductField:
         n_space, n_time = res
         grid = FrequencyGrid(n_space, self.L)
         ones = SpectralField(grid, np.ones(n_space, dtype=complex))
-        paths = _free_cutoff_trajectory(ones, 1.5, self.T, n_time)
+        paths = free_cutoff_trajectory(ones, 1.5, self.T, n_time)
         product = _ProductField(grid, paths.times, self.T, n_time)
         for _ in range(2):  # sample B after sample A, on one workspace
             u1, u2 = (data.draw(self.factor(grid)) for _ in range(2))
@@ -949,6 +987,15 @@ def test_random_spacetime_fills_the_masked_block(n_space, n_time, band):
         assert np.any(expected) == (band >= 0.0)
 
 
+def free_cutoff_trajectory(u0, alpha, T, n_time):
+    """Exact free evolution of u0 sampled so that its cutoff lift has n_time
+    tau modes, by the full formula exp(i t phi(xi)) over every column: the
+    reference whose bytes _FreeLifts keeps."""
+    times = _free_cutoff_times(T, n_time)
+    phases = np.exp(1j * np.outer(times, dispersion_symbol(u0.grid.frequencies, alpha)))
+    return Trajectory(u0.grid, times, phases * u0.coeffs[None, :], alpha)
+
+
 class TestFreeLifts:
     """One kernel per resolution stands for the per-sample lift and norm."""
 
@@ -964,7 +1011,7 @@ class TestFreeLifts:
         return real, SpectralField(grid, c)
 
     def direct_lift(self, u0, alpha, n_time):
-        traj = _free_cutoff_trajectory(u0, alpha, self.T, n_time)
+        traj = free_cutoff_trajectory(u0, alpha, self.T, n_time)
         return traj, localized_lift(traj, self.T, pad_factor=2.0)
 
     @pytest.mark.parametrize("grid_index", [0, 1])
@@ -975,8 +1022,8 @@ class TestFreeLifts:
         for u0 in self.fields(grid, zero_mean=False):
             traj, lift = self.direct_lift(u0, p.alpha, n_time)
             # the trajectory rows main_bilinear writes into its product field
-            assert np.array_equal(free.paths.times, traj.times)
-            assert np.array_equal(free.paths.coeffs * u0.coeffs, traj.coeffs)
+            assert np.array_equal(free.times, traj.times)
+            assert np.array_equal(free.paths * u0.coeffs, traj.coeffs)
             ours = free.lift(u0)
             assert ours.time_grid == lift.time_grid
             err = np.max(np.abs(ours.coeffs - lift.coeffs))
@@ -998,7 +1045,7 @@ class TestFreeLifts:
     def full_profile(self, grid, p, T, n_time):
         """The kernel and the profile from the tables over all N columns."""
         ones = SpectralField(grid, np.ones(grid.n_modes, complex))
-        kernel = localized_lift(_free_cutoff_trajectory(ones, p.alpha, T, n_time), T, 2.0)
+        kernel = localized_lift(free_cutoff_trajectory(ones, p.alpha, T, n_time), T, 2.0)
         w = bourgain_weights(kernel.taus, grid.frequencies, p, p.b)
         measure = kernel.time_grid.spacing * grid.spacing
         return kernel, np.sum(w * np.abs(kernel.coeffs) ** 2, axis=0) * measure
@@ -1008,21 +1055,28 @@ class TestFreeLifts:
         n_space=st.sampled_from([8, 12, 16, 32, 48]),
         quarter_time=st.integers(2, 24),
         T=st.sampled_from([0.25, 0.5, 1.0, 1.7]),
+        alpha=st.floats(1.05, 1.95),
         b=st.floats(0.3, 0.9),
         omega=st.floats(0.01, 0.45),
         box=st.floats(4.0, 40.0),
         seed=st.integers(0, 2**16),
     )
     def test_half_tables_match_the_full_formula(
-        self, n_space, quarter_time, T, b, omega, box, seed
+        self, n_space, quarter_time, T, alpha, b, omega, box, seed
     ):
         # small tau counts put the top columns' energy past the tau Nyquist
         grid, n_time, z = FrequencyGrid(n_space, box), 4 * quarter_time, n_space // 2 - 1
-        p = EstimateParams(1.5, -0.2, omega, b, -0.4)
+        p = EstimateParams(alpha, -0.2, omega, b, -0.4)
         free = _FreeLifts(grid, p, T, n_time)
         ones = SpectralField(grid, np.ones(n_space, complex))
-        paths = _free_cutoff_trajectory(ones, p.alpha, T, n_time)
-        assert free.paths.coeffs.tobytes() == paths.coeffs.tobytes()
+        paths = free_cutoff_trajectory(ones, p.alpha, T, n_time)
+        # the k < 0 columns are the mirror of the k > 0 ones, bit for bit
+        assert free.paths.tobytes() == paths.coeffs.tobytes()
+        assert free.times.tobytes() == paths.times.tobytes()
+        # the t = 0 row is exactly 1 + 0j, where a conjugate would be 1 - 0j
+        t0 = free.times.size // 2
+        assert free.times[t0] == 0.0
+        assert free.paths[t0].tobytes() == np.ones(n_space, complex).tobytes()
         kernel, profile = self.full_profile(grid, p, T, n_time)
         assert free.kernel.coeffs.tobytes() == kernel.coeffs.tobytes()
         assert free.time_grid == kernel.time_grid
@@ -1034,7 +1088,7 @@ class TestFreeLifts:
         c = rng.standard_normal(n_space) + 1j * rng.standard_normal(n_space)
         c[z] = 0.0
         u0 = SpectralField(grid, c)
-        lift = localized_lift(_free_cutoff_trajectory(u0, p.alpha, T, n_time), T, 2.0)
+        lift = localized_lift(free_cutoff_trajectory(u0, p.alpha, T, n_time), T, 2.0)
         assert free.norm(u0) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
 
     @pytest.mark.parametrize("res", [(48, 48), (64, 64), (64, 512)])
@@ -1079,10 +1133,9 @@ class TestStrichartzSides:
 
     def complex_path(self, p, free, u0):
         gamma = (p.alpha - 1.0) / 4.0
-        paths = free.paths
-        psi = bump(paths.times / self.T)[:, None]
-        cut = psi * paths.coeffs * japanese_bracket(free.grid.frequencies) ** gamma * u0.coeffs
-        return mixed_lebesgue_norm(Trajectory(free.grid, paths.times, cut, p.alpha), 4.0, math.inf)
+        psi = bump(free.times / self.T)[:, None]
+        cut = psi * free.paths * japanese_bracket(free.grid.frequencies) ** gamma * u0.coeffs
+        return mixed_lebesgue_norm(Trajectory(free.grid, free.times, cut, p.alpha), 4.0, math.inf)
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_matches_the_complex_path(self, n):
