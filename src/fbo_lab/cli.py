@@ -254,15 +254,20 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float, float]]:
 
 def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
-    that the runners only compute: one point for the subcommands that run
-    one, a dt the solver accepts, at least 0 retained modes, a tol and
-    max_iter picard accepts, a known kind and epsilon at every point, at
-    least one sample, and verify-estimate's inputs as estimate_ratio checks
-    them.  The inputs built on the way, which reject their own bad values,
-    are returned for the runner: the initial field of simulate and picard,
-    the parameters and estimate inputs of verify-estimate, and the
-    parameters of each sweep point."""
+    that the runners only compute: every alpha in (1, 2), one point for the
+    subcommands that run one, a dt the solver accepts, at least 0 retained
+    modes, a tol and max_iter picard accepts, a known kind and epsilon at
+    every point, at least one sample, and verify-estimate's inputs as
+    estimate_ratio checks them.  The inputs built on the way, which reject
+    their own bad values, are returned for the runner: the initial field of
+    simulate and picard, the parameters and estimate inputs of
+    verify-estimate, and the parameters of each sweep point."""
     subcommand = config.subcommand
+    outside = [a for a in config.alpha if not 1.0 < a < 2.0]  # nan too
+    if outside:
+        raise ConfigError(
+            f"alpha must lie in (1, 2), got alpha={outside[0]!r}: pass --alpha 1.5, say"
+        )
     if "samples" in SUBCOMMAND_KEYS[subcommand] and config.samples < 1:
         raise ConfigError(
             f"{subcommand} needs at least one sample, got samples={config.samples}: "

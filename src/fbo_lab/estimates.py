@@ -34,12 +34,12 @@ from .norms import (
     bourgain_weights,
 )
 from .spectral import (
-    TWO_PI,
     FrequencyGrid,
     SpectralField,
     _FAMILIES,
+    _forward_raw,
     _freeze,
-    _plan,
+    _inverse_raw,
     _real_synthesis,
     _real_synthesis_table,
     _require_zero_mean,
@@ -512,7 +512,8 @@ class _FreeLifts:
     profile(xi) |u0(xi)|^2, where profile(xi) is the tau sum of
     w |kernel|^2 dtau dxi with w = bourgain_weights at b = p.b.  A norm then
     costs O(N) per sample.  One instance serves one resolution of one harness
-    call, with one cutoff psi = bump(times / T) for its tables and lifts.
+    call, with one cutoff psi = bump(times / T) for its tables, its lifts and
+    main_bilinear's product field.
 
     The tables are built from the N/2+1 columns k >= 0: phases, the free
     group at times (exponentiated at t >= 0 only), the kernel, w and
@@ -595,68 +596,37 @@ def _extended_grid(grid: FrequencyGrid) -> FrequencyGrid:
 
 
 class _ProductField:
-    """Buffers for d/dx [ (psi_T u1)(psi_T u2) ] of two trajectories on grid,
-    sampled at times, on n_slots tau modes.  They are allocated once, and
-    each product is transformed in place in them: one instance serves one
-    resolution of one harness call.
+    """Buffers for d/dx [ (psi u1)(psi u2) ] of two trajectories on grid,
+    sampled at times, psi being the cutoff's column at times, on n_slots tau
+    modes.  They are allocated once, and each product is transformed in
+    them: one instance serves one resolution of one harness call.
 
     A caller writes the two factors' coefficient rows into rows and calls the
     instance, which overwrites rows and returns the coefficients on
-    (time_grid, ext), a buffer the next call overwrites.  The steps are those
-    of _inverse_raw of the spectrum zero-padded to the doubled grid, the
-    pointwise product, _forward_raw along x and _padded_time_dft, with the
-    same operands in the same order, so the bytes are theirs.  The
-    permutations between ascending and numpy's slot order are one sign
-    multiply per half of the modes, and a slot of the doubled grid that no
-    mode of grid reaches holds the zero that zero-padding and signing gives.
+    (time_grid, ext), a buffer the next call overwrites.  _inverse_raw into
+    physical, twice as wide, zero-pads each factor to the doubled grid; the
+    product goes through _forward_raw along x into the time window of
+    signal and along tau into coeffs.
     """
 
-    def __init__(self, grid: FrequencyGrid, times: np.ndarray, T: float, n_slots: int):
-        n, L = grid.n_modes, grid.box_length
-        self.n, self.ext = n, _extended_grid(grid)
-        psi = bump(times / T)[:, None]
+    def __init__(self, grid: FrequencyGrid, times: np.ndarray, psi: np.ndarray, n_slots: int):
+        n, self.ext = grid.n_modes, _extended_grid(grid)
         self.time_grid, self.samples, self.window = _time_window(times, n_slots, psi)
-        # the real tables are held as the complex values a multiply would
-        # cast them to, so that no call casts
+        # held as the complex values a multiply would cast it to, so that no call casts
         self.psi = psi[self.samples] + 0j
-        self.signs = _plan(n)[2] + 0j
-        ext_slot, _, ext_signs = _plan(2 * n)
-        # the slots of modes N/2+1 .. 3N/2 of the doubled grid, one run
-        self.dead = slice(n // 2 + 1, 3 * n // 2 + 1)
-        dead_in = np.empty(2 * n, complex)
-        dead_in[ext_slot] = np.zeros(2 * n, complex) * ext_signs
-        self.dead_in = dead_in[self.dead]
-        self.x_scale = 2 * n * math.sqrt(TWO_PI) / L
-        self.x_signs = ext_signs * (L / (2 * n * math.sqrt(TWO_PI))) + 0j
-        t_signs = _plan(n_slots)[2] * (self.time_grid.box_length / (n_slots * math.sqrt(TWO_PI)))
-        self.t_signs = t_signs[:, None] + 0j
         self.derivative = 1j * self.ext.frequencies
         self.rows = np.empty((2, times.size, n), complex)
         self.physical = np.empty((2, self.psi.shape[0], 2 * n), complex)
         self.signal = np.zeros((n_slots, 2 * n), complex)  # rows outside window stay zero
-        self.spectrum = np.empty((n_slots, 2 * n), complex)
         self.coeffs = np.empty((n_slots, 2 * n), complex)
 
     def __call__(self) -> np.ndarray:
-        n, z, zz = self.n, self.n // 2 - 1, self.n - 1  # zz: zero index of the doubled grid
-        rows, f = self.rows[:, self.samples], self.physical
+        rows, box = self.rows[:, self.samples], self.ext.box_length
         np.multiply(self.psi, rows, out=rows)
-        f[..., self.dead] = self.dead_in
-        # modes k >= 0 into slots 0..N/2, k < 0 into the last N/2-1 slots
-        np.multiply(rows[..., z:], self.signs[z:], out=f[..., : n - z])
-        np.multiply(rows[..., :z], self.signs[:z], out=f[..., 2 * n - z :])
-        np.fft.ifft(f, axis=-1, out=f)
-        f *= self.x_scale
+        f = _inverse_raw(rows, box, out=self.physical)
         product = np.multiply(f[0], f[1], out=f[0])
-        np.fft.fft(product, axis=-1, out=product)
-        signal = self.signal[self.window]
-        np.multiply(product[:, : 2 * n - zz], self.x_signs[zz:], out=signal[:, zz:])
-        np.multiply(product[:, 2 * n - zz :], self.x_signs[:zz], out=signal[:, :zz])
-        spectrum, coeffs = self.spectrum, self.coeffs
-        m, zt = spectrum.shape[0], self.time_grid.zero_index
-        np.fft.fft(self.signal, axis=0, out=spectrum)
-        np.multiply(spectrum[: m - zt], self.t_signs[zt:], out=coeffs[zt:])
-        np.multiply(spectrum[m - zt :], self.t_signs[:zt], out=coeffs[:zt])
+        _forward_raw(product, box, out=self.signal[self.window])
+        coeffs = _forward_raw(self.signal, self.time_grid.box_length, axis=0, out=self.coeffs)
         return np.multiply(coeffs, self.derivative, out=coeffs)
 
 
@@ -672,7 +642,7 @@ def product_derivative_field(
     """
     if traj1.grid != traj2.grid or traj1.n_times != traj2.n_times:
         raise ValueError("product factors need matching grids and time samples")
-    product = _ProductField(traj1.grid, traj1.times, T, n_slots)
+    product = _ProductField(traj1.grid, traj1.times, bump(traj1.times / T)[:, None], n_slots)
     product.rows[0], product.rows[1] = traj1.coeffs, traj2.coeffs
     return SpaceTimeField(product.ext, product.time_grid, _freeze(product()))
 
@@ -952,7 +922,7 @@ def _main_bilinear_sides(p, free, inputs, histogram):
     _DominantRegions per resolution.
     """
     grid, zero_mean, paths = free.grid, p.omega > 0.0, free.paths
-    product = _ProductField(grid, free.times, free.T, free.n_time)
+    product = _ProductField(grid, free.times, free.psi, free.n_time)
     w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
     cells = np.empty(w_out.shape)
     if histogram is not None:
@@ -1034,27 +1004,30 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
         resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
     band_fraction = inputs.get("band_fraction")
     coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), L)
-    fits = coarsest.nyquist - coarsest.spacing
+    grid_fits = fits = coarsest.nyquist - coarsest.spacing
+    # dt = 8T / n_time on the lifts' pad-2 window; strichartz has one n_time
+    # at every resolution, and the band it names, the smaller of the two
+    # limits, is rounded down so that it fits
+    nyquist = math.pi * resolutions[0][2] / (8.0 * T)
+    if kind == "strichartz":
+        tau_fits = max(nyquist - 4.0 / T, 0.0) ** (1.0 / (1.0 + p.alpha))
+        fits = min(grid_fits, math.floor(tau_fits * 1e4) / 1e4)
     if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
         raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
     if band_fraction is None and not band > 0.0:  # nan fails it too
         raise ValueError(
             f"band must be positive, got {band!r}: pass band={min(keys['band'], fits)!r}, say")
-    if band_fraction is None and band > fits:
+    if band_fraction is None and band > grid_fits:
         raise ValueError(
             f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "
             f"box of {L}: the largest band that fits is {fits!r}"
         )
-    # dt = 8T / n_time on the lifts' pad-2 window; strichartz has one n_time
-    # at every resolution, and the named band is rounded down so that it fits
-    nyquist = math.pi * resolutions[0][2] / (8.0 * T)
     centre = float(dispersion_symbol(band, p.alpha)) + 4.0 / T
     if kind == "strichartz" and centre >= nyquist:
-        fits = max(nyquist - 4.0 / T, 0.0) ** (1.0 / (1.0 + p.alpha))
         raise ValueError(
             f"band {band!r} puts the strichartz lifts' energy centre phi(band) + 4/T = "
             f"{centre:.6g} at or past the tau Nyquist pi/dt = {nyquist:.6g}: the largest "
-            f"band that fits is {math.floor(fits * 1e4) / 1e4:.4f}"
+            f"band that fits is {fits!r}"
         )
     return inputs, resolutions
 

@@ -88,7 +88,9 @@ class EstimateParams:
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
         if not (0.0 <= self.omega < 0.5):
             raise ValueError(f"omega must lie in [0, 1/2), got {self.omega}")
-        if self.epsilon < 0.0:
+        if not all(map(math.isfinite, (self.s, self.b, self.b_prime))):
+            raise ValueError(f"s, b and b' must be finite, got {self.s}, {self.b}, {self.b_prime}")
+        if not self.epsilon >= 0.0:  # nan fails it too
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not self.admissible:
             return

@@ -144,9 +144,10 @@ class SpectralField:
 
 
 # The plan of a size N caches the slot permutation between ascending mode
-# order and numpy's fft order and the (-1)^k phase of the half-box origin;
-# coefficients stay ascending at the API because every symbol, weight and
-# export indexes them by xi.
+# order and numpy's fft order and the (-1)^k phase of the half-box origin,
+# held as the complex values a multiply would cast it to, so that no call
+# casts; coefficients stay ascending at the API because every symbol, weight
+# and export indexes them by xi.
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,7 +155,7 @@ def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(numpy slot k mod N of each ascending mode k, its inverse, (-1)^k)."""
     k = np.arange(-n // 2 + 1, n // 2 + 1)
     fft_slot = k % n
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
+    signs = np.where(k % 2 == 0, 1.0, -1.0) + 0j
     return _freeze(fft_slot), _freeze(np.argsort(fft_slot)), _freeze(signs)
 
 
@@ -164,31 +165,47 @@ def _along(vector: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vector.reshape(shape)
 
 
-def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
+def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1, out=None) -> np.ndarray:
+    """Ascending coefficients of samples along axis, written into out (complex,
+    of samples' shape, apart from samples) when it is given."""
     n = samples.shape[axis]
-    fft_slot, _, signs = _plan(n)
-    # +-1 times the scale is exact, so this rounds as sign-then-scale does
-    scaled_signs = signs * (box_length / (n * math.sqrt(TWO_PI)))
-    raw = np.take(np.fft.fft(samples, axis=axis), fft_slot, axis=axis)
-    raw *= _along(scaled_signs, samples.ndim, axis)
-    return raw
-
-
-def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
-    n = coeffs.shape[axis]
     z = n // 2 - 1
-    _, _, signs = _plan(n)
-    signs = _along(signs, coeffs.ndim, axis)
+    # +-1 times the scale is exact, so this rounds as sign-then-scale does
+    signs = _along(_plan(n)[2] * (box_length / (n * math.sqrt(TWO_PI))), samples.ndim, axis)
+    spectrum = np.fft.fft(samples, axis=axis)
+    out = np.empty(spectrum.shape, complex) if out is None else out
+    # numpy's slots 0..N/2 hold k >= 0, the ascending slice [z:], the rest k < 0
+    head = (slice(None),) * (axis % samples.ndim)
+    pos, neg = head + (slice(z, None),), head + (slice(z),)
+    np.multiply(spectrum[head + (slice(n - z),)], signs[pos], out=out[pos])
+    np.multiply(spectrum[head + (slice(n - z, None),)], signs[neg], out=out[neg])
+    return out
+
+
+def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1, out=None) -> np.ndarray:
+    """Samples of the ascending coefficients along axis, written into out
+    (complex, apart from coeffs) when it is given.  An out with n slots along
+    axis for the m modes there takes the samples of coeffs zero-padded to n
+    ascending modes, byte for byte, signed zeros included: n sets the
+    transform's size and scale."""
+    m = coeffs.shape[axis]
+    z = m // 2 - 1
+    out = np.empty(coeffs.shape, complex) if out is None else out
+    n = out.shape[axis]
+    signs = _along(_plan(m)[2], coeffs.ndim, axis)
     # the modes are signed straight into numpy's slots: k >= 0 (the ascending
-    # slice [z:]) into slots 0..N/2, k < 0 into the rest
+    # slice [z:]) into slots 0..m/2, k < 0 into the last z; a slot between
+    # holds the zero that padding and signing gives, -0 at odd k
     head = (slice(None),) * (axis % coeffs.ndim)
     pos, neg = head + (slice(z, None),), head + (slice(z),)
-    raw = np.empty(coeffs.shape, complex)
-    np.multiply(coeffs[pos], signs[pos], out=raw[head + (slice(n - z),)])
-    np.multiply(coeffs[neg], signs[neg], out=raw[head + (slice(n - z, None),)])
-    np.fft.ifft(raw, axis=axis, out=raw)
-    raw *= n * math.sqrt(TWO_PI) / box_length
-    return raw
+    np.multiply(coeffs[pos], signs[pos], out=out[head + (slice(m - z),)])
+    np.multiply(coeffs[neg], signs[neg], out=out[head + (slice(n - z, None),)])
+    padding = np.zeros(n - m, complex)
+    padding[1 - (m - z) % 2 :: 2] = -0.0
+    out[head + (slice(m - z, n - z),)] = _along(padding, coeffs.ndim, axis)
+    np.fft.ifft(out, axis=axis, out=out)
+    out *= n * math.sqrt(TWO_PI) / box_length
+    return out
 
 
 # A real field is synthesised from its k >= 0 modes alone, the ascending slice
@@ -316,6 +333,8 @@ def make_test_field(
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     paired_max = grid.nyquist - grid.spacing
     if family == "random_bandlimited":
         if band is None:

@@ -402,6 +402,8 @@ def reads_message(subcommand, unread=()):
     return f"It reads {' '.join('--' + key.replace('_', '-') for key in keys)} and --out"
 
 
+ALPHA_MESSAGE = "alpha must lie in (1, 2), got alpha={}: pass --alpha 1.5"
+
 SMOOTHING_BAND_MESSAGE = (
     "verify-estimate --kind smoothing does not read band: remove --band. "
     + reads_message("verify-estimate", unread=("band",))
@@ -451,7 +453,8 @@ class TestSubcommandKeys:
             ),
             (
                 ["verify-estimate", "--kind", "strichartz", "--band", "13"],
-                "band 13.0 does not fit the coarsest grid",
+                "band 13.0 does not fit the coarsest grid, 256 modes on a box of 64.0: "
+                "the largest band that fits is 9.9227",
             ),
             (["verify-estimate", "--band", "nan"], "band must be positive, got nan: pass band=10.0"),
             (
@@ -470,6 +473,31 @@ class TestSubcommandKeys:
                 ["verify-estimate", "--kind", "bilinear_str", "--band", "0"],
                 "band must be positive, got 0.0: pass band=3.0",
             ),
+            (["simulate", "--alpha", "2.5"], ALPHA_MESSAGE.format("2.5")),
+            (["picard", "--alpha", "2.5"], ALPHA_MESSAGE.format("2.5")),
+            (["verify-resonance", "--alpha", "2.5"], ALPHA_MESSAGE.format("2.5")),
+            (["verify-resonance", "--alpha", "0.5"], ALPHA_MESSAGE.format("0.5")),
+            (["verify-resonance", "--alpha", "1.3,2.0"], ALPHA_MESSAGE.format("2.0")),
+            (["simulate", "--alpha", "nan"], ALPHA_MESSAGE.format("nan")),
+            (["verify-resonance", "--alpha", "nan"], ALPHA_MESSAGE.format("nan")),
+            (["simulate", "--amplitude", "nan"], "amplitude must be finite, got nan"),
+            (["picard", "--amplitude", "nan"], "amplitude must be finite, got nan"),
+            (
+                ["simulate", "--family", "random_bandlimited", "--amplitude", "inf"],
+                "amplitude must be finite, got inf",
+            ),
+            (
+                ["verify-estimate", "--kind", "main_bilinear", "--s", "inf"],
+                "s, b and b' must be finite, got inf,",
+            ),
+            (
+                ["verify-estimate", "--kind", "main_bilinear", "--s", "nan"],
+                "s, b and b' must be finite, got nan,",
+            ),
+            (["sweep", "--s", "nan"], "s, b and b' must be finite, got nan,"),
+            (["verify-estimate", "--b", "nan"], "s, b and b' must be finite, got -0.275, nan,"),
+            (["verify-estimate", "--b-prime", "inf"], "s, b and b' must be finite"),
+            (["sweep", "--epsilon", "nan"], "epsilon must be nonnegative, got nan"),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
@@ -478,7 +506,12 @@ class TestSubcommandKeys:
              "estimate-negative-samples", "sweep-samples", "resonance-samples",
              "strichartz-tau-nyquist", "strichartz-band", "estimate-band-nan",
              "dual-bilinear-negative-band", "main-bilinear-negative-band",
-             "strichartz-negative-band", "bilinear-str-zero-band"],
+             "strichartz-negative-band", "bilinear-str-zero-band", "simulate-alpha",
+             "picard-alpha", "resonance-alpha-high", "resonance-alpha-low",
+             "resonance-alpha-list", "simulate-alpha-nan", "resonance-alpha-nan",
+             "simulate-amplitude-nan", "picard-amplitude-nan", "random-amplitude-inf",
+             "main-bilinear-s-inf", "main-bilinear-s-nan", "sweep-s-nan", "estimate-b-nan",
+             "estimate-b-prime-inf", "sweep-epsilon-nan"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:

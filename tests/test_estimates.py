@@ -792,7 +792,7 @@ def main_bilinear_resolution(n_space, n_time):
     weights and the region search."""
     p, grid = EstimateParams.default_admissible(1.5), FrequencyGrid(n_space, 16.0)
     free = _FreeLifts(grid, p, 0.5, n_time)
-    product = _ProductField(grid, free.times, 0.5, n_time)
+    product = _ProductField(grid, free.times, free.psi, n_time)
     w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
     return p, free, product, w_out, _DominantRegions(free.kernel.coeffs, product.time_grid, grid, p)
 
@@ -934,7 +934,7 @@ class TestProductField:
         grid = FrequencyGrid(n_space, self.L)
         ones = SpectralField(grid, np.ones(n_space, dtype=complex))
         paths = free_cutoff_trajectory(ones, 1.5, self.T, n_time)
-        product = _ProductField(grid, paths.times, self.T, n_time)
+        product = _ProductField(grid, paths.times, bump(paths.times / self.T)[:, None], n_time)
         for _ in range(2):  # sample B after sample A, on one workspace
             u1, u2 = (data.draw(self.factor(grid)) for _ in range(2))
             trajs = [Trajectory(grid, paths.times, paths.coeffs * u.coeffs, 1.5) for u in (u1, u2)]
@@ -960,7 +960,7 @@ class TestProductField:
         grid = FrequencyGrid(16, self.L)
         times = np.linspace(-1.0, 1.0, 41)  # psi_T reaches |t| = 1, the window holds 16 slots
         with pytest.raises(ValueError, match="beyond the padded window"):
-            _ProductField(grid, times, self.T, 16)
+            _ProductField(grid, times, bump(times / self.T)[:, None], 16)
 
 
 def masked_random_spacetime(rng, grid, time_grid, band):

@@ -156,6 +156,71 @@ class TestInverseSlots:
         assert out.tobytes() == take_formula_inverse(c, box, axis).tobytes()
 
 
+def take_formula_forward(samples, box_length, axis):
+    """The forward transform through the gather out of numpy's slots: np.take
+    the ascending modes from the FFT, then sign and scale them."""
+    n = samples.shape[axis]
+    k = np.arange(-n // 2 + 1, n // 2 + 1)
+    shape = [1] * samples.ndim
+    shape[axis] = n
+    scaled_signs = np.where(k % 2 == 0, 1.0, -1.0) * (box_length / (n * math.sqrt(TWO_PI)))
+    raw = np.take(np.fft.fft(samples, axis=axis), k % n, axis=axis)
+    raw *= scaled_signs.reshape(shape)
+    return raw
+
+
+class TestOutBuffers:
+    """The transform pair writing into a caller's buffer: the forward one
+    against the gather it replaced, the inverse one into a longer buffer
+    against the explicitly zero-padded spectrum, byte for byte."""
+
+    @staticmethod
+    def draw(data, layout, n, rows):
+        """An array of n along the layout's axis and rows along the other, of
+        finite values; hypothesis draws zeros of both signs and subnormals."""
+        shape, axis = {"row": ((n,), -1), "axis 0": ((n, rows), 0), "axis 1": ((rows, n), 1)}[layout]
+        elements = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+        return data.draw(arrays(np.complex128, shape, elements=elements)), axis
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        layout=st.sampled_from(["row", "axis 0", "axis 1"]),
+        n=st.integers(2, 40).map(lambda half: 2 * half),
+        rows=st.integers(1, 4),
+        box=st.floats(0.5, 100.0),
+    )
+    def test_forward_into_out_matches_the_gather(self, data, layout, n, rows, box):
+        x, axis = self.draw(data, layout, n, rows)
+        out = np.full(x.shape, np.nan + 0j)  # stale values, all overwritten
+        assert _forward_raw(x, box, axis, out=out) is out
+        assert out.tobytes() == take_formula_forward(x, box, axis).tobytes()
+        assert _forward_raw(x, box, axis).tobytes() == out.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        layout=st.sampled_from(["row", "axis 0", "axis 1"]),
+        m=st.integers(2, 40).map(lambda half: 2 * half),
+        ratio=st.integers(1, 3),
+        rows=st.integers(1, 4),
+        box=st.floats(0.5, 100.0),
+    )
+    def test_inverse_into_a_longer_out_zero_pads(self, data, layout, m, ratio, rows, box):
+        c, axis = self.draw(data, layout, m, rows)
+        n = ratio * m
+        shape = list(c.shape)
+        shape[axis] = n
+        # mode k sits at k + m/2 - 1 of c and at k + n/2 - 1 of the padded array
+        padded = np.zeros(shape, complex)
+        index = [slice(None)] * c.ndim
+        index[axis] = slice(n // 2 - m // 2, n // 2 + m // 2)
+        padded[tuple(index)] = c
+        out = np.full(shape, np.nan + 0j)
+        assert _inverse_raw(c, box, axis, out=out) is out
+        assert out.tobytes() == _inverse_raw(padded, box, axis).tobytes()
+
+
 class TestRealSynthesis:
     """A Hermitian field synthesised from its k >= 0 modes."""
 
