@@ -36,8 +36,13 @@ class AprioriReport:
 
 
 def l2_drift(traj: Trajectory) -> float:
-    """max over t of |  ||u(t)|| - ||u(0)||  | / max(||u(0)||, tiny)."""
-    norms = _l2_raw(traj.coeffs, traj.grid.spacing)
+    """max over t of |  ||u(t)|| - ||u(0)||  | / max(||u(0)||, tiny).
+
+    The norms are taken in blocks of rows, as in apriori_check.
+    """
+    norms = np.empty(traj.n_times)
+    for rows in _row_blocks(traj.n_times):
+        norms[rows] = _l2_raw(traj.coeffs[rows], traj.grid.spacing)
     i0 = traj.index_of_time(0.0)
     ref = norms[i0]
     return float(np.max(np.abs(norms - ref)) / max(ref, np.finfo(float).tiny))

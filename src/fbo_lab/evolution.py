@@ -100,8 +100,10 @@ class PicardHistory:
             raise ValueError("iterate differences must be finite")
 
 
-#: Trajectory rows transformed at once by the batched per-time loops: 64 rows
-#: of 512 modes are 512 KB, and no temporary grows with the number of times.
+#: Trajectory rows taken at once by the per-time loops: duhamel_apply's
+#: forcing, solve_reference's blow-up check, export_trajectory_csv, and
+#: conservation's l2_drift and apriori_check.  64 rows of 512 modes are
+#: 512 KB, and no temporary grows with the number of times.
 _BLOCK_ROWS = 64
 
 
@@ -236,6 +238,10 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
 
 def _check_dt(t_span: float, dt: float) -> None:
     """Reject a t_span or dt that solve_reference cannot step, naming the fix."""
+    if not (math.isfinite(t_span) and math.isfinite(dt)):
+        raise ValueError(
+            f"t_span and dt must be finite, got {t_span}, {dt}; use t_span=1.0 and dt=0.001, say"
+        )
     if not (t_span > 0.0 and dt > 0.0):
         raise ValueError(f"t_span and dt must be positive, got {t_span}, {dt}")
     if dt > t_span:
@@ -255,10 +261,14 @@ def solve_reference(
 
     The linear substeps use the exact propagator phases.  dt is adjusted to
     the nearest value that divides t_span evenly.  Both directions march
-    together as a pair of rows, one stepping by +dt and one by -dt.  If the
-    L2 norm of either grows past blowup_factor times its initial value,
-    BlowUpError names the signed t of the first step at which that happens,
-    the forward t when both directions cross on the same step.
+    together as a pair of rows, one stepping by +dt and one by -dt, written
+    straight into the trajectory.  If the L2 norm of either grows past
+    blowup_factor times its initial value, or is not a number, BlowUpError
+    names the signed t of the first step at which that happens, the forward
+    t when both directions cross on the same step.  The norms are checked
+    once per block of _BLOCK_ROWS steps, so the march may run up to a block
+    past the crossing; numpy's overflow and invalid-value warnings are off
+    while it runs, as the sentinel is what reports growth.
     """
     _check_dt(t_span, dt)
     grid = u0.grid
@@ -281,17 +291,24 @@ def solve_reference(
     # the march runs in fft slot order; each written row is gathered back
     fft_slot, grid_slot, _ = _plan(grid.n_modes)
     c = np.stack([u0.coeffs, u0.coeffs])[:, grid_slot]
-    for i in range(n):
-        step(c)
-        # rows n+1+i and n-1-i, forward first, as one view of the trajectory
-        pair = coeffs[n - 1 - i : n + 2 + i : 2 * i + 2][::-1]
-        np.take(c, fft_slot, axis=1, out=pair)
-        grown = _l2_raw(pair, grid.spacing) > limit
-        if grown.any():
-            t = steps[np.argmax(grown), 0] * (i + 1)
-            raise BlowUpError(
-                f"L2 norm grew past {blowup_factor}x the initial value at t={t:.6g}"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _row_blocks(n):
+            lo, hi = block.start, min(block.stop, n)
+            for i in range(lo, hi):
+                step(c)
+                # rows n+1+i and n-1-i, forward first, as one view of the trajectory
+                pair = coeffs[n - 1 - i : n + 2 + i : 2 * i + 2][::-1]
+                np.take(c, fft_slot, axis=1, out=pair)
+            # the block's norms, a row per step, forward first; nan counts as grown
+            fwd = _l2_raw(coeffs[n + 1 + lo : n + 1 + hi], grid.spacing)
+            bwd = _l2_raw(coeffs[n - hi : n - lo], grid.spacing)[::-1]
+            grown = ~(np.stack([fwd, bwd], axis=1) <= limit)
+            if grown.any():
+                i, direction = divmod(int(np.argmax(grown)), 2)
+                t = steps[direction, 0] * (lo + i + 1)
+                raise BlowUpError(
+                    f"L2 norm grew past {blowup_factor}x the initial value at t={t:.6g}"
+                )
     return Trajectory(grid, np.arange(-n, n + 1) * dt_eff, _freeze(coeffs), float(alpha))
 
 
@@ -403,18 +420,23 @@ def retained_mode_indices(grid: FrequencyGrid, max_modes: int | None) -> np.ndar
 
 
 def export_trajectory_csv(traj: Trajectory, path, max_modes: int | None = None) -> None:
-    """CSV columns: t, then |coeff| and phase per retained mode, xi ascending."""
+    """CSV columns: t, then |coeff| and phase per retained mode, xi ascending.
+
+    The lines are written a block of _BLOCK_ROWS times at a time.
+    """
     idx = retained_mode_indices(traj.grid, max_modes)
     header = ["t"]
     for f in traj.grid.frequencies[idx]:
         header += [f"abs[xi={float(f)!r}]", f"phase[xi={float(f)!r}]"]
-    sub = traj.coeffs[:, idx]
-    table = np.empty((traj.n_times, 1 + 2 * idx.size))
-    table[:, 0], table[:, 1::2], table[:, 2::2] = traj.times, np.abs(sub), np.angle(sub)
-    # a list of floats prints as their reprs joined by ", "
-    rows = [repr(row)[1:-1].replace(", ", ",") for row in table.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header)] + rows) + "\n")
+        fh.write(",".join(header) + "\n")
+        for rows in _row_blocks(traj.n_times):
+            sub = traj.coeffs[rows, idx]
+            table = np.empty((sub.shape[0], 1 + 2 * idx.size))
+            table[:, 0] = traj.times[rows]
+            table[:, 1::2], table[:, 2::2] = np.abs(sub), np.angle(sub)
+            # a list of floats prints as their reprs joined by ", "
+            fh.writelines(repr(row)[1:-1].replace(", ", ",") + "\n" for row in table.tolist())
 
 
 def export_trajectory_binary(traj: Trajectory, path) -> None:

@@ -177,6 +177,23 @@ class TestSimulate:
         assert (out / "traj.bin").exists()
         assert (out / "manifest.txt").exists()
 
+    def test_op_holds_one_trajectory(self, tmp_path):
+        # the trajectory is the one array that grows with the number of times
+        import tracemalloc
+
+        argv = ["simulate", "--n-modes", "128", "--box-length", "32", "--zero-mean"]
+        assert main(argv + ["--t-span", "0.01", "--out", str(tmp_path / "warm")]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--t-span", "1", "--dt", "1e-3", "--out", str(tmp_path / "sim")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        trajectory = 2001 * 128 * 16
+        assert os.path.getsize(tmp_path / "sim" / "traj.bin") == 36 + 2001 * (8 + 128 * 16)
+        assert peak < 1.25 * trajectory
+
     def test_manifest_reproduces_run(self, tmp_path):
         first = tmp_path / "a"
         rc = main(
@@ -436,6 +453,14 @@ class TestSubcommandKeys:
             (["verify-estimate", "--kind", "smoothing", "--b", "0.9"], "b must lie in (1/2, b'+1)"),
             (["simulate", "--dt", "0"], "t_span and dt must be positive, got 1.0, 0.0"),
             (
+                ["simulate", "--t-span", "inf"],
+                "t_span and dt must be finite, got inf, 0.001; use t_span=1.0 and dt=0.001, say",
+            ),
+            (["picard", "--t-span", "inf"], "t_span and dt must be finite, got inf, 0.001"),
+            (["simulate", "--t-span", "inf", "--dt", "inf"], "must be finite, got inf, inf"),
+            (["picard", "--dt=-inf"], "t_span and dt must be finite, got 1.0, -inf"),
+            (["simulate", "--dt", "nan"], "t_span and dt must be finite, got 1.0, nan"),
+            (
                 ["simulate", "--family", "random_bandlimited", "--band", "1000"],
                 "band 1000.0 exceeds the largest paired grid frequency",
             ),
@@ -502,7 +527,9 @@ class TestSubcommandKeys:
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
              "picard-dt", "picard-tol", "picard-max-iter", "simulate-retained-modes",
-             "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-band", "estimate-samples",
+             "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-t-span-inf",
+             "picard-t-span-inf", "simulate-both-inf", "picard-dt-minus-inf", "simulate-dt-nan",
+             "simulate-band", "estimate-samples",
              "estimate-negative-samples", "sweep-samples", "resonance-samples",
              "strichartz-tau-nyquist", "strichartz-band", "estimate-band-nan",
              "dual-bilinear-negative-band", "main-bilinear-negative-band",

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import struct
@@ -5,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,7 +29,7 @@ from fbo_lab import (
     propagate,
     solve_reference,
 )
-from fbo_lab.conservation import l2_drift
+from fbo_lab.conservation import apriori_check, l2_drift
 from fbo_lab.evolution import (
     _BLOCK_ROWS,
     _dealias_mask,
@@ -157,9 +158,20 @@ class TestSolveReference:
     def test_blowup_sentinel(self, scheme):
         g = make_grid(64, 16.0)
         u0 = make_test_field(g, "gaussian", amplitude=80.0)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             with pytest.raises(BlowUpError, match="t=0.05$"):
                 solve_reference(u0, 5.0, 0.05, 1.5, scheme=scheme)
+        # the steps marched past the crossing leak no overflow warning
+        assert [str(w.message)[:22] for w in record] == ["dt*max|xi|*max|u| = 50"]
+
+    def test_state_that_is_not_a_number_trips_the_sentinel(self):
+        # the square overflows on the first step, and the norm is then nan
+        g = make_grid(64, 16.0)
+        u0 = make_test_field(g, "gaussian", amplitude=1e100)
+        with pytest.warns(RuntimeWarning) as record:
+            with pytest.raises(BlowUpError, match="t=0.01$"):
+                solve_reference(u0, 0.1, 0.01, 1.5)
+        assert [str(w.message)[:17] for w in record] == ["dt*max|xi|*max|u|"]
 
     def test_blowup_names_first_crossing_in_either_direction(self):
         # complex data do not conserve L2; for this field the backward norm
@@ -199,6 +211,26 @@ class TestSolveReference:
         with pytest.raises(BlowUpError, match=f"t={direction * 0.2:.6g}$"):
             solve_reference(u0, 0.2, 0.01, 1.5, blowup_factor=0.5 * (final + rest.max()))
 
+    @pytest.mark.parametrize("case", ["forward", "backward", "tie"])
+    @pytest.mark.parametrize("step", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 130])
+    def test_blowup_checked_per_block_names_the_per_step_crossing(self, case, step):
+        # complex data: the L2 norm of the first field grows step by step
+        # toward +t, that of its mirror u0(-x) toward -t, and that of their
+        # even sum toward both at once, so a sentinel between a step's norm
+        # and every earlier one is first crossed on that step
+        free, u0 = _growing_run(case)
+        norms = _l2_raw(free.coeffs, free.grid.spacing)
+        n = free.n_times // 2
+        rows = {"forward": [n + step], "backward": [n - step], "tie": [n + step, n - step]}
+        earlier = norms[n - step + 1 : n + step].max()
+        crossing = norms[rows[case]].min()
+        assert crossing > earlier
+        factor = 0.5 * (crossing + earlier) / _l2_raw(u0.coeffs, free.grid.spacing)
+        t = _per_step_crossing(free, factor * _l2_raw(u0.coeffs, free.grid.spacing))
+        assert t == free.times[rows[case][0]]
+        with pytest.raises(BlowUpError, match=re.escape(f"t={t:.6g}") + "$"):
+            solve_reference(u0, free.times[-1], free.dt, 1.5, blowup_factor=factor)
+
     @settings(max_examples=8, deadline=None)
     @given(
         family=st.sampled_from(["gaussian", "random_bandlimited"]),
@@ -234,6 +266,32 @@ class TestSolveReference:
         # the scheme is checked before any step
         with pytest.raises(ValueError, match="unknown scheme"):
             solve_reference(u0, 0.1, 0.05, 1.5, scheme="euler")
+
+
+@functools.lru_cache(maxsize=None)
+def _growing_run(case):
+    """A run of 130 steps each way, with no sentinel, and its data, whose L2
+    norm grows at every step forward, backward or both ("tie")."""
+    g = make_grid(64, 16.0)
+    seed = 1 if case == "tie" else 0
+    c = make_test_field(
+        g, "random_bandlimited", seed=seed, band=3.0, complex_field=True, amplitude=0.3
+    ).coeffs
+    mirror = np.append(c[-2::-1], 0.0)
+    u0 = SpectralField(g, {"forward": mirror, "backward": c, "tie": c + mirror}[case])
+    return solve_reference(u0, 0.26, 0.002, 1.5, blowup_factor=1e9), u0
+
+
+def _per_step_crossing(traj, limit):
+    """The t of the first step at which a row's norm is not within limit,
+    the forward row first: the sentinel checked after every step."""
+    norms = _l2_raw(traj.coeffs, traj.grid.spacing)
+    n = traj.n_times // 2
+    for i in range(1, n + 1):
+        for row in (n + i, n - i):
+            if not norms[row] <= limit:
+                return traj.times[row]
+    return None
 
 
 def _march_one_direction(c0, grid, n_steps, dt, alpha, scheme):
@@ -673,3 +731,87 @@ class TestExports:
         assert L == pytest.approx(traj.grid.box_length)
         assert dt == pytest.approx(traj.dt)
         assert count == traj.n_times
+
+
+def _random_trajectory(n_times, n_modes, seed):
+    """Random coefficients over five decades each way, with signed zeros,
+    on uniform times through t = 0: no solve."""
+    rng = np.random.default_rng(seed)
+    shape = (n_times, n_modes)
+    scale = 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    zeros = rng.random(shape) < 0.05
+    coeffs[zeros] = np.where(rng.random(zeros.sum()) < 0.5, complex(-0.0, -0.0), 0j)
+    times = (np.arange(n_times) - rng.integers(n_times)) * rng.uniform(1e-4, 0.1)
+    return Trajectory(make_grid(n_modes, 8.0), times, coeffs, 1.5)
+
+
+def _whole_table_csv(traj, max_modes):
+    """The CSV bytes from one table of every time, as one join."""
+    idx = retained_mode_indices(traj.grid, max_modes)
+    header = ["t"]
+    for f in traj.grid.frequencies[idx]:
+        header += [f"abs[xi={float(f)!r}]", f"phase[xi={float(f)!r}]"]
+    sub = traj.coeffs[:, idx]
+    table = np.empty((traj.n_times, 1 + 2 * idx.size))
+    table[:, 0], table[:, 1::2], table[:, 2::2] = traj.times, np.abs(sub), np.angle(sub)
+    rows = [repr(row)[1:-1].replace(", ", ",") for row in table.tolist()]
+    return ("\n".join([",".join(header)] + rows) + "\n").encode()
+
+
+def _whole_array_drift(traj):
+    """l2_drift from the norms of every time at once."""
+    norms = _l2_raw(traj.coeffs, traj.grid.spacing)
+    ref = norms[traj.index_of_time(0.0)]
+    return float(np.max(np.abs(norms - ref)) / max(ref, np.finfo(float).tiny))
+
+
+class TestRowBlocks:
+    """l2_drift and export_trajectory_csv take the trajectory a block of
+    _BLOCK_ROWS times at a time; they must give the bytes of the whole-array
+    forms, and hold no more than a block."""
+
+    # the one file is rewritten by every example
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        n_times=st.builds(
+            lambda blocks, offset: max(2, blocks * _BLOCK_ROWS + offset),
+            st.integers(0, 3),
+            st.integers(-2, 2),
+        ),
+        n_modes=st.sampled_from([16, 32, 48]),
+        max_modes=st.sampled_from([None, 0, 1, 16, "N"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_the_whole_array_forms(self, tmp_path, n_times, n_modes, max_modes, seed):
+        traj = _random_trajectory(n_times, n_modes, seed)
+        max_modes = n_modes if max_modes == "N" else max_modes
+        path = tmp_path / "traj.csv"
+        export_trajectory_csv(traj, path, max_modes)
+        assert path.read_bytes() == _whole_table_csv(traj, max_modes)
+        assert repr(l2_drift(traj)) == repr(_whole_array_drift(traj))
+
+    def test_working_set_is_a_block(self, tmp_path):
+        # 1025 times of 512 modes hold 8.4 MB; a block of 64 is 0.5 MB
+        traj = _random_trajectory(2 * 8 * _BLOCK_ROWS + 1, 512, 0)
+        zero_mean = np.array(traj.coeffs)
+        zero_mean[:, traj.grid.zero_index] = 0.0
+        zero_mean = Trajectory(traj.grid, traj.times, zero_mean, 1.5)
+        calls = {
+            "l2_drift": lambda: l2_drift(traj),
+            "apriori_check": lambda: apriori_check(traj, 0.0),
+            "apriori_check zero mean": lambda: apriori_check(zero_mean, 1.0 / 6.0),
+            # at the CLI's default of 16 retained modes
+            "export_trajectory_csv": lambda: export_trajectory_csv(traj, tmp_path / "t.csv", 16),
+        }
+        peaks = {}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < traj.coeffs.nbytes / 8, peaks
