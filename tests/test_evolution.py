@@ -225,8 +225,9 @@ class TestSolveReference:
         earlier = norms[n - step + 1 : n + step].max()
         crossing = norms[rows[case]].min()
         assert crossing > earlier
-        factor = 0.5 * (crossing + earlier) / _l2_raw(u0.coeffs, free.grid.spacing)
-        t = _per_step_crossing(free, factor * _l2_raw(u0.coeffs, free.grid.spacing))
+        initial = _l2_raw(u0.coeffs, free.grid.spacing)
+        factor = 0.5 * (crossing + earlier) / initial
+        t = _per_step_crossing(free, factor * initial)  # the solver's limit
         assert t == free.times[rows[case][0]]
         with pytest.raises(BlowUpError, match=re.escape(f"t={t:.6g}") + "$"):
             solve_reference(u0, free.times[-1], free.dt, 1.5, blowup_factor=factor)
