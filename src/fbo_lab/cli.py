@@ -255,13 +255,13 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float, float]]:
 def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: every alpha in (1, 2), one point for the
-    subcommands that run one, a dt the solver accepts, at least 0 retained
-    modes, a tol and max_iter picard accepts, a known kind and epsilon at
-    every point, at least one sample, and verify-estimate's inputs as
-    estimate_ratio checks them.  The inputs built on the way, which reject
-    their own bad values, are returned for the runner: the initial field of
-    simulate and picard, the parameters and estimate inputs of
-    verify-estimate, and the parameters of each sweep point."""
+    subcommands that run one, a dt the solver accepts, a trajectory that
+    fits in memory, at least 0 retained modes, a tol and max_iter picard
+    accepts, a known kind and epsilon at every point, at least one sample,
+    and verify-estimate's inputs as estimate_ratio checks them.  The inputs
+    built on the way, which reject their own bad values, are returned for
+    the runner: the initial field of simulate and picard, the parameters and
+    estimate inputs of verify-estimate, and the parameters of each sweep point."""
     subcommand = config.subcommand
     outside = [a for a in config.alpha if not 1.0 < a < 2.0]  # nan too
     if outside:
@@ -276,6 +276,17 @@ def _check_config(config: ExperimentConfig) -> tuple:
     if subcommand in ("simulate", "picard"):
         _single(config, "alpha")
         _check_dt(config.t_span, config.dt)
+        picard, row = subcommand == "picard", 16 * config.n_modes
+        reach = 2.0 * max(config.t_span, 1.0) if picard else config.t_span
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if (2.0 * reach / config.dt + 1.0) * row > memory:
+            largest = (memory // row - 1) // 2 // (1 + picard) * config.dt
+            fits = largest >= max(config.dt, picard)
+            raise ConfigError(
+                f"{subcommand}'s trajectory needs more than the machine's {memory / 1e9:.4g} GB of "
+                f"memory: at dt={config.dt!r} and n_modes={config.n_modes}, "
+                + (f"the largest t_span that fits is {largest!r}" if fits else "no t_span fits")
+            )
         if subcommand == "simulate" and config.retained_modes < 0:
             raise ConfigError(
                 f"retained_modes must be at least 0, got {config.retained_modes}: "
@@ -342,8 +353,8 @@ def _run_picard(config: ExperimentConfig, u0: SpectralField) -> int:
         u0, T, alpha, tol=config.tol, max_iter=config.max_iter, dt=config.dt
     )
     reference = solve_reference(u0, T, config.dt, alpha)
-    on_picard_grid = [traj.index_of_time(float(t)) for t in reference.times]
-    gaps = _l2_raw(traj.coeffs[on_picard_grid] - reference.coeffs, grid.spacing).tolist()
+    n_p, n_r = traj.n_times // 2, reference.n_times // 2  # the reference grid is picard's middle
+    gaps = _l2_raw(traj.coeffs[n_p - n_r : n_p + n_r + 1] - reference.coeffs, grid.spacing).tolist()
     payload = {
         "iterate_differences": list(history.iterate_differences),
         "converged": history.converged,

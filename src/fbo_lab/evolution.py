@@ -236,8 +236,9 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
     return etdrk4
 
 
-def _check_dt(t_span: float, dt: float) -> None:
-    """Reject a t_span or dt that solve_reference cannot step, naming the fix."""
+def _check_dt(t_span: float, dt: float) -> tuple[int, float]:
+    """Reject a t_span or dt that solve_reference cannot step, naming the fix;
+    return the whole steps of [0, t_span] nearest t_span / dt and their length."""
     if not (math.isfinite(t_span) and math.isfinite(dt)):
         raise ValueError(
             f"t_span and dt must be finite, got {t_span}, {dt}; use t_span=1.0 and dt=0.001, say"
@@ -246,6 +247,10 @@ def _check_dt(t_span: float, dt: float) -> None:
         raise ValueError(f"t_span and dt must be positive, got {t_span}, {dt}")
     if dt > t_span:
         raise ValueError(f"dt={dt} exceeds t_span={t_span}; use dt <= {t_span!r}")
+    if not math.isfinite(t_span / dt):
+        raise ValueError(f"t_span/dt overflows, got {t_span}, {dt}; use a larger dt")
+    n = max(1, int(round(t_span / dt)))
+    return n, t_span / n
 
 
 def solve_reference(
@@ -270,10 +275,8 @@ def solve_reference(
     past the crossing; numpy's overflow and invalid-value warnings are off
     while it runs, as the sentinel is what reports growth.
     """
-    _check_dt(t_span, dt)
+    n, dt_eff = _check_dt(t_span, dt)
     grid = u0.grid
-    n = max(1, int(round(t_span / dt)))
-    dt_eff = t_span / n
     max_u = float(np.max(np.abs(_inverse_raw(u0.coeffs, grid.box_length))))
     cfl = dt_eff * grid.nyquist * max_u
     if cfl > 1.0:
@@ -373,7 +376,7 @@ def picard_solve(
     The time grid is solve_reference's: the step is T / max(1, round(T/dt)),
     taken over the fewest whole steps that cover [-W, W], W = 2 max(T, 1),
     so every time of solve_reference(u0, T, dt, ...) is a time here.  The
-    grid may reach past W by less than one step.  dt defaults to W / 1024.
+    grid may reach past W by less than one step.  dt defaults to min(W/1024, T).
     Stops when the sup-in-time L2 gap between successive iterates drops to
     tol; non-convergence is reported through the history, not raised.
     """
@@ -381,8 +384,8 @@ def picard_solve(
         raise ValueError("need T > 0, tol > 0 and max_iter >= 1")
     window = 2.0 * max(T, 1.0)
     if dt is None:
-        dt = window / 1024.0
-    dt_eff = T / max(1, int(round(T / dt)))
+        dt = min(window / 1024.0, T)
+    dt_eff = _check_dt(T, dt)[1]
     n = math.ceil(window / dt_eff - 1e-9)  # an exact fit is not rounded up by a step
     times = np.arange(-n, n + 1) * dt_eff
     grid = u0.grid

@@ -2,10 +2,13 @@ import json
 import math
 import os
 import shlex
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import fbo_lab.cli as cli
 import fbo_lab.estimates as estimates
@@ -21,6 +24,8 @@ from fbo_lab.cli import (
     main,
 )
 from fbo_lab.estimates import estimate_ratio
+from fbo_lab.evolution import _check_dt, picard_solve, solve_reference
+from fbo_lab.spectral import FrequencyGrid, _l2_raw
 from fbo_lab.norms import EstimateParams
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -333,6 +338,34 @@ class TestPicardCommand:
         assert [row.split(",")[0] for row in rows] == [repr(float(t)) for t in times]
         assert max(float(row.split(",")[1]) for row in rows) <= 1e-5
 
+    @settings(max_examples=20, deadline=None)
+    @given(t_span=st.floats(0.1, 3.0, exclude_min=True), dt=st.floats(0.004, 0.3))
+    @example(t_span=0.5, dt=0.005)
+    @example(t_span=1.5, dt=0.003)
+    @example(t_span=0.25, dt=0.007)
+    @example(t_span=1.0, dt=0.001)
+    @example(t_span=0.3, dt=0.11)
+    def test_reference_is_the_middle_of_the_picard_grid(self, t_span, dt):
+        assume(dt <= t_span)
+        argv = self.PICARD_ARGV + ["--t-span", repr(t_span), "--dt", repr(dt), "--max-iter", "1"]
+        config = build_config(argv)
+        u0 = cli._initial_field(config, FrequencyGrid(config.n_modes, config.box_length))
+        traj, _ = picard_solve(u0, t_span, 1.5, max_iter=1, dt=dt)
+        reference = solve_reference(u0, t_span, dt, 1.5)
+        # the oracle: each reference time looked up on the Picard grid
+        on_picard_grid = [traj.index_of_time(float(t)) for t in reference.times]
+        n_p, n_r = traj.n_times // 2, reference.n_times // 2
+        assert list(range(n_p - n_r, n_p + n_r + 1)) == on_picard_grid
+        gaps = _l2_raw(traj.coeffs[on_picard_grid] - reference.coeffs, u0.grid.spacing).tolist()
+        expected = "t,l2_gap_vs_reference\n" + "".join(
+            f"{float(t)!r},{gap!r}\n" for t, gap in zip(reference.times, gaps)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            assert main(argv + ["--out", tmp]) == EXIT_OK
+            assert read(os.path.join(tmp, "picard_vs_reference.csv")) == expected
+            payload = json.loads(read(os.path.join(tmp, "picard_history.json")))
+        assert payload["cross_validation_sup_gap"] == max(gaps)
+
     #: picard_history.json of --max-iter 8 runs at (t_span, dt) whose reference
     #: step also divided 2 max(t_span, 1), as written when the Picard grid
     #: was stepped by 2 max(t_span, 1) / round(2 max(t_span, 1) / dt).  The
@@ -523,6 +556,15 @@ class TestSubcommandKeys:
             (["verify-estimate", "--b", "nan"], "s, b and b' must be finite, got -0.275, nan,"),
             (["verify-estimate", "--b-prime", "inf"], "s, b and b' must be finite"),
             (["sweep", "--epsilon", "nan"], "epsilon must be nonnegative, got nan"),
+            (
+                ["simulate", "--n-modes", "64", "--box-length", "16", "--t-span", "1e9"],
+                "simulate's trajectory needs more than the machine's",
+            ),
+            (["picard", "--t-span", "1e9"], "and n_modes=1024, the largest t_span that fits is"),
+            (
+                ["simulate", "--t-span", "1e300", "--dt", "1e-300"],
+                "t_span/dt overflows, got 1e+300, 1e-300; use a larger dt",
+            ),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
@@ -538,7 +580,8 @@ class TestSubcommandKeys:
              "resonance-alpha-list", "simulate-alpha-nan", "resonance-alpha-nan",
              "simulate-amplitude-nan", "picard-amplitude-nan", "random-amplitude-inf",
              "main-bilinear-s-inf", "main-bilinear-s-nan", "sweep-s-nan", "estimate-b-nan",
-             "estimate-b-prime-inf", "sweep-epsilon-nan"],
+             "estimate-b-prime-inf", "sweep-epsilon-nan", "simulate-t-span-memory",
+             "picard-t-span-memory", "simulate-step-count-overflow"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:
@@ -547,6 +590,29 @@ class TestSubcommandKeys:
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()  # not even a manifest
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "picard"])
+    def test_the_largest_t_span_named_fits(self, tmp_path, monkeypatch, capsys, subcommand):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        # a machine of 1 MiB: 4096 states of 16 modes
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+        argv = [subcommand, "--n-modes", "16", "--box-length", "16", "--dt", "0.001"]
+        assert main(argv + ["--t-span", "100", "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+        largest = float(capsys.readouterr().err.split("the largest t_span that fits is ")[1])
+        # the solver's own step count at that t_span
+        n, dt_eff = _check_dt(largest, 0.001)
+        if subcommand == "picard":
+            n = math.ceil(2.0 * max(largest, 1.0) / dt_eff - 1e-9)
+        assert 4000 < 2 * n + 1 <= 4096
+        cli._check_config(build_config(argv + ["--t-span", repr(largest)]))
+        with pytest.raises(cli.ConfigError, match="the largest t_span that fits is"):
+            cli._check_config(build_config(argv + ["--t-span", repr(largest + 0.002)]))
+        # no simulate step fits in 512 bytes; in 8 KiB, no picard grid reaches 2
+        size = 512 if subcommand == "simulate" else 8192
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": size}.get)
+        with pytest.raises(cli.ConfigError, match="n_modes=16, no t_span fits"):
+            cli._check_config(build_config(argv + ["--t-span", "1"]))
 
     def test_unread_config_file_key_names_the_lines(self, tmp_path, monkeypatch, capsys):
         for module, name in COMPUTE_ENTRY_POINTS:

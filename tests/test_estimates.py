@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -847,7 +848,7 @@ class TestDominantTerms:
         expected = np.lexsort((np.arange(cells.size), -cells.ravel()))[:k]
         assert estimates._top_cells(cells, k).tolist() == expected.tolist()
 
-    def test_a_cell_off_the_supports_falls_back_to_the_block(self):
+    def test_a_cell_off_the_supports_is_settled_by_the_second_pass(self):
         rng = np.random.default_rng(5)
         n_x, m_t = 16, 24
         gs, gt = FrequencyGrid(n_x, 16.0), FrequencyGrid(m_t, 0.8)
@@ -866,6 +867,70 @@ class TestDominantTerms:
         assert q1 == 6
         assert power[r1, q1] * abs(u1[q1]) ** 2 < _SUPPORT_FLOOR**2 * np.max(power * np.abs(u1) ** 2)
         assert len(search(cells, u1, u2, top_cells=1)) == 1
+
+    def test_one_call_settles_cells_in_either_pass_and_leaves_out_zero_ones(self):
+        rng = np.random.default_rng(11)
+        n_x, m_t = 16, 24
+        gs, gt = FrequencyGrid(n_x, 16.0), FrequencyGrid(m_t, 0.8)
+        kernel = rng.standard_normal((m_t, n_x)) + 1j * rng.standard_normal((m_t, n_x))
+        u1, u2 = np.zeros(n_x, complex), np.zeros(n_x, complex)
+        u1[3], u1[6], u2[10] = 1.0, 1e-5, 1.0
+        # output column k holds the lift column pairs q1 + q2 = k - 1: 14 only
+        # 3 + 10, on the supports; 17 only 6 + 10, far below the first lift's
+        # peak; 16 no pair of nonzero coefficients.  Heaviest first: a zero
+        # cell, a second-pass cell, a first-pass cell, a second-pass cell, so
+        # that the cells left open are not the first ones.
+        cells = np.zeros((m_t, 2 * n_x))
+        cells[m_t // 2, 16], cells[m_t // 2, 17], cells[4, 14], cells[7, 17] = 4.0, 3.0, 2.0, 1.0
+        search = _DominantRegions(kernel, gt, gs, EstimateParams.default_admissible(1.5))
+        found = self.found(search, cells, u1, u2, top_cells=4)
+        assert found == block_dominant_terms(cells, (kernel * u1, kernel * u2), 4)
+        assert [(mi, ki, q1) for mi, ki, _, q1 in found] == [(4, 14, 3), (7, 17, 6), (m_t // 2, 17, 6)]
+        # the first-pass term clears the first pass's bound, the others do not
+        column_max = np.max(np.abs(kernel) ** 2, axis=0)
+        peak1, peak2 = (np.max(column_max * np.abs(u) ** 2) for u in (u1, u2))
+        bound = _SUPPORT_FLOOR * math.sqrt(peak1 * peak2) * (1.0 + 1e-6)
+        lift1, lift2 = kernel * u1, kernel * u2
+        mods = [abs(lift1[r1, q1] * lift2[mi + m_t // 2 - 1 - r1, ki - 1 - q1])
+                for mi, ki, r1, q1 in found]
+        assert mods[0] > bound > max(mods[1:]) > 0.0
+        assert len(search(cells, u1, u2, top_cells=4)) == 3
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (1, 0), (2, 0), (0, 3)])
+    def test_the_working_set_is_about_a_pair_of_lifts(self, seed, index):
+        p, free, product, w_out, search = main_bilinear_resolution(64, 512)
+        grid, kernel = free.grid, free.kernel.coeffs
+        rng = np.random.default_rng(seed)
+        n_band = _n_band(10.0, grid.spacing)
+        pair = _draw_samples("main_bilinear", rng, index + 1, n_band, grid.spacing)[index]
+        u1, u2 = (_field_from_descriptor(grid, d, p.omega > 0.0).coeffs for d in pair)
+        for u, rows in zip((u1, u2), product.rows):
+            np.multiply(free.paths, u, out=rows)
+        cells = _weighted_cells(product(), w_out, p.omega)
+        search.terms(cells, u1, u2)
+        tracemalloc.start()
+        mi, ki, r1, q1 = search.terms(cells, u1, u2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        found = sorted(zip(mi.tolist(), ki.tolist(), r1.tolist(), q1.tolist()))
+        assert found == block_dominant_terms(cells, (kernel * u1, kernel * u2), TOP_CELLS)
+        (m_t, n_x), n_out = kernel.shape, cells.shape[1]
+        column_max = np.max(np.abs(kernel) ** 2, axis=0)
+        peak1, peak2 = (np.max(column_max * np.abs(u) ** 2) for u in (u1, u2))
+        r2 = mi + m_t // 2 - 1 - r1
+        q2 = ki - (n_out // 2 - 1) + 2 * (n_x // 2 - 1) - q1
+        mods = np.abs(kernel[r1, q1] * u1[q1] * (kernel[r2, q2] * u2[q2]))
+        sure = mods > _SUPPORT_FLOOR * math.sqrt(peak1 * peak2) * (1.0 + 1e-6)
+        assert mi.size == TOP_CELLS
+        if index == 0:
+            # every term clears the first pass's bound, so the call stays on
+            # the supports, under a pair of lifts, 1 MiB (0.13-0.49 MB; the
+            # whole lattice searched for every cell took 2.7 MB and more)
+            assert sure.all() and peak < 2 * kernel.nbytes
+        else:
+            # every cell goes on to eps = 0, where they go one by one: 1.48 MB,
+            # under two pairs of lifts (5.5 MB for the 8 cells as one table)
+            assert not sure.any() and peak < 4 * kernel.nbytes
 
     def test_an_exact_tie_goes_to_the_first_in_row_major_order(self):
         # a kernel of ones: every term of a cell has the same modulus
