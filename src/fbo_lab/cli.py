@@ -18,7 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .conservation import apriori_check, l2_drift
-from .estimates import _KIND_INPUTS, RatioReport, _checked_inputs, estimate_ratio, resonance_infimum
+from .estimates import (
+    _KIND_INPUTS,
+    SCAN_SAMPLE_BYTES,
+    RatioReport,
+    _checked_inputs,
+    estimate_ratio,
+    resonance_infimum,
+)
 from .evolution import (
     BlowUpError,
     _check_dt,
@@ -29,8 +36,6 @@ from .evolution import (
 )
 from .norms import _ADMISSIBLE_TOL, EstimateParams, admissible_omega, epsilon_ceiling, s_threshold
 from .spectral import BUMP_PROFILE, FrequencyGrid, SpectralField, _l2_raw, make_test_field
-
-ENV_THREADS = "FBO_LAB_THREADS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +107,7 @@ _KEY_TYPES = {
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _CONVERTERS = {
-    "tuple": lambda raw: tuple(float(part) for part in raw.split(",") if part.strip()),
+    "tuple": lambda raw: tuple(float(part) for part in raw.split(",")),  # at least one number
     "int": int,
     "float": float,
     "bool": lambda raw: _BOOLS[raw.lower()],
@@ -170,18 +175,16 @@ def config_to_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}")
+def _pool_size(points: int) -> int:
+    """Threads for independent points: one per CPU this process may run on, at most one a point."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, points))
 
 
 def _ordered_map(fn, items):
     """Map over independent parameter points; results keep submission order."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
+    workers = _pool_size(len(items))
+    if workers == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -216,7 +219,7 @@ def _single(config: ExperimentConfig, key: str) -> float | None:
             f"{config.subcommand} runs one point, got {key}={_format_value(key, values)}: pass "
             "one value; sweep takes lists of alpha and s, verify-resonance a list of alpha"
         )
-    return values[0] if values else None
+    return None if values is None else values[0]
 
 
 def _build_params(config: ExperimentConfig, alpha: float, s: float | None) -> EstimateParams:
@@ -252,16 +255,37 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, float, float]]:
     return points
 
 
+def _memory() -> int:
+    """The machine's physical memory, in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_samples_fit(config: ExperimentConfig, scan: str, scans: int) -> None:
+    """Before any compute: scans concurrent scans of config.samples samples,
+    at SCAN_SAMPLE_BYTES[scan] bytes a sample, fit in the machine's memory;
+    else name the largest --samples that fits."""
+    memory, per_sample = _memory(), SCAN_SAMPLE_BYTES[scan] * scans
+    if config.samples * per_sample > memory:
+        largest = memory // per_sample
+        raise ConfigError(
+            f"samples={config.samples} needs more than the machine's {memory / 1e9:.4g} GB of "
+            f"memory: {config.subcommand} runs {scans} {scan} scan(s) at once, at "
+            f"{SCAN_SAMPLE_BYTES[scan]} bytes a sample; "
+            + (f"the largest --samples that fits is {largest}" if largest else "no --samples fits")
+        )
+
+
 def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: every alpha in (1, 2), one point for the
-    subcommands that run one, a dt the solver accepts, a trajectory that
-    fits in memory, at least 0 retained modes, a tol and max_iter picard
-    accepts, a known kind and epsilon at every point, at least one sample,
-    and verify-estimate's inputs as estimate_ratio checks them.  The inputs
-    built on the way, which reject their own bad values, are returned for
-    the runner: the initial field of simulate and picard, the parameters and
-    estimate inputs of verify-estimate, and the parameters of each sweep point."""
+    subcommands that run one, a dt the solver accepts, a trajectory and
+    sample scans that fit in memory, at least 0 retained modes, a tol and
+    max_iter picard accepts, a known kind and epsilon at every point, at
+    least one sample, and verify-estimate's inputs as estimate_ratio checks
+    them.  The inputs built on the way, which reject their own bad values,
+    are returned for the runner: the initial field of simulate and picard,
+    the parameters and estimate inputs of verify-estimate, and the
+    parameters of each sweep point."""
     subcommand = config.subcommand
     outside = [a for a in config.alpha if not 1.0 < a < 2.0]  # nan too
     if outside:
@@ -278,7 +302,7 @@ def _check_config(config: ExperimentConfig) -> tuple:
         _check_dt(config.t_span, config.dt)
         picard, row = subcommand == "picard", 16 * config.n_modes
         reach = 2.0 * max(config.t_span, 1.0) if picard else config.t_span
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory = _memory()
         if (2.0 * reach / config.dt + 1.0) * row > memory:
             largest = (memory // row - 1) // 2 // (1 + picard) * config.dt
             fits = largest >= max(config.dt, picard)
@@ -307,11 +331,14 @@ def _check_config(config: ExperimentConfig) -> tuple:
         if config.band is not None:
             inputs["band"] = config.band
         _checked_inputs(config.kind, inputs, p)
+        if config.kind in SCAN_SAMPLE_BYTES:
+            _check_samples_fit(config, config.kind, 1)
         return p, inputs
     if subcommand == "sweep":
         points = _sweep_points(config)
         _check_epsilon(config, [(alpha, s) for alpha, s, _ in points])
         return (points, [_build_params(config, alpha, s) for alpha, s, _ in points])
+    _check_samples_fit(config, "resonance", _pool_size(len(config.alpha)))
     return ()
 
 
@@ -522,10 +549,7 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         if key in _KEY_TYPES and key != "subcommand" and value is not None
     }
     _check_keys(args.subcommand, from_file, from_flags, args.config)
-    config = ExperimentConfig(subcommand=args.subcommand, **{**from_file, **from_flags})
-    if not config.alpha:
-        raise ConfigError("alpha list must be nonempty")
-    return config
+    return ExperimentConfig(subcommand=args.subcommand, **{**from_file, **from_flags})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -216,6 +216,12 @@ def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) 
 # resonance lower-bound scan
 
 
+#: The peak bytes one sample of each scan holds, rounded up from what
+#: tracemalloc measures over a scan of 2**16 samples: about 113 for
+#: resonance_infimum and 73 for the smoothing kind.
+SCAN_SAMPLE_BYTES = {"resonance": 120, "smoothing": 88}
+
+
 def _check_inputs(what: str, given: dict, keys) -> None:
     """Reject input keys outside keys, naming them and the keys that are read."""
     unknown = set(given) - set(keys)
@@ -383,11 +389,6 @@ def spacetime_inner(U: SpaceTimeField, V: SpaceTimeField) -> complex:
 # sampled test inputs shared across resolutions
 
 
-def _n_band(band: float, dxi: float) -> int:
-    """The largest mode number with |xi| <= band, at least 1."""
-    return max(1, int(math.floor(band / dxi + 1e-9)))
-
-
 def _draw_band_modes(rng: np.random.Generator, n_band: int) -> np.ndarray:
     """Hermitian coefficient draws for mode numbers -n_band..n_band."""
     pos = rng.standard_normal((n_band, 2))
@@ -424,20 +425,19 @@ def _draw_pair(rng: np.random.Generator, n_band: int, dxi: float, correlated=Tru
     low-vs-high regions; the two correlated branches target the separated
     (D12-style) and opposite-sign near-cancelling (D22-style) interactions
     that random pairs almost never dominate.  correlated=False draws only
-    the independent pair.
+    the independent pair, as does a band of under 3 modes.
     """
-    k_max = max(2, n_band)
-    branch = rng.random() if correlated else 1.0
+    branch = rng.random() if correlated and n_band >= 3 else 1.0
     if branch < 0.25:
         # separated carriers: 4|xi1| <= |xi2|
-        j1 = int(rng.integers(1, max(2, k_max // 4) + 1))
-        j2 = int(rng.integers(min(4 * j1, k_max), k_max + 1))
+        j1 = int(rng.integers(1, max(2, n_band // 4) + 1))
+        j2 = int(rng.integers(min(4 * j1, n_band), n_band + 1))
         s1 = 1 if rng.random() < 0.5 else -1
         s2 = 1 if rng.random() < 0.5 else -1
         return _packet_descriptor(rng, s1 * j1, dxi), _packet_descriptor(rng, s2 * j2, dxi)
     if branch < 0.5:
         # opposite signs, comparable size, small output frequency
-        j2 = int(rng.integers(3, k_max + 1))
+        j2 = int(rng.integers(3, n_band + 1))
         d = int(rng.integers(0, min(3, j2 // 2) + 1))
         s2 = 1 if rng.random() < 0.5 else -1
         return _packet_descriptor(rng, -s2 * (j2 - d), dxi), _packet_descriptor(rng, s2 * j2, dxi)
@@ -460,17 +460,16 @@ def _draw_samples(kind: str, rng: np.random.Generator, n_samples: int, n_band: i
 
 
 def _random_spacetime(rng, grid, time_grid, band):
-    """Random coefficients on the (tau, xi) sub-band |k_tau| <= m/3, |xi| <= band,
+    """Random coefficients on the (tau, xi) sub-band |k_tau| <= m/3, xi in band,
     extreme modes zero.  The sub-band is a rectangle of rows and columns,
     filled row by row."""
     m, n = time_grid.n_modes, grid.n_modes
     coeffs = np.zeros((m, n), dtype=complex)
     rows = np.flatnonzero(np.abs(time_grid.mode_numbers[:-1]) <= m // 3)
-    cols = np.flatnonzero(np.abs(grid.frequencies[:-1]) <= band)
-    if cols.size:
-        block = coeffs[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-        draws = rng.standard_normal(block.shape + (2,))
-        block[...] = draws[..., 0] + 1j * draws[..., 1]
+    cols = np.flatnonzero(np.abs(grid.mode_numbers[:-1]) <= grid.band_modes(band))
+    block = coeffs[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    draws = rng.standard_normal(block.shape + (2,))
+    block[...] = draws[..., 0] + 1j * draws[..., 1]
     return SpaceTimeField(grid, time_grid, _freeze(coeffs))
 
 
@@ -989,7 +988,7 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
         resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
     band_fraction = inputs.get("band_fraction")
     coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), L)
-    grid_fits = fits = coarsest.nyquist - coarsest.spacing
+    grid_fits = fits = coarsest.largest_band
     # dt = 8T / n_time on the lifts' pad-2 window; strichartz has one n_time
     # at every resolution, and the band it names, the smaller of the two
     # limits, is rounded down so that it fits
@@ -1007,6 +1006,8 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
             f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "
             f"box of {L}: the largest band that fits is {fits!r}"
         )
+    # the coarsest grid's band must admit a nonzero mode, else band_modes raises
+    coarsest.band_modes(band if band_fraction is None else float(band_fraction) * grid_fits)
     centre = float(dispersion_symbol(band, p.alpha)) + 4.0 / T
     if kind == "strichartz" and centre >= nyquist:
         raise ValueError(
@@ -1053,19 +1054,17 @@ def estimate_ratio(
         return _smoothing_report(p, n_samples, seed)
     L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
     band_fraction = inputs.get("band_fraction")
-    dxi = 2.0 * math.pi / L
-    if band_fraction is None:
-        descs = _draw_samples(kind, np.random.default_rng(seed), n_samples, _n_band(band, dxi), dxi)
     tallies = {"d_part": dict.fromkeys(_D_PARTS, 0), "a_part": dict.fromkeys(_A_PARTS, 0)}
     histogram = tallies if kind == "main_bilinear" else None
     free_params = p if kind == "main_bilinear" else _x_params(p)
     trend = []
     for res_index, (label, n_space, n_time) in enumerate(resolutions):
         grid = FrequencyGrid(n_space, L)
-        if band_fraction is not None:  # the band grows with the grid, with fresh draws
-            n_band = _n_band(float(band_fraction) * (grid.nyquist - grid.spacing), dxi)
-            rng = np.random.default_rng((seed, n_space))
-            descs = _draw_samples(kind, rng, n_samples, n_band, dxi)
+        grows = band_fraction is not None  # with fresh draws; a band's are shared
+        if grows or res_index == 0:
+            n_band = grid.band_modes(float(band_fraction) * grid.largest_band if grows else band)
+            rng = np.random.default_rng((seed, n_space) if grows else seed)
+            descs = _draw_samples(kind, rng, n_samples, n_band, grid.spacing)
         free = _FreeLifts(grid, free_params, T, n_time)
         finest = res_index == len(resolutions) - 1
         sides = _SIDES[kind](p, free, inputs, histogram if finest else None)

@@ -369,22 +369,20 @@ def picard_solve(
     tol: float = 1e-8,
     max_iter: int = 30,
     *,
-    dt: float | None = None,
+    dt: float,
 ) -> tuple[Trajectory, PicardHistory]:
     """Iterate the Duhamel operator from the zero trajectory toward a fixed point.
 
     The time grid is solve_reference's: the step is T / max(1, round(T/dt)),
     taken over the fewest whole steps that cover [-W, W], W = 2 max(T, 1),
     so every time of solve_reference(u0, T, dt, ...) is a time here.  The
-    grid may reach past W by less than one step.  dt defaults to min(W/1024, T).
+    grid may reach past W by less than one step.
     Stops when the sup-in-time L2 gap between successive iterates drops to
     tol; non-convergence is reported through the history, not raised.
     """
     if not (T > 0.0 and tol > 0.0 and max_iter >= 1):
         raise ValueError("need T > 0, tol > 0 and max_iter >= 1")
     window = 2.0 * max(T, 1.0)
-    if dt is None:
-        dt = min(window / 1024.0, T)
     dt_eff = _check_dt(T, dt)[1]
     n = math.ceil(window / dt_eff - 1e-9)  # an exact fit is not rounded up by a step
     times = np.arange(-n, n + 1) * dt_eff

@@ -108,6 +108,20 @@ class FrequencyGrid:
         return float(self.frequencies[-1])
 
     @property
+    def largest_band(self) -> float:
+        """The largest band the grid holds, its largest paired frequency."""
+        return self.nyquist - self.spacing
+
+    def band_modes(self, band: float) -> int:
+        """The one band rule: band admits the modes |k| <= band_modes(band), |xi| <= band up
+        to 1e-9 spacings, and must admit k = 1; a band the grid holds is at most largest_band."""
+        modes = band / self.spacing + 1e-9
+        if not modes >= 1.0:  # nan fails it too
+            raise ValueError(f"band {band!r} admits no nonzero mode: the smallest band that "
+                             f"does is the grid spacing {self.spacing!r}")
+        return math.floor(modes)
+
+    @property
     def mode_numbers(self) -> np.ndarray:
         return np.arange(-self.n_modes // 2 + 1, self.n_modes // 2 + 1)
 
@@ -335,19 +349,17 @@ def make_test_field(
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    paired_max = grid.nyquist - grid.spacing
     if family == "random_bandlimited":
         if band is None:
             raise ValueError("random_bandlimited requires a band")
-        if not (0.0 < band <= paired_max):
+        if not band <= grid.largest_band:  # nan fails it too
             raise ValueError(
-                f"band {band} exceeds the largest paired grid frequency {paired_max:.6g}"
-            )
+                f"band {band} exceeds the largest paired grid frequency {grid.largest_band:.6g}")
         rng = np.random.default_rng(seed)
         n = grid.n_modes
         coeffs = np.zeros(n, dtype=complex)
         k = grid.mode_numbers
-        inside = np.abs(grid.frequencies) <= band + 1e-12
+        inside = np.abs(k) <= grid.band_modes(band)
         if complex_field:
             draws = rng.standard_normal((n, 2))
             coeffs[inside] = draws[inside, 0] + 1j * draws[inside, 1]
@@ -366,10 +378,10 @@ def make_test_field(
         x = grid.nodes()
         envelope = amplitude * np.exp(-(((x - center) / width) ** 2))
         if family == "wave_packet":
-            if abs(carrier) > paired_max:
+            if abs(carrier) > grid.largest_band:
                 raise ValueError(
                     f"carrier {carrier} exceeds the largest paired grid frequency "
-                    f"{paired_max:.6g}"
+                    f"{grid.largest_band:.6g}"
                 )
             ratio = carrier / grid.spacing
             if abs(ratio - round(ratio)) > 1e-9:

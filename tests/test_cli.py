@@ -242,21 +242,41 @@ class TestVerifyResonance:
         assert summary[0] == "kind,alpha,s,b,b_prime,sup_or_inf,n_samples,resolution,seed"
         assert len(summary) == 3
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        args = [
-            "verify-resonance",
-            "--alpha", "1.2,1.5,1.8",
-            "--samples", "5000",
-            "--seed", "1",
-        ]
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        os.environ["FBO_LAB_THREADS"] = "3"
-        try:
-            assert main(args + ["--out", str(out2)]) == EXIT_OK
-        finally:
-            del os.environ["FBO_LAB_THREADS"]
-        assert read(out1 / "summary.csv") == read(out2 / "summary.csv")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-resonance", "--alpha", "1.2,1.5,1.8", "--samples", "5000", "--seed", "1"],
+            ["sweep", "--alpha", "1.5", "--s=-0.5,-0.4,-0.3", "--samples", "2", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch, argv):
+        # the pool takes a thread per CPU of the affinity, at most one per point
+        pools = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        artifacts = []
+        for cpus in (1, 3, 8):
+            affinity = set(range(cpus))
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            names = sorted(name for name in os.listdir(out) if name != "manifest.txt")
+            artifacts.append({name: read(out / name) for name in names})
+        assert pools == [3, 3]
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+
+    def test_the_pool_size_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert [cli._pool_size(points) for points in (1, 3, 4, 9)] == [1, 3, 4, 4]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # undetermined
+        assert cli._pool_size(9) == 1
 
 
 class TestVerifyEstimate:
@@ -565,6 +585,29 @@ class TestSubcommandKeys:
                 ["simulate", "--t-span", "1e300", "--dt", "1e-300"],
                 "t_span/dt overflows, got 1e+300, 1e-300; use a larger dt",
             ),
+            (["sweep", "--s", " "], "s expects comma-separated numbers or none, got ''"),
+            (["verify-estimate", "--s", " "], "s expects comma-separated numbers or none, got ''"),
+            (["verify-resonance", "--alpha", " "], "alpha expects comma-separated numbers, got ''"),
+            (
+                ["verify-estimate", "--kind", "bilinear_str", "--band", "0.2"],
+                "band 0.2 admits no nonzero mode: the smallest band that does is the grid "
+                "spacing 0.39269908169872414",
+            ),
+            (["verify-estimate", "--kind", "dual_bilinear", "--band", "0.1"], "spacing 0.392699"),
+            (["verify-estimate", "--kind", "strichartz", "--band", "0.05"], "spacing 0.0981747"),
+            (
+                ["simulate", "--family", "random_bandlimited", "--band", "0.01"],
+                "band 0.01 admits no nonzero mode: the smallest band that does is the grid "
+                "spacing 0.04908738521234052",
+            ),
+            (
+                ["verify-resonance", "--samples", "10000000000"],
+                "samples=10000000000 needs more than the machine's",
+            ),
+            (
+                ["verify-estimate", "--kind", "smoothing", "--samples", "10000000000"],
+                "runs 1 smoothing scan(s) at once, at 88 bytes a sample; the largest --samples",
+            ),
         ],
         ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
@@ -581,7 +624,11 @@ class TestSubcommandKeys:
              "simulate-amplitude-nan", "picard-amplitude-nan", "random-amplitude-inf",
              "main-bilinear-s-inf", "main-bilinear-s-nan", "sweep-s-nan", "estimate-b-nan",
              "estimate-b-prime-inf", "sweep-epsilon-nan", "simulate-t-span-memory",
-             "picard-t-span-memory", "simulate-step-count-overflow"],
+             "picard-t-span-memory", "simulate-step-count-overflow", "sweep-empty-s",
+             "estimate-empty-s", "resonance-empty-alpha", "bilinear-str-band-below-spacing",
+             "dual-bilinear-band-below-spacing", "strichartz-band-below-spacing",
+             "simulate-band-below-spacing", "resonance-samples-memory",
+             "smoothing-samples-memory"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:
@@ -613,6 +660,35 @@ class TestSubcommandKeys:
         monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": size}.get)
         with pytest.raises(cli.ConfigError, match="n_modes=16, no t_span fits"):
             cli._check_config(build_config(argv + ["--t-span", "1"]))
+
+    @pytest.mark.parametrize(
+        "argv, scans",
+        [
+            (["verify-resonance", "--alpha", "1.3,1.5,1.7"], 2),
+            (["verify-resonance", "--alpha", "1.5"], 1),
+            (["verify-estimate", "--kind", "smoothing"], 1),
+        ],
+        ids=["resonance-two-scans", "resonance-one-scan", "smoothing"],
+    )
+    def test_the_largest_samples_named_fits(self, tmp_path, monkeypatch, capsys, argv, scans):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        # a machine of 1 MiB whose process may run on 2 CPUs: nothing is allocated
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(argv + ["--samples", "1000000", "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"runs {scans} " in err
+        largest = int(err.split("the largest --samples that fits is ")[1])
+        scan = "smoothing" if "smoothing" in argv else "resonance"
+        assert largest == 2**20 // (scans * estimates.SCAN_SAMPLE_BYTES[scan])
+        cli._check_config(build_config(argv + ["--samples", str(largest)]))
+        with pytest.raises(cli.ConfigError, match="the largest --samples that fits is"):
+            cli._check_config(build_config(argv + ["--samples", str(largest + 1)]))
+        # 64 bytes hold no sample
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 64}.get)
+        with pytest.raises(cli.ConfigError, match="a sample; no --samples fits"):
+            cli._check_config(build_config(argv + ["--samples", "1"]))
 
     def test_unread_config_file_key_names_the_lines(self, tmp_path, monkeypatch, capsys):
         for module, name in COMPUTE_ENTRY_POINTS:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from fbo_lab.estimates import (
     _field_from_descriptor,
     _free_cutoff_times,
     _FreeLifts,
-    _n_band,
     _packet_descriptor,
     _ProductField,
     _random_spacetime,
@@ -126,6 +126,25 @@ class TestResonanceInfimum:
         report = resonance_infimum(1.5, {"n_samples": 1}, seed=0)
         assert report.sample_count == 1 and report.skipped == 0
         assert report.refinement_trend == (("n=1", report.inf_ratio), ("n=1", report.inf_ratio))
+
+    @pytest.mark.parametrize("scan", ["resonance", "smoothing"])
+    def test_scan_sample_bytes_bound_the_traced_peak(self, scan):
+        """The CLI sizes a scan's memory at SCAN_SAMPLE_BYTES a sample: it
+        bounds the peak tracemalloc traces over small and large scans, by a
+        margin under 25%."""
+        p = EstimateParams.default_admissible(1.5)
+        for n in (2**12, 2**16):
+            if scan == "resonance":
+                run = functools.partial(resonance_infimum, 1.5, {"n_samples": n}, 0)
+            else:
+                run = functools.partial(estimates._smoothing_report, p, n, 0)
+            run()  # a first call's one-off allocations stay out of the peak
+            tracemalloc.start()
+            run()
+            per_sample = tracemalloc.get_traced_memory()[1] / n
+            tracemalloc.stop()
+            assert per_sample <= estimates.SCAN_SAMPLE_BYTES[scan]
+        assert estimates.SCAN_SAMPLE_BYTES[scan] <= 1.25 * per_sample
 
     @pytest.mark.parametrize("key", ["freq_limit", "dyadic_exponent_range"])
     def test_sampler_reads_only_n_samples(self, key):
@@ -528,9 +547,15 @@ class TestEstimateRatio:
             ("main_bilinear", {"band": 0.0}, r"band must be positive, got 0.0: pass band=10.0,"),
             ("bilinear_str", {"band": -math.inf, "resolutions": ((16, 16), (32, 32))},
              r"band must be positive, got -inf: pass band=2.748"),
+            # a band below one spacing admits no nonzero mode, and names the spacing
+            ("dual_bilinear", {"band": 0.39},
+             r"band 0.39 admits no nonzero mode: .* the grid spacing 0.39269908169872414"),
+            ("main_bilinear", {"band_fraction": 1 / 28},
+             r"band 0.378\d* admits no nonzero mode: .* spacing 0.39269908169872414"),
         ],
         ids=["strichartz", "main_bilinear", "unordered_resolutions", "fraction_0", "fraction_1.2",
-             "strichartz_negative", "dual_bilinear_nan", "main_bilinear_zero", "bilinear_str_minus_inf"],
+             "strichartz_negative", "dual_bilinear_nan", "main_bilinear_zero", "bilinear_str_minus_inf",
+             "dual_bilinear_below_spacing", "fraction_below_spacing"],
     )
     def test_band_outside_the_coarsest_grid_rejected_before_compute(
         self, no_free_lifts, kind, inputs, message
@@ -816,7 +841,7 @@ class TestDominantTerms:
         p, free, product, w_out, search = main_bilinear_resolution(*res)
         grid, dxi = free.grid, free.grid.spacing
         rng = np.random.default_rng(seed)
-        pair = list(_draw_pair(rng, _n_band(10.0, dxi), dxi))
+        pair = list(_draw_pair(rng, grid.band_modes(10.0), dxi))
         top = grid.n_modes // 2 - 1
         for i, kind in enumerate(kinds):
             if kind != "drawn":
@@ -901,7 +926,7 @@ class TestDominantTerms:
         p, free, product, w_out, search = main_bilinear_resolution(64, 512)
         grid, kernel = free.grid, free.kernel.coeffs
         rng = np.random.default_rng(seed)
-        n_band = _n_band(10.0, grid.spacing)
+        n_band = grid.band_modes(10.0)
         pair = _draw_samples("main_bilinear", rng, index + 1, n_band, grid.spacing)[index]
         u1, u2 = (_field_from_descriptor(grid, d, p.omega > 0.0).coeffs for d in pair)
         for u, rows in zip((u1, u2), product.rows):
@@ -1045,11 +1070,15 @@ def masked_random_spacetime(rng, grid, time_grid, band):
 @pytest.mark.parametrize("band", [-1.0, 0.1, 3.0, 100.0])
 def test_random_spacetime_fills_the_masked_block(n_space, n_time, band):
     grid, time_grid = FrequencyGrid(n_space, 16.0), FrequencyGrid(n_time, 0.5 * n_time)
+    if band < grid.spacing:  # 0.39: the band admits no nonzero mode
+        with pytest.raises(ValueError, match="admits no nonzero mode"):
+            _random_spacetime(np.random.default_rng(0), grid, time_grid, band)
+        return
     for seed in range(3):
         v = _random_spacetime(np.random.default_rng(seed), grid, time_grid, band)
         expected = masked_random_spacetime(np.random.default_rng(seed), grid, time_grid, band)
         assert v.coeffs.tobytes() == expected.tobytes()
-        assert np.any(expected) == (band >= 0.0)
+        assert np.any(expected)
 
 
 def free_cutoff_trajectory(u0, alpha, T, n_time):
@@ -1059,6 +1088,70 @@ def free_cutoff_trajectory(u0, alpha, T, n_time):
     times = _free_cutoff_times(T, n_time)
     phases = np.exp(1j * np.outer(times, dispersion_symbol(u0.grid.frequencies, alpha)))
     return Trajectory(u0.grid, times, phases * u0.coeffs[None, :], alpha)
+
+
+class TestDrawsWithinTheBand:
+    """Every draw of every sampled kind lies within its band on every
+    resolution: a shared band's draws, and a band_fraction's, which take
+    that fraction of each grid's largest band.  A band that admits no
+    nonzero mode of the coarsest grid is rejected before any draw."""
+
+    @staticmethod
+    def within(grid, band, desc):
+        tol = 1e-9 * grid.spacing
+        if desc["family"] == "wave_packet":
+            assert 0.0 < abs(desc["carrier"]) <= band + tol
+        elif desc["family"] == "random_bandlimited":
+            assert desc["modes"].size >= 3  # a nonzero mode
+            coeffs = _field_from_descriptor(grid, desc, False).coeffs
+            assert np.all(np.abs(grid.frequencies[coeffs != 0.0]) <= band + tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["strichartz", "bilinear_str", "dual_bilinear", "main_bilinear"]),
+        data=st.data(),
+    )
+    def test_every_draw_lies_within_the_band(self, kind, data):
+        p = EstimateParams.default_admissible(1.5)
+        inputs, resolutions = estimates._checked_inputs(kind, {}, p)
+        coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), inputs["box_length"])
+        # strichartz's band is held below the tau Nyquist's limit too
+        top = 9.9227 if kind == "strichartz" else coarsest.largest_band
+        modes = st.integers(1, coarsest.band_modes(top)).map(lambda k: k * coarsest.spacing)
+        band = data.draw(st.one_of(st.floats(1e-3, top), modes), label="band")
+        inputs = {"n_samples": data.draw(st.integers(1, 20), label="n_samples"), "band": band}
+        if kind == "main_bilinear" and data.draw(st.booleans(), label="band_fraction"):
+            del inputs["band"]
+            inputs["band_fraction"] = fraction = band / top
+        seen = []
+
+        def record(p, free, inputs, histogram):
+            def sides(desc):
+                seen.append((free.grid, desc))
+                return 1.0, 1.0
+
+            return sides
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimates, "_FreeLifts", lambda grid, *args: SimpleNamespace(grid=grid))
+            patch.setitem(estimates._SIDES, kind, record)
+            if band + 1e-9 * coarsest.spacing < coarsest.spacing:
+                with pytest.raises(ValueError, match="admits no nonzero mode"):
+                    estimate_ratio(kind, inputs, p, data.draw(st.integers(0, 2**32 - 1)))
+                assert not seen
+                return
+            estimate_ratio(kind, inputs, p, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        assert len(seen) == inputs["n_samples"] * len(resolutions)
+        for grid, desc in seen:
+            drawn = fraction * grid.largest_band if "band_fraction" in inputs else band
+            if kind == "dual_bilinear":
+                time_grid = FrequencyGrid(32, 16.0)
+                v = _random_spacetime(np.random.default_rng(desc[1]), grid, time_grid, band)
+                columns = np.any(v.coeffs != 0.0, axis=0)
+                assert np.all(np.abs(grid.frequencies[columns]) <= drawn + 1e-9 * grid.spacing)
+                desc = desc[:1]
+            for one in [desc] if kind == "strichartz" else desc:
+                self.within(grid, drawn, one)
 
 
 class TestFreeLifts:
@@ -1211,8 +1304,8 @@ class TestStrichartzSides:
         dxi = grid.spacing
         # the default band, a band at the coarsest grid's largest paired
         # frequency, and band_fraction=1 draws, which reach this grid's
-        n_bands = (_n_band(8.0, dxi), _n_band(coarsest.nyquist - coarsest.spacing, dxi),
-                   _n_band(grid.nyquist - grid.spacing, dxi))
+        n_bands = (grid.band_modes(8.0), grid.band_modes(coarsest.largest_band),
+                   grid.band_modes(grid.largest_band))
         assert n_bands[-1] == n // 2 - 1
         for i, n_band in enumerate(n_bands):
             for desc in _draw_samples("strichartz", np.random.default_rng((n, i)), 3, n_band, dxi):

@@ -352,6 +352,10 @@ class TestPropagateProperties:
     )
     def test_unitarity_and_group_law(self, n_modes, seed, band, complex_field, alpha, t1, t2):
         g = make_grid(n_modes, n_modes / 4.0)
+        if band < g.spacing:  # 0.785 on 32 modes: the band admits no nonzero mode
+            with pytest.raises(ValueError, match="admits no nonzero mode"):
+                make_test_field(g, "random_bandlimited", seed=seed, band=band)
+            return
         u = make_test_field(
             g, "random_bandlimited", seed=seed, band=band, complex_field=complex_field
         )
@@ -411,6 +415,34 @@ class TestTestFields:
         u = make_test_field(g, "random_bandlimited", seed=12, band=4.0)
         outside = np.abs(g.frequencies) > 4.0 + 1e-12
         assert np.max(np.abs(u.coeffs[outside])) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_modes=st.sampled_from([8, 32, 64]),
+        box=st.floats(1.0, 100.0),
+        fraction=st.floats(0.0, 1.0),
+        on_a_mode=st.booleans(),
+        complex_field=st.booleans(),
+    )
+    def test_a_band_admits_the_modes_within_it(self, n_modes, box, fraction, on_a_mode, complex_field):
+        """The one band rule: the modes |xi| <= band (up to 1e-9 spacings of
+        roundoff), at least one nonzero mode and at most largest_band; the
+        draws fill exactly those modes."""
+        g = make_grid(n_modes, box)
+        band = fraction * g.largest_band
+        if on_a_mode:  # a band that lands on a mode admits it
+            band = round(band / g.spacing) * g.spacing
+        inside = np.abs(g.frequencies) <= band + 1e-9 * g.spacing
+        if np.sum(inside) == 1:  # the zero mode alone
+            message = f"band {band!r} admits no nonzero mode: .* the grid spacing {g.spacing!r}"
+            with pytest.raises(ValueError, match=message):
+                g.band_modes(band)
+            with pytest.raises(ValueError, match=message):
+                make_test_field(g, "random_bandlimited", band=band, complex_field=complex_field)
+            return
+        assert np.array_equal(np.abs(g.mode_numbers) <= g.band_modes(band), inside)
+        u = make_test_field(g, "random_bandlimited", band=band, complex_field=complex_field)
+        assert np.all((u.coeffs != 0.0) == inside)
 
     def test_band_exceeding_nyquist_rejected(self):
         g = make_grid(64, 16.0)
