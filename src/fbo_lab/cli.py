@@ -40,10 +40,15 @@ from .spectral import BUMP_PROFILE, FrequencyGrid, SpectralField, _l2_raw, make_
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_RUN = 4
 
 
 class ConfigError(ValueError):
     pass
+
+
+class RunError(Exception):
+    """A ValueError or OSError raised by a runner, after manifest.txt is written."""
 
 
 @dataclass
@@ -455,7 +460,8 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code.  ConfigError
+    comes before manifest.txt is written, RunError after it."""
     if config.subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     inputs = _check_config(config)
@@ -464,7 +470,10 @@ def run(config: ExperimentConfig) -> int:
         _write_text(os.path.join(config.out, "manifest.txt"), config_to_text(config))
     except OSError as exc:
         raise ConfigError(f"output directory {config.out!r} is not writable: {exc}")
-    return _RUNNERS[config.subcommand](config, *inputs)
+    try:
+        return _RUNNERS[config.subcommand](config, *inputs)
+    except (ValueError, OSError) as exc:
+        raise RunError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _flag(key: str) -> str:
@@ -560,6 +569,9 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"numerical sentinel: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except RunError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_RUN
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -122,41 +122,36 @@ def _dealias_mask(grid: FrequencyGrid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _slot_kernel(grid: FrequencyGrid):
-    """-(1/2) d/dx (u^2) of rows of coefficients in numpy's fft slot order,
-    written into out, which must not be c.
+    """(kernel, w_out): kernel(c, w_out, out) writes -(1/2) d/dx (u^2) of rows
+    c of coefficients in numpy's fft slot order into out, not c; a multiple
+    of w_out in its place gives that multiple of it.
 
     The square is of the 2/3-dealiased field and is dealiased again; the
-    complex square serves real and complex u alike.  The steps are those of
-    _inverse_raw, the square and _forward_raw, in their order, so the result
-    is theirs permuted into slots, signed zeros included.
+    complex square serves real and complex u alike.  Two slot-order weights
+    hold every constant of the transform pair: w_in the (-1)^k origin phase,
+    the synthesis scale and the mask, and w_out the phase, the analysis
+    scale, -(i/2) xi and the mask.  The mask multiplies by 0, so a value
+    that is not finite in a dropped mode makes the result nan.
     """
     n, box = grid.n_modes, grid.box_length
     _, grid_slot, signs = _plan(n)
-    dropped = np.flatnonzero(~_dealias_mask(grid)[grid_slot])  # one run of slots
-    drop = slice(int(dropped[0]), int(dropped[-1]) + 1)
-    in_signs, scale = signs[grid_slot] + 0j, n * math.sqrt(TWO_PI) / box
-    # a dropped mode enters as the masked-then-signed zero, not as c * 0
-    dropped_in = (np.zeros(n, complex) * signs)[grid_slot][drop]
-    out_signs = (signs * (box / (n * math.sqrt(TWO_PI))))[grid_slot] + 0j
-    dxi = (-0.5j * grid.frequencies)[grid_slot]
+    mask = _dealias_mask(grid)
+    w_in = (signs * (math.sqrt(TWO_PI) / box) * mask)[grid_slot]
+    w_out = (signs * (box / (n * math.sqrt(TWO_PI))) * (-0.5j * grid.frequencies) * mask)[grid_slot]
 
-    def nonlinearity(c, out):
-        np.multiply(c, in_signs, out=out)
-        out[..., drop] = dropped_in
-        np.fft.ifft(out, out=out)
-        out *= scale
+    def kernel(c, w, out):
+        np.fft.ifft(np.multiply(c, w_in, out=out), norm="forward", out=out)
         np.fft.fft(np.multiply(out, out, out=out), out=out)
-        out *= out_signs
-        out[..., drop] = 0.0
-        return np.multiply(dxi, out, out=out)
+        return np.multiply(out, w, out=out)
 
-    return nonlinearity
+    return kernel, _freeze(w_out)
 
 
 def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """-(1/2) d/dx (u^2) of ascending rows, through _slot_kernel."""
     fft_slot, grid_slot, _ = _plan(grid.n_modes)
-    out = _slot_kernel(grid)(np.take(c, grid_slot, axis=-1), np.empty(np.shape(c), complex))
+    kernel, w_out = _slot_kernel(grid)
+    out = kernel(np.take(c, grid_slot, axis=-1), w_out, np.empty(np.shape(c), complex))
     return np.take(out, fft_slot, axis=-1)
 
 
@@ -192,24 +187,24 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
         )
     _, grid_slot, _ = _plan(grid.n_modes)
     lin = 1j * dispersion_symbol(grid.frequencies[grid_slot], alpha)
-    nl = _slot_kernel(grid)
+    kernel, w_out = _slot_kernel(grid)
     half = np.exp(0.5 * dt * lin)
     a, b, hc, k0, k1, k2 = (np.empty((dt.shape[0], grid.n_modes), complex) for _ in range(6))
     if scheme == "split_step":
-        half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+        w_half = (0.5 * dt) * w_out
 
         def split_step(c):
-            # half * rk4(nl, half * c): k0 holds stage 1, then the weighted sum
+            # half * rk4(nl, half * c) by stages k' = (dt/2) nl; k0 sums them
             np.multiply(half, c, out=c)
-            nl(c, k0)
-            nl(np.add(c, np.multiply(half_dt, k0, out=a), out=a), k1)
-            np.add(c, np.multiply(half_dt, k1, out=a), out=a)
+            kernel(c, w_half, k0)
+            kernel(np.add(c, k0, out=a), w_half, k1)
+            np.add(c, k1, out=a)
             np.add(k0, np.multiply(2.0, k1, out=k1), out=k0)
-            nl(a, k1)
-            np.add(c, np.multiply(dt, k1, out=a), out=a)
-            np.add(k0, np.multiply(2.0, k1, out=k1), out=k0)
-            np.add(k0, nl(a, k1), out=k0)
-            np.add(c, np.multiply(sixth_dt, k0, out=k0), out=k0)
+            kernel(a, w_half, k1)
+            np.add(c, np.multiply(2.0, k1, out=k1), out=a)
+            np.add(k0, k1, out=k0)
+            np.add(k0, kernel(a, w_half, k1), out=k0)
+            np.add(c, np.divide(k0, 3.0, out=k0), out=k0)
             np.multiply(half, k0, out=c)
 
         return split_step
@@ -222,16 +217,16 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
     def etdrk4(c):
         # n0, na, nb in k0, k1, k2; a and then cc in a; b and temporaries in b
         np.multiply(half, c, out=hc)
-        nl(c, k0)
+        kernel(c, w_out, k0)
         np.add(hc, np.multiply(q, k0, out=a), out=a)
-        nl(a, k1)
-        nl(np.add(hc, np.multiply(q, k1, out=b), out=b), k2)
+        kernel(a, w_out, k1)
+        kernel(np.add(hc, np.multiply(q, k1, out=b), out=b), w_out, k2)
         np.subtract(np.multiply(2.0, k2, out=b), k0, out=b)
         np.add(np.multiply(half, a, out=a), np.multiply(q, b, out=b), out=a)
         np.multiply(full, c, out=c)
         np.add(c, np.multiply(f1, k0, out=k0), out=c)
         np.add(c, np.multiply(two_f2, np.add(k1, k2, out=k1), out=k1), out=c)
-        np.add(c, np.multiply(f3, nl(a, k2), out=k2), out=c)
+        np.add(c, np.multiply(f3, kernel(a, w_out, k2), out=k2), out=c)
 
     return etdrk4
 
@@ -340,26 +335,29 @@ def duhamel_apply(
     grid = u0.grid
     dt = u_guess.dt
     symbol = dispersion_symbol(grid.frequencies, alpha)
-    forcing = np.empty_like(u_guess.coeffs)
-    for rows in _row_blocks(u_guess.n_times):
-        forcing[rows] = _nonlinearity_raw(u_guess.coeffs[rows], grid)
     # W(t-t') = W(t) W(-t'): accumulate the t'-integral of W(-t') N(u(t'))
-    # cumulatively from t=0 in both directions, then apply W(t) once.
+    # cumulatively from t=0 in both directions, then apply W(t) once.  Held:
+    # the phases, h = W(-t') N(u) (a block at a time; then the output) and acc.
     back_phase = np.exp(-1j * np.outer(t, symbol))
-    h = back_phase * forcing
+    h = np.empty_like(back_phase)
+    for rows in _row_blocks(u_guess.n_times):
+        h[rows] = _nonlinearity_raw(u_guess.coeffs[rows], grid)
+        np.multiply(back_phase[rows], h[rows], out=h[rows])
     i0 = u_guess.index_of_time(0.0)
     # Trapezoid panels outward from the zero row at i0, then running sums
     # forward and running differences backward: accumulate adds in order,
     # so each row rounds as a step-by-step sum from t=0 does.
     acc = np.zeros_like(h)
-    acc[i0 + 1 :] = (0.5 * dt) * (h[i0:-1] + h[i0 + 1 :])
-    acc[:i0] = (0.5 * dt) * (h[:i0] + h[1 : i0 + 1])
+    np.multiply(0.5 * dt, np.add(h[i0:-1], h[i0 + 1 :], out=acc[i0 + 1 :]), out=acc[i0 + 1 :])
+    np.multiply(0.5 * dt, np.add(h[:i0], h[1 : i0 + 1], out=acc[:i0]), out=acc[:i0])
     np.cumsum(acc[i0:], axis=0, out=acc[i0:])
     np.subtract.accumulate(acc[i0::-1], axis=0, out=acc[i0::-1])
     psi_free = bump(t / max(T, 1.0))[:, None]
     psi_T = bump(t / T)[:, None]
-    out = np.conj(back_phase) * (psi_free * u0.coeffs[None, :] + psi_T * acc)
-    return Trajectory(grid, t, _freeze(out), float(alpha))
+    # conj(W(-t)) (psi_free u0 + psi_T acc), written over h
+    np.add(np.multiply(psi_free, u0.coeffs, out=h), np.multiply(psi_T, acc, out=acc), out=h)
+    np.multiply(np.conjugate(back_phase, out=back_phase), h, out=h)
+    return Trajectory(grid, t, _freeze(h), float(alpha))
 
 
 def picard_solve(

@@ -16,6 +16,7 @@ from fbo_lab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_RUN,
     SUBCOMMAND_KEYS,
     ExperimentConfig,
     build_config,
@@ -108,6 +109,24 @@ class TestExitCodes:
                 ]
             )
         assert rc == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("error", [ValueError("low >= high"), OSError("disk full")])
+    def test_runner_error_after_the_manifest_is_no_config_error(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        def fail(config, *inputs):
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "verify-resonance", fail)
+        out = tmp_path / "res"
+        assert main(["verify-resonance", "--samples", "10", "--out", str(out)]) == EXIT_RUN
+        assert (out / "manifest.txt").exists()
+        err = capsys.readouterr().err
+        assert err == f"run error: {type(error).__name__}: {error}\n"
+        # a bad config is still a config error, and leaves no manifest
+        bad = tmp_path / "bad"
+        assert main(["verify-resonance", "--samples", "0", "--out", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ") and not bad.exists()
 
     def test_bad_params_exit_2(self, tmp_path):
         rc = main(
@@ -390,17 +409,18 @@ class TestPicardCommand:
     #: step also divided 2 max(t_span, 1), as written when the Picard grid
     #: was stepped by 2 max(t_span, 1) / round(2 max(t_span, 1) / dt).  The
     #: t_span > 1 history is that grid's with the free term cut by
-    #: bump(t / max(T, 1)), as duhamel_apply cuts it.
+    #: bump(t / max(T, 1)), as duhamel_apply cuts it.  The digits are those
+    #: of the nonlinearity kernel whose constants sit in two weights.
     EARLIER_HISTORIES = {
         ("0.5", "0.005"): (
-            "0.11195151379152735", "0.0021994733428328268", "4.505466987109858e-05",
-            "7.869024433205761e-07", "1.3134356145425525e-08", "2.0036646681564205e-10",
-            "1.7767723729400879e-07",
+            "0.11195151379152735", "0.002199473342832827", "4.505466987109844e-05",
+            "7.869024433211789e-07", "1.3134356145294875e-08", "2.0036646677735344e-10",
+            "1.7767723729491233e-07",
         ),
         ("1.5", "0.01"): (
-            "0.11195151379152735", "0.003401478500841086", "9.782324395866016e-05",
-            "2.7264260207223525e-06", "6.391727520051667e-08", "1.4766597743877332e-09",
-            "7.109329808506235e-07",
+            "0.11195151379152735", "0.003401478500841086", "9.782324395866138e-05",
+            "2.7264260207213275e-06", "6.39172751994031e-08", "1.476659773212485e-09",
+            "7.109329808506492e-07",
         ),
     }
 

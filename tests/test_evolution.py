@@ -44,20 +44,46 @@ from realdata import hermitian_error, real_fields
 TWO_PI = 2.0 * math.pi
 
 
-def _reference_nonlinearity(c, grid, mask):
-    """-(1/2) d/dx (u^2) in ascending mode order, one transform each way, the
-    square of the masked field masked again."""
+def _transform_pair_nonlinearity(c, grid):
+    """-(1/2) d/dx (u^2) in ascending mode order through the package's
+    transform pair, the square of the masked field masked again."""
+    mask = _dealias_mask(grid)
     samples = _inverse_raw(np.where(mask, c, 0.0), grid.box_length)
     squared = np.where(mask, _forward_raw(samples * samples, grid.box_length), 0.0)
     return -0.5j * grid.frequencies * squared
 
 
-def _reference_rk4(f, c, dt):
-    k1 = f(c)
-    k2 = f(c + 0.5 * dt * k1)
-    k3 = f(c + 0.5 * dt * k2)
-    k4 = f(c + dt * k3)
-    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _reference_weights(grid):
+    """The kernel's two weights in ascending mode order:
+    w_in = (-1)^k sqrt(2 pi)/L * mask, w_out = (-1)^k L/(N sqrt(2 pi)) (-(i/2) xi) mask."""
+    n, box, mask = grid.n_modes, grid.box_length, _dealias_mask(grid)
+    signs = (-1.0) ** grid.mode_numbers + 0j
+    w_in = signs * (math.sqrt(TWO_PI) / box) * mask
+    w_out = signs * (box / (n * math.sqrt(TWO_PI))) * (-0.5j * grid.frequencies) * mask
+    return w_in, w_out
+
+
+def _reference_nonlinearity(c, grid, w_out=None):
+    """The kernel's result in ascending mode order: numpy's unscaled inverse
+    transform of c w_in, squared, transformed forward and times w_out, by
+    default the weight that gives -(1/2) d/dx (u^2).  Ascending mode k sits
+    in numpy's slot k mod N, a roll by N/2 - 1."""
+    w_in, plain = _reference_weights(grid)
+    w_out = plain if w_out is None else w_out
+    z = grid.n_modes // 2 - 1
+    samples = np.fft.ifft(np.roll(c * w_in, -z, axis=-1), norm="forward")
+    return np.roll(np.fft.fft(samples * samples), z, axis=-1) * w_out
+
+
+def _reference_split_step(c, grid, dt, half):
+    """half * rk4(half * c) with stages k' = (dt/2) N(u), a weight of (dt/2) w_out."""
+    w = (0.5 * dt) * _reference_weights(grid)[1]
+    c = half * c
+    k0 = _reference_nonlinearity(c, grid, w)
+    k1 = _reference_nonlinearity(c + k0, grid, w)
+    k2 = _reference_nonlinearity(c + k1, grid, w)
+    k3 = _reference_nonlinearity(c + 2.0 * k2, grid, w)
+    return half * (c + (k0 + 2.0 * k1 + 2.0 * k2 + k3) / 3.0)
 
 
 class TestNonlinearity:
@@ -97,13 +123,36 @@ class TestNonlinearity:
         shape = (n_modes, 2) if rows is None else (rows, n_modes, 2)
         parts = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
         c = parts.view(complex)[..., 0]  # real and imaginary parts, signed zeros kept
-        mask = _dealias_mask(g)
-        got, want = _nonlinearity_raw(c, g), _reference_nonlinearity(c, g, mask)
+        got, want = _nonlinearity_raw(c, g), _reference_nonlinearity(c, g)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if rows is None:
-            assert nonlinearity(SpectralField(g, c)).coeffs.tobytes() == (
-                _reference_nonlinearity(c, g, mask).tobytes()
-            )
+            assert nonlinearity(SpectralField(g, c)).coeffs.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_modes=st.sampled_from([10, 30, 64, 256]),
+        rows=st.sampled_from([1, 3]),
+        real=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_transform_pair_formula(self, n_modes, rows, real, data):
+        # real rows are the coefficients of real samples; complex rows are drawn
+        # as coefficients.  The tolerance is relative to the bound of
+        # test_reality_preserved, row by row.
+        g = make_grid(n_modes, 11.0)
+        parts = data.draw(arrays(np.float64, (rows, n_modes, 2), elements=st.floats(-1e3, 1e3)))
+        c = _forward_raw(parts[..., 0], g.box_length) if real else parts.view(complex)[..., 0]
+        bound = 0.5 * g.nyquist * _l2_raw(c, g.spacing) ** 2 / math.sqrt(2.0 * math.pi)
+        err = np.max(np.abs(_nonlinearity_raw(c, g) - _transform_pair_nonlinearity(c, g)), axis=-1)
+        assert np.all(err <= 1e-13 * bound)
+
+    def test_value_that_is_not_finite_in_a_dropped_mode_gives_nan(self):
+        # the mask multiplies by 0, and inf * 0 is nan, which the transform spreads
+        g = make_grid(32, 8.0)
+        c = make_test_field(g, "gaussian", amplitude=0.2).coeffs.copy()
+        c[np.flatnonzero(~_dealias_mask(g))[0]] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.all(np.isnan(_nonlinearity_raw(c, g)))
 
 
 class TestSolveReference:
@@ -299,17 +348,16 @@ def _march_one_direction(c0, grid, n_steps, dt, alpha, scheme):
     """n_steps of signed size dt, one field at a time in ascending mode order,
     all states incl. the first; the schemes written out as plain expressions."""
     lin = 1j * dispersion_symbol(grid.frequencies, alpha)
-    mask = _dealias_mask(grid)
 
     def nl(c):
-        return _reference_nonlinearity(c, grid, mask)
+        return _reference_nonlinearity(c, grid)
 
     half, full = np.exp(0.5 * dt * lin), np.exp(dt * lin)
     q, f1, f2, f3 = _etdrk4_coeffs(lin, dt)
 
     def step(c):
         if scheme == "split_step":
-            return half * _reference_rk4(nl, half * c, dt)
+            return _reference_split_step(c, grid, dt, half)
         n0 = nl(c)
         a = half * c + q * n0
         na = nl(a)
@@ -514,6 +562,23 @@ class TestDuhamel:
         psi_1, psi_T = bump(t)[:, None], bump(t / T)[:, None]
         expected = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
         assert out.coeffs.tobytes() == expected.tobytes()
+
+    def test_working_set_is_three_trajectories(self):
+        # the phases, h (then the output) and the running sums, at picard's
+        # 801 x 256 grid for t_span 0.5 and dt 0.005 (3.3 MB each); the
+        # full-array form held about seven
+        g = make_grid(256, 32.0)
+        u0 = make_test_field(g, "gaussian", amplitude=0.1)
+        t = np.arange(-400, 401) * 0.005
+        guess = Trajectory(g, t, np.tile(u0.coeffs, (t.size, 1)), 1.5)
+        duhamel_apply(guess, u0, 0.5, 1.5)
+        tracemalloc.start()
+        try:
+            duhamel_apply(guess, u0, 0.5, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * guess.coeffs.nbytes
 
     def test_window_and_grid_validation(self):
         g = make_grid(64, 16.0)

@@ -6,10 +6,10 @@ numpy's slot order, and the two bilinear convolutions, which pad to 2m
 modes for a linear convolution rather than transform on a grid.  A new
 direct call elsewhere is a second copy of the transform steps.
 
-The slot-order kernel was measured against a byte-identical ascending
-kernel through _inverse_raw and _forward_raw, interleaved over 15 rounds on
-a 2-core x86 box (Python 3.11, numpy 2.4): 44-53 against 78-94 us per call
-on (2, 512) rows, so it stays.  So does _ProductField's zero-padding by
+The slot-order kernel, whose constants sit in two weights, was measured
+against the ascending form through _inverse_raw and _forward_raw,
+interleaved over 25 rounds on a 2-core x86 box (Python 3.11, numpy 2.4):
+46-51 against 89-96 us per call on (2, 512) rows, so it stays.  So does _ProductField's zero-padding by
 _inverse_raw into a wider output: a 64x512 product took 1.88-2.37 ms
 against 1.95-2.47 ms with a zeroed padded coefficient buffer.
 """
