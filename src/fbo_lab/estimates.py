@@ -29,20 +29,20 @@ from .norms import (
     _lebesgue_of_samples,
     _padded_time_dft,
     _time_window,
-    _weighted_cells,
     _weighted_norm,
     bourgain_weights,
 )
 from .spectral import (
+    TWO_PI,
     FrequencyGrid,
     SpectralField,
     _FAMILIES,
-    _forward_raw,
     _freeze,
-    _inverse_raw,
+    _plan,
     _real_synthesis,
     _real_synthesis_table,
     _require_zero_mean,
+    _slot_fft,
     bump,
     dispersion_symbol,
     japanese_bracket,
@@ -590,43 +590,57 @@ def _x_params(p: EstimateParams) -> EstimateParams:
 # products on the doubled spatial lattice
 
 
-def _extended_grid(grid: FrequencyGrid) -> FrequencyGrid:
-    return FrequencyGrid(2 * grid.n_modes, grid.box_length)
-
-
 class _ProductField:
-    """Buffers for d/dx [ (psi u1)(psi u2) ] of two trajectories on grid,
-    sampled at times, psi being the cutoff's column at times, on n_slots tau
-    modes.  They are allocated once, and each product is transformed in
-    them: one instance serves one resolution of one harness call.
+    """d/dx [ (psi u1)(psi u2) ] of two trajectories on grid, sampled at
+    times, psi being the cutoff's column at times, on n_slots tau modes, in
+    numpy's slot order and in buffers built once: one instance serves one
+    resolution of one harness call.
 
-    A caller writes the two factors' coefficient rows into rows and calls the
-    instance, which overwrites rows and returns the coefficients on
-    (time_grid, ext), a buffer the next call overwrites.  _inverse_raw into
-    physical, twice as wide, zero-pads each factor to the doubled grid; the
-    product goes through _forward_raw along x into the time window of
-    signal and along tau into coeffs.
+    Factor i is paths * u_i on the samples in the window (paths a table on
+    times and grid, or a column that broadcasts; u_i a row of coefficients
+    or a table on those samples).  weight * u_i, the weight psi paths (-1)^k
+    sqrt(2 pi)/L in the doubled grid's slots and zero in its padding slots,
+    is the factor's field under an unscaled inverse transform.  The
+    product's transform along x goes, transposed, into the time window of
+    signal, and along tau into spectrum, x slots by tau slots, which the
+    next call overwrites.  The derivative field C is (-1)^m (-1)^k sx st i xi
+    spectrum reordered by ascending, sx and st the analysis scales; so its
+    cells w |C|^2 are cell_weight(w) |spectrum|^2.
     """
 
-    def __init__(self, grid: FrequencyGrid, times: np.ndarray, psi: np.ndarray, n_slots: int):
-        n, self.ext = grid.n_modes, _extended_grid(grid)
+    def __init__(self, grid: FrequencyGrid, times: np.ndarray, psi: np.ndarray, paths, n_slots: int):
+        n, box = grid.n_modes, grid.box_length
+        self.ext = FrequencyGrid(2 * n, box)
         self.time_grid, self.samples, self.window = _time_window(times, n_slots, psi)
-        # held as the complex values a multiply would cast it to, so that no call casts
-        self.psi = psi[self.samples] + 0j
-        self.derivative = 1j * self.ext.frequencies
-        self.rows = np.empty((2, times.size, n), complex)
-        self.physical = np.empty((2, self.psi.shape[0], 2 * n), complex)
-        self.signal = np.zeros((n_slots, 2 * n), complex)  # rows outside window stay zero
-        self.coeffs = np.empty((n_slots, 2 * n), complex)
+        (self.x_slot, self.x_rank, _), (self.t_slot, self.t_rank, _) = _plan(2 * n), _plan(n_slots)
+        slots = self.x_slot[n // 2 : n // 2 + n]  # the doubled grid's slots of grid's modes
+        factors = psi[self.samples] * paths[self.samples]
+        self.weight = np.zeros((factors.shape[0], 2 * n), complex)
+        self.weight[:, slots] = factors * (_plan(n)[2] * (math.sqrt(TWO_PI) / box))
+        self.gather = np.clip(self.x_rank - n // 2, 0, n - 1)  # a padding slot meets a zero weight
+        self.scales = (box / (2 * n * math.sqrt(TWO_PI)),
+                       self.time_grid.box_length / (n_slots * math.sqrt(TWO_PI)))
+        self.rows = np.empty((2,) + self.weight.shape, complex)
+        self.signal = np.zeros((2 * n, n_slots), complex)  # columns outside window stay zero
+        self.spectrum = np.empty((2 * n, n_slots), complex)
 
-    def __call__(self) -> np.ndarray:
-        rows, box = self.rows[:, self.samples], self.ext.box_length
-        np.multiply(self.psi, rows, out=rows)
-        f = _inverse_raw(rows, box, out=self.physical)
-        product = np.multiply(f[0], f[1], out=f[0])
-        _forward_raw(product, box, out=self.signal[self.window])
-        coeffs = _forward_raw(self.signal, self.time_grid.box_length, axis=0, out=self.coeffs)
-        return np.multiply(coeffs, self.derivative, out=coeffs)
+    def __call__(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        rows = self.rows
+        for u, row in zip((u1, u2), rows):
+            np.multiply(self.weight, np.take(u, self.gather, axis=-1), out=row)
+        _slot_fft(rows, rows, inverse=True)
+        product = np.multiply(rows[0], rows[1], out=rows[0])
+        self.signal[:, self.window] = _slot_fft(product, product).T
+        return _slot_fft(self.signal, self.spectrum)
+
+    def ascending(self, table: np.ndarray) -> np.ndarray:
+        """A table in spectrum's layout as a fresh one on (time_grid, ext), ascending."""
+        return table.T[np.ix_(self.t_slot, self.x_slot)]
+
+    def cell_weight(self, w: np.ndarray) -> np.ndarray:
+        """w, on (time_grid, ext) ascending, times (sx st xi)^2, in spectrum's layout."""
+        scaled = w * np.square(self.scales[0] * self.scales[1] * self.ext.frequencies)
+        return scaled.T[np.ix_(self.x_rank, self.t_rank)]
 
 
 def product_derivative_field(
@@ -636,14 +650,21 @@ def product_derivative_field(
 
     The spatial product is formed pointwise on the refined physical grid, so
     the xi convolution is exact (no aliasing) for the retained modes.  This is
-    one use of a _ProductField, which then hands its buffer over; the ratio
-    harness keeps one per resolution.
+    one use of a _ProductField whose paths are ones, finished by one multiply
+    and a reorder to ascending order; the ratio harness keeps one per
+    resolution.
     """
     if traj1.grid != traj2.grid or traj1.n_times != traj2.n_times:
         raise ValueError("product factors need matching grids and time samples")
-    product = _ProductField(traj1.grid, traj1.times, bump(traj1.times / T)[:, None], n_slots)
-    product.rows[0], product.rows[1] = traj1.coeffs, traj2.coeffs
-    return SpaceTimeField(product.ext, product.time_grid, _freeze(product()))
+    times, n = traj1.times, traj1.grid.n_modes
+    product = _ProductField(traj1.grid, times, bump(times / T)[:, None], np.ones((times.size, 1)), n_slots)
+    spectrum = product(traj1.coeffs[product.samples], traj2.coeffs[product.samples])
+    # (-1)^k sx i xi (-1)^m st in spectrum's layout, written over the spent signal
+    (sx, st), xi = product.scales, product.ext.frequencies
+    finish = np.outer((_plan(2 * n)[2] * (sx * 1j * xi))[product.x_rank],
+                      (_plan(n_slots)[2] * st)[product.t_rank], out=product.signal)
+    coeffs = product.ascending(np.multiply(spectrum, finish, out=spectrum))
+    return SpaceTimeField(product.ext, product.time_grid, _freeze(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +694,10 @@ TOP_CELLS = 8
 _SUPPORT_FLOOR = 1e-3
 
 
-def _top_cells(cells: np.ndarray, k: int) -> np.ndarray:
-    """The flat indices of the k heaviest cells, an exact tie going to the
-    smaller flat index.
+def _top_cells(cells: np.ndarray, k: int, ranks: tuple) -> np.ndarray:
+    """The ranks of the k heaviest cells, heaviest first, an exact tie going
+    to the smaller rank; cell (r, c) has the rank ranks[0][r] + ranks[1][c],
+    which for ranks (arange(rows) * cols, arange(cols)) is its flat index.
 
     The k-th largest column maximum is at most the k-th largest cell, so each
     of the k heaviest cells reaches it, in a column whose maximum reaches it:
@@ -688,8 +710,8 @@ def _top_cells(cells: np.ndarray, k: int) -> np.ndarray:
     block = cells[:, cols]
     at = np.flatnonzero(block >= floor)
     r, j = np.divmod(at, cols.size)
-    flat = r * cells.shape[1] + cols[j]
-    return flat[np.lexsort((flat, -block.ravel()[at]))[:k]]
+    rank = ranks[0][r] + ranks[1][cols[j]]
+    return rank[np.lexsort((rank, -block.ravel()[at]))[:k]]
 
 
 class _DominantRegions:
@@ -712,62 +734,76 @@ class _DominantRegions:
     the entries of S1 whose partner lies in S2 exceeds B, it is the cell's
     largest, and every term that ties with it is among them: the first of
     them in row-major order is the cell's.  A term is formed as (K(e) u1)
-    (K(c - e) u2), the operands and order of the lifts' products.  The
-    heaviest cells come from _top_cells, with its tie rule.  S2 is a mask
-    framed by False, so that a partner off the lattice reads False.
+    (K(c - e) u2), the operands and order of the lifts' products.  S2 is a
+    mask framed by False, so that a partner off the lattice reads False.
+    The cell tables are in _ProductField's layout; _top_cells ranks their
+    cells by the ascending (tau, xi) flat index, an exact tie going to the
+    smaller.
 
     The search runs at eps = _SUPPORT_FLOOR, then at eps = 0 on the cells
-    left open.  At eps = 0 a support holds every entry whose coefficient is
-    nonzero (a zero coefficient's column gives 0/0), so the search reads
-    every nonzero term of the block, and B = 0 leaves out a cell whose terms
-    are all zero.  The cells go in groups of at most a lattice of (cell,
-    entry) pairs, so that one by one on the whole lattice a call holds about
-    what a pair of lifts does.  Any eps in (0, 1) gives the same terms: at
-    main_bilinear's defaults (alpha = 1.5, 800 samples, seed 0), eps = 1e-2,
-    1e-3 and 1e-4 gave supports of median 379, 836 and 1503 of the 32768
-    entries at 64x512 and left 1.6%, 1.5% and 1.0% of the 6400 cells open.
+    left open, where S1 holds every entry whose coefficient is nonzero (a
+    zero coefficient's column gives 0/0): the search reads every nonzero
+    term of the block, and B = 0 leaves out a cell whose terms are all zero.
+    The cells go in groups of at most a lattice of (cell, entry) pairs, so
+    that a call holds about what a pair of lifts does, and a group reads S1
+    only in the rows and columns that its blocks span (at eps = 0, where a
+    group is mostly one cell, its block).
+    Any eps in (0, 1) gives the same terms.
     """
 
     def __init__(self, kernel: np.ndarray, time_grid: FrequencyGrid, space_grid: FrequencyGrid, p):
         self.kernel, self.time_grid, self.space_grid, self.p = kernel, time_grid, space_grid, p
         self.power = np.square(np.abs(kernel))
         self.column_max = np.max(self.power, axis=0)
-        self.xi_out = _extended_grid(space_grid).frequencies
+        self.xi_out = FrequencyGrid(2 * space_grid.n_modes, space_grid.box_length).frequencies
         m_t, n_x = kernel.shape
         self.framed = np.zeros((3 * m_t, 3 * n_x), bool)
+        # a cell table's slots of the ascending cells, and the ascending flat index of its slots
+        (x_slot, x_rank, _), (t_slot, t_rank, _) = _plan(2 * n_x), _plan(m_t)
+        self.slots, self.ranks = (t_slot, x_slot), (x_rank, t_rank * (2 * n_x))
 
     def terms(self, cells: np.ndarray, u1: np.ndarray, u2: np.ndarray, top_cells=TOP_CELLS) -> tuple:
         """The output rows and columns of the top_cells heaviest of cells (the
-        table w_out |C|^2 of the product field C) and the rows of tau1 and
-        columns of xi1 of their dominant terms, as four arrays in no
-        particular order; a cell that is zero, at xi = 0 or whose terms are
-        all zero is left out."""
+        table w_out |C|^2 of the product field C, in _ProductField's layout)
+        and the rows of tau1 and columns of xi1 of their dominant terms, all
+        ascending, as four arrays in no particular order; a cell that is
+        zero, at xi = 0 or whose terms are all zero is left out."""
         power, kernel, (m_t, n_x) = self.power, self.kernel, self.kernel.shape
         a1, a2 = np.square(np.abs(u1)), np.square(np.abs(u2))
         peak1, peak2 = np.max(self.column_max * a1), np.max(self.column_max * a2)
         if peak1 == 0.0 or peak2 == 0.0:  # every term is zero
             return (np.zeros(0, int),) * 4
-        n_out = cells.shape[1]
-        mi, ki = np.divmod(_top_cells(cells, min(top_cells, cells.size)), n_out)
-        kept = (cells[mi, ki] > 0.0) & (self.xi_out[ki] != 0.0)
+        n_out, (t_slot, x_slot) = 2 * n_x, self.slots
+        mi, ki = np.divmod(_top_cells(cells, min(top_cells, cells.size), self.ranks), n_out)
+        kept = (cells[x_slot[ki], t_slot[mi]] > 0.0) & (self.xi_out[ki] != 0.0)
         mi, ki = mi[kept], ki[kept]
         # the partner of L1's entry (r, q) in a cell is L2's (c_t - r, c_x - q)
         c_t = mi + self.time_grid.zero_index
         c_x = ki - (n_out // 2 - 1) + 2 * self.space_grid.zero_index
         framed_c, flat_c = (c_t + m_t) * (3 * n_x) + c_x + n_x, c_t * n_x + c_x
+        first_t, first_x = np.maximum(c_t - m_t + 1, 0), np.maximum(c_x - n_x + 1, 0)  # of each block
         rows, cols, todo = np.full_like(mi, -1), np.zeros_like(mi), np.arange(mi.size)
         for eps in (_SUPPORT_FLOOR, 0.0):
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero coefficient's column is empty
-                e1 = np.flatnonzero(power >= eps**2 * peak1 / a1)
+                support = power >= eps**2 * peak1 / a1
                 np.greater_equal(power, eps**2 * peak2 / a2, out=self.framed[m_t : 2 * m_t, n_x : 2 * n_x])
             bound = eps * math.sqrt(peak1 * peak2) * (1.0 + 1e-6)
-            # e1's offsets in the framed mask, and the cells per group
-            framed_e1, size = e1 + 2 * n_x * (e1 // n_x), max(1, power.size // e1.size)
+            size = max(1, power.size // max(1, np.count_nonzero(support)))
             for group in (todo[lo : lo + size] for lo in range(0, todo.size, size)):
+                # e1, the entries of S1 in the rows and columns that the group's
+                # blocks span; L1 there; e1's offsets in the framed mask
+                r0, q0 = first_t[group].min(), first_x[group].min()
+                box = support[r0 : c_t[group].max() + 1, q0 : c_x[group].max() + 1]
+                r1, q1 = np.divmod(np.flatnonzero(box), box.shape[1])
+                if r1.size == 0:  # no cell of the group has a term on S1
+                    continue
+                r1, q1 = r1 + r0, q1 + q0
+                e1 = r1 * n_x + q1
+                lift1, framed_e1 = kernel.take(e1) * u1[q1], e1 + 2 * n_x * r1
                 on = np.flatnonzero(self.framed.take(framed_c[group, None] - framed_e1))
                 cell, j = np.divmod(on, e1.size)
-                f1, f2 = e1[j], flat_c[group[cell]] - e1[j]
-                terms = (kernel.take(f1) * u1[f1 % n_x]) * (kernel.take(f2) * u2[f2 % n_x])
+                at = group[cell]
+                terms = lift1[j] * (kernel.take(flat_c[at] - e1[j]) * u2[c_x[at] - q1[j]])
                 mods = np.zeros((group.size, e1.size))
                 mods.ravel()[on] = np.abs(terms)
                 best = np.argmax(mods, axis=1)
@@ -898,26 +934,27 @@ def _main_bilinear_sides(p, free, inputs, histogram):
     """The b' norm of d/dx of the cut product and twice the norms' product; unless
     histogram is None, each kept sample's dominant regions are tallied in it.
 
-    The buffers of one resolution are allocated here, once: a _ProductField,
-    whose rows take each sample's free evolutions and whose field lives on
-    the lifts' tau grid and the doubled xi grid; and the cell table
-    w_out |C|^2, which gives the norm and the heaviest cells.  The regions
-    are read from the kernel and the two coefficient rows, by one
+    The buffers of one resolution are allocated here, once: a _ProductField
+    on the lifts' tau grid and the doubled xi grid, with the free paths in
+    its weight, and the cell table W |spectrum|^2 = w_out |C|^2, in its
+    layout, which gives the norm and the heaviest cells (d/dx zeroes the
+    cells at xi = 0, so the b' norm's zero mean holds by construction).  The
+    regions are read from the kernel and the two coefficient rows, by one
     _DominantRegions per resolution.
     """
-    grid, zero_mean, paths = free.grid, p.omega > 0.0, free.paths
-    product = _ProductField(grid, free.times, free.psi, free.n_time)
+    grid, zero_mean = free.grid, p.omega > 0.0
+    product = _ProductField(grid, free.times, free.psi, free.paths, free.n_time)
     w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
-    cells = np.empty(w_out.shape)
+    weight = product.cell_weight(w_out)
+    cells = np.empty(weight.shape)
     if histogram is not None:
         regions = _DominantRegions(free.kernel.coeffs, product.time_grid, grid, p)
     dtau, dxi = product.time_grid.spacing, product.ext.spacing
 
     def sides(pair):
         u1, u2 = (_field_from_descriptor(grid, d, zero_mean) for d in pair)
-        for u0, rows in zip((u1, u2), product.rows):
-            np.multiply(paths, u0.coeffs, out=rows)
-        _weighted_cells(product(), w_out, p.omega, out=cells)
+        mags = np.abs(product(u1.coeffs, u2.coeffs), out=cells)
+        np.multiply(weight, np.square(mags, out=mags), out=mags)
         lhs = math.sqrt(float(np.sum(cells)) * dtau * dxi)
         rhs = 2.0 * free.norm(u1) * free.norm(u2)
         if histogram is not None and rhs > 0.0:

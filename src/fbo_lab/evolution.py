@@ -376,7 +376,9 @@ def picard_solve(
     so every time of solve_reference(u0, T, dt, ...) is a time here.  The
     grid may reach past W by less than one step.
     Stops when the sup-in-time L2 gap between successive iterates drops to
-    tol; non-convergence is reported through the history, not raised.
+    tol; non-convergence is reported through the history, not raised, and
+    a gap that is not finite raises BlowUpError (numpy's overflow and
+    invalid-value warnings are off meanwhile, as that check reports it).
     """
     if not (T > 0.0 and tol > 0.0 and max_iter >= 1):
         raise ValueError("need T > 0, tol > 0 and max_iter >= 1")
@@ -388,14 +390,17 @@ def picard_solve(
     current = Trajectory(grid, times, np.zeros((times.size, grid.n_modes), complex), float(alpha))
     gaps: list[float] = []
     converged = False
-    for _ in range(max_iter):
-        new = duhamel_apply(current, u0, T, alpha)
-        gap = float(np.max(_l2_raw(new.coeffs - current.coeffs, grid.spacing)))
-        gaps.append(gap)
-        current = new
-        if gap <= tol:
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, max_iter + 1):
+            new = duhamel_apply(current, u0, T, alpha)
+            gap = float(np.max(_l2_raw(new.coeffs - current.coeffs, grid.spacing)))
+            if not math.isfinite(gap):
+                raise BlowUpError(f"Picard iterate difference {i} is {gap}: the iteration diverged")
+            gaps.append(gap)
+            current = new
+            if gap <= tol:
+                converged = True
+                break
     return current, PicardHistory(tuple(gaps), converged, len(gaps))
 
 

@@ -296,19 +296,13 @@ def bourgain_norm(U: SpaceTimeField, p: EstimateParams, b: float | None = None) 
 
 
 def _weighted_norm(U: SpaceTimeField, w: np.ndarray, omega: float) -> float:
-    """bourgain_norm of U with its weight table w on U's lattice already built."""
-    total = float(np.sum(_weighted_cells(U.coeffs, w, omega)))
-    return math.sqrt(total * U.time_grid.spacing * U.space_grid.spacing)
-
-
-def _weighted_cells(coeffs: np.ndarray, w: np.ndarray, omega: float, out=None) -> np.ndarray:
-    """The cells w |coeffs|^2 of a squared restriction norm, written into out
-    when given; for omega > 0 the (tau, xi) coefficients must be mean-zero."""
-    mags = np.abs(coeffs, out=out)
+    """bourgain_norm of U with its weight table w on U's lattice already built;
+    for omega > 0 the (tau, xi) coefficients must be mean-zero."""
+    mags = np.abs(U.coeffs)
     if omega > 0.0:
-        zero = coeffs.shape[1] // 2 - 1
-        _require_zero_mean(np.max(mags, axis=0), zero, "bourgain norm with omega > 0")
-    return np.multiply(w, np.square(mags, out=mags), out=mags)
+        _require_zero_mean(np.max(mags, axis=0), U.space_grid.zero_index, "bourgain norm with omega > 0")
+    total = float(np.sum(np.multiply(w, np.square(mags, out=mags), out=mags)))
+    return math.sqrt(total * U.time_grid.spacing * U.space_grid.spacing)
 
 
 def mixed_lebesgue_norm(traj: Trajectory, p_time: float, q_space: float) -> float:

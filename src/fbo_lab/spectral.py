@@ -179,15 +179,14 @@ def _along(vector: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vector.reshape(shape)
 
 
-def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1, out=None) -> np.ndarray:
-    """Ascending coefficients of samples along axis, written into out (complex,
-    of samples' shape, apart from samples) when it is given."""
+def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
+    """Ascending coefficients of samples along axis."""
     n = samples.shape[axis]
     z = n // 2 - 1
     # +-1 times the scale is exact, so this rounds as sign-then-scale does
     signs = _along(_plan(n)[2] * (box_length / (n * math.sqrt(TWO_PI))), samples.ndim, axis)
     spectrum = np.fft.fft(samples, axis=axis)
-    out = np.empty(spectrum.shape, complex) if out is None else out
+    out = np.empty(spectrum.shape, complex)
     # numpy's slots 0..N/2 hold k >= 0, the ascending slice [z:], the rest k < 0
     head = (slice(None),) * (axis % samples.ndim)
     pos, neg = head + (slice(z, None),), head + (slice(z),)
@@ -196,30 +195,28 @@ def _forward_raw(samples: np.ndarray, box_length: float, axis: int = -1, out=Non
     return out
 
 
-def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1, out=None) -> np.ndarray:
-    """Samples of the ascending coefficients along axis, written into out
-    (complex, apart from coeffs) when it is given.  An out with n slots along
-    axis for the m modes there takes the samples of coeffs zero-padded to n
-    ascending modes, byte for byte, signed zeros included: n sets the
-    transform's size and scale."""
-    m = coeffs.shape[axis]
-    z = m // 2 - 1
-    out = np.empty(coeffs.shape, complex) if out is None else out
-    n = out.shape[axis]
-    signs = _along(_plan(m)[2], coeffs.ndim, axis)
+def _inverse_raw(coeffs: np.ndarray, box_length: float, axis: int = -1) -> np.ndarray:
+    """Samples of the ascending coefficients along axis."""
+    n = coeffs.shape[axis]
+    z = n // 2 - 1
+    out = np.empty(coeffs.shape, complex)
+    signs = _along(_plan(n)[2], coeffs.ndim, axis)
     # the modes are signed straight into numpy's slots: k >= 0 (the ascending
-    # slice [z:]) into slots 0..m/2, k < 0 into the last z; a slot between
-    # holds the zero that padding and signing gives, -0 at odd k
+    # slice [z:]) into slots 0..N/2, k < 0 into the last z
     head = (slice(None),) * (axis % coeffs.ndim)
     pos, neg = head + (slice(z, None),), head + (slice(z),)
-    np.multiply(coeffs[pos], signs[pos], out=out[head + (slice(m - z),)])
+    np.multiply(coeffs[pos], signs[pos], out=out[head + (slice(n - z),)])
     np.multiply(coeffs[neg], signs[neg], out=out[head + (slice(n - z, None),)])
-    padding = np.zeros(n - m, complex)
-    padding[1 - (m - z) % 2 :: 2] = -0.0
-    out[head + (slice(m - z, n - z),)] = _along(padding, coeffs.ndim, axis)
     np.fft.ifft(out, axis=axis, out=out)
     out *= n * math.sqrt(TWO_PI) / box_length
     return out
+
+
+def _slot_fft(a: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """out_s = sum_j a_j exp(-+2 pi i j s / n) along the last axis, the sign +
+    when inverse: unscaled, in numpy's slot order, out may be a; for a caller
+    whose weights hold the (-1)^k origin phase and the scales."""
+    return np.fft.ifft(a, norm="forward", out=out) if inverse else np.fft.fft(a, out=out)
 
 
 # A real field is synthesised from its k >= 0 modes alone, the ascending slice

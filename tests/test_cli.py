@@ -110,6 +110,18 @@ class TestExitCodes:
             )
         assert rc == EXIT_NUMERICAL
 
+    def test_a_diverging_picard_iteration_exits_3_without_numpy_warnings(self, tmp_path, capsys):
+        import warnings
+
+        argv = ["picard", "--n-modes", "64", "--box-length", "16", "--t-span", "5",
+                "--dt", "0.05", "--amplitude", "80", "--out", str(tmp_path / "pic")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv)
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical sentinel: Picard iterate difference 8 is inf: the iteration diverged\n")
+
     @pytest.mark.parametrize("error", [ValueError("low >= high"), OSError("disk full")])
     def test_runner_error_after_the_manifest_is_no_config_error(
         self, tmp_path, monkeypatch, capsys, error

@@ -46,7 +46,7 @@ from fbo_lab.estimates import (
 from fbo_lab.evolution import Trajectory
 from fbo_lab.norms import (
     _padded_time_dft,
-    _weighted_cells,
+    _time_window,
     bourgain_weights,
     localized_lift,
     mixed_lebesgue_norm,
@@ -699,6 +699,13 @@ class TestEstimateRatio:
         assert np.isfinite(report.sup_ratio)
 
 
+def slot_layout(cells):
+    """An ascending (tau, xi) table in _ProductField's layout, x slots by tau
+    slots: numpy's slot s of n ascending modes holds index (s + n/2 - 1) mod n."""
+    m, n = cells.shape
+    return np.roll(cells, (1 - m // 2, 1 - n // 2), axis=(0, 1)).T.copy()
+
+
 def full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells):
     """_dominant_regions with the term matrix over the whole (tau1, xi1)
     lattice, masked to the cells whose partner lies on the lifts' lattice."""
@@ -770,10 +777,8 @@ def test_dominant_regions_match_the_full_term_matrix(seed):
     def key(label):
         return label.d_part, label.a_part
 
-    # main_bilinear's cell table, filled as the harness fills it (omega = 0,
-    # as this random field is not mean-zero)
-    cells = _weighted_cells(lhs_field.coeffs, w_out, 0.0, out=np.empty(w_out.shape))
-    assert cells.tobytes() == (w_out * np.abs(lhs_field.coeffs) ** 2).tobytes()
+    # main_bilinear's cell table w_out |C|^2, in the product field's layout
+    cells = slot_layout(w_out * np.abs(lhs_field.coeffs) ** 2)
     got = estimates._DominantRegions(kernel, gt, gs, p)(cells, *coeffs, top_cells)
     expected = full_matrix_dominant_regions(lhs_field, w_out, lifts, p, top_cells)
     assert len(expected) > 0
@@ -814,13 +819,19 @@ def block_dominant_terms(cells, lifts, top_cells):
 @functools.cache
 def main_bilinear_resolution(n_space, n_time):
     """The per-resolution objects of main_bilinear at alpha = 1.5 and its
-    default box and T: the params, the free lifts, the product field, the b'
-    weights and the region search."""
+    default box and T: the params, the free lifts, the product field, the
+    cell weight of the b' weights and the region search."""
     p, grid = EstimateParams.default_admissible(1.5), FrequencyGrid(n_space, 16.0)
     free = _FreeLifts(grid, p, 0.5, n_time)
-    product = _ProductField(grid, free.times, free.psi, n_time)
+    product = _ProductField(grid, free.times, free.psi, free.paths, n_time)
     w_out = bourgain_weights(free.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
-    return p, free, product, w_out, _DominantRegions(free.kernel.coeffs, product.time_grid, grid, p)
+    search = _DominantRegions(free.kernel.coeffs, product.time_grid, grid, p)
+    return p, free, product, product.cell_weight(w_out), search
+
+
+def harness_cells(product, weight, u1, u2):
+    """A sample's cell table, in the product field's layout, as main_bilinear fills it."""
+    return weight * np.square(np.abs(product(u1, u2)))
 
 
 class TestDominantTerms:
@@ -828,6 +839,7 @@ class TestDominantTerms:
 
     @staticmethod
     def found(search, cells, u1, u2, top_cells=TOP_CELLS):
+        """The terms search finds for cells, a table in the product field's layout."""
         return sorted(zip(*(a.tolist() for a in search.terms(cells, u1, u2, top_cells))))
 
     @settings(max_examples=40, deadline=None)
@@ -836,9 +848,10 @@ class TestDominantTerms:
         seed=st.integers(0, 2**32 - 1),
         kinds=st.tuples(*[st.sampled_from(["drawn", "drawn", "top", "zero"])] * 2),
         zero_mean=st.booleans(),
+        floor=st.sampled_from([_SUPPORT_FLOOR, 1.0]),
     )
-    def test_terms_match_the_block_search(self, res, seed, kinds, zero_mean):
-        p, free, product, w_out, search = main_bilinear_resolution(*res)
+    def test_terms_match_the_block_search(self, res, seed, kinds, zero_mean, floor):
+        p, free, product, weight, search = main_bilinear_resolution(*res)
         grid, dxi = free.grid, free.grid.spacing
         rng = np.random.default_rng(seed)
         pair = list(_draw_pair(rng, grid.band_modes(10.0), dxi))
@@ -848,17 +861,43 @@ class TestDominantTerms:
                 # a packet at the largest paired carrier reaches the unpaired mode
                 pair[i] = _packet_descriptor(rng, top if rng.random() < 0.5 else -top, dxi)
         fields = [_field_from_descriptor(grid, d, zero_mean) for d in pair]
-        for u, rows in zip(fields, product.rows):
-            np.multiply(free.paths, u.coeffs, out=rows)
-        cells = _weighted_cells(product(), w_out, 0.0)
+        cells = harness_cells(product, weight, *(u.coeffs for u in fields))
         # a zero factor meets the cells of the field it stands in for, so
         # that the heaviest cells are positive
         u1, u2 = (np.zeros(grid.n_modes, complex) if kind == "zero" else u.coeffs
                   for u, kind in zip(fields, kinds))
         lifts = (free.kernel.coeffs * u1, free.kernel.coeffs * u2)
-        expected = block_dominant_terms(cells, lifts, TOP_CELLS)
-        assert self.found(search, cells, u1, u2) == expected
+        expected = block_dominant_terms(product.ascending(cells), lifts, TOP_CELLS)
+        # at a first floor of 1 no term clears the first pass's bound, so
+        # every cell is settled by the pass at eps = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimates, "_SUPPORT_FLOOR", floor)
+            assert self.found(search, cells, u1, u2) == expected
         assert (len(expected) == 0) == ("zero" in kinds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 8), (24, 16), (10, 12)]),
+        seed=st.integers(0, 2**32 - 1),
+        top_cells=st.integers(1, 12),
+        floor=st.sampled_from([_SUPPORT_FLOOR, 1.0]),
+    )
+    def test_terms_match_the_block_search_over_generated_cells(self, shape, seed, top_cells, floor):
+        # coefficients spread over ten decades with zeros among them, and cells
+        # anywhere on the lattice, its edges and corners included, with ties
+        rng = np.random.default_rng(seed)
+        m_t, n_x = shape
+        gs, gt = FrequencyGrid(n_x, 16.0), FrequencyGrid(m_t, 0.8)
+        kernel = rng.standard_normal((m_t, n_x)) + 1j * rng.standard_normal((m_t, n_x))
+        u1, u2 = (10.0 ** rng.uniform(-10, 0, n_x) * rng.choice([0.0, 1.0, 1j], n_x) for _ in range(2))
+        cells = rng.choice([0.0, 1.0, 2.0, 3.0], (m_t, 2 * n_x))
+        if rng.random() < 0.5:  # ties broken
+            cells *= rng.uniform(1.0, 1.01, cells.shape)
+        search = _DominantRegions(kernel, gt, gs, EstimateParams.default_admissible(1.5))
+        expected = block_dominant_terms(cells, (kernel * u1, kernel * u2), top_cells)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimates, "_SUPPORT_FLOOR", floor)
+            assert self.found(search, slot_layout(cells), u1, u2, top_cells) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -868,10 +907,16 @@ class TestDominantTerms:
     )
     def test_top_cells_match_a_full_sort(self, shape, k, seed):
         # small integer values, so that most tables have ties at the k-th cell
-        cells = np.random.default_rng(seed).integers(0, 4, size=shape).astype(float)
-        k = min(k, cells.size)
-        expected = np.lexsort((np.arange(cells.size), -cells.ravel()))[:k]
-        assert estimates._top_cells(cells, k).tolist() == expected.tolist()
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, 4, size=shape).astype(float)
+        (rows, cols), k = shape, min(k, cells.size)
+        expected = np.lexsort((np.arange(cells.size), -cells.ravel()))[:k].tolist()
+        flat = (np.arange(rows) * cols, np.arange(cols))
+        assert estimates._top_cells(cells, k, flat).tolist() == expected
+        # the same cells transposed, rows and columns permuted, ranked by their flat index above
+        perm_r, perm_c = rng.permutation(rows), rng.permutation(cols)
+        table = cells[np.ix_(perm_r, perm_c)].T.copy()
+        assert estimates._top_cells(table, k, (perm_c, perm_r * cols)).tolist() == expected
 
     def test_a_cell_off_the_supports_is_settled_by_the_second_pass(self):
         rng = np.random.default_rng(5)
@@ -885,13 +930,13 @@ class TestDominantTerms:
         cells = np.zeros((m_t, 2 * n_x))
         cells[m_t // 2, 6 + 10 + 1] = 1.0
         search = _DominantRegions(kernel, gt, gs, EstimateParams.default_admissible(1.5))
-        found = self.found(search, cells, u1, u2, top_cells=1)
+        found = self.found(search, slot_layout(cells), u1, u2, top_cells=1)
         assert found == block_dominant_terms(cells, (kernel * u1, kernel * u2), 1)
         ((_, _, r1, q1),) = found
         power = np.abs(kernel) ** 2
         assert q1 == 6
         assert power[r1, q1] * abs(u1[q1]) ** 2 < _SUPPORT_FLOOR**2 * np.max(power * np.abs(u1) ** 2)
-        assert len(search(cells, u1, u2, top_cells=1)) == 1
+        assert len(search(slot_layout(cells), u1, u2, top_cells=1)) == 1
 
     def test_one_call_settles_cells_in_either_pass_and_leaves_out_zero_ones(self):
         rng = np.random.default_rng(11)
@@ -908,7 +953,7 @@ class TestDominantTerms:
         cells = np.zeros((m_t, 2 * n_x))
         cells[m_t // 2, 16], cells[m_t // 2, 17], cells[4, 14], cells[7, 17] = 4.0, 3.0, 2.0, 1.0
         search = _DominantRegions(kernel, gt, gs, EstimateParams.default_admissible(1.5))
-        found = self.found(search, cells, u1, u2, top_cells=4)
+        found = self.found(search, slot_layout(cells), u1, u2, top_cells=4)
         assert found == block_dominant_terms(cells, (kernel * u1, kernel * u2), 4)
         assert [(mi, ki, q1) for mi, ki, _, q1 in found] == [(4, 14, 3), (7, 17, 6), (m_t // 2, 17, 6)]
         # the first-pass term clears the first pass's bound, the others do not
@@ -919,27 +964,26 @@ class TestDominantTerms:
         mods = [abs(lift1[r1, q1] * lift2[mi + m_t // 2 - 1 - r1, ki - 1 - q1])
                 for mi, ki, r1, q1 in found]
         assert mods[0] > bound > max(mods[1:]) > 0.0
-        assert len(search(cells, u1, u2, top_cells=4)) == 3
+        assert len(search(slot_layout(cells), u1, u2, top_cells=4)) == 3
 
     @pytest.mark.parametrize("seed, index", [(0, 0), (1, 0), (2, 0), (0, 3)])
     def test_the_working_set_is_about_a_pair_of_lifts(self, seed, index):
-        p, free, product, w_out, search = main_bilinear_resolution(64, 512)
+        p, free, product, weight, search = main_bilinear_resolution(64, 512)
         grid, kernel = free.grid, free.kernel.coeffs
         rng = np.random.default_rng(seed)
         n_band = grid.band_modes(10.0)
         pair = _draw_samples("main_bilinear", rng, index + 1, n_band, grid.spacing)[index]
         u1, u2 = (_field_from_descriptor(grid, d, p.omega > 0.0).coeffs for d in pair)
-        for u, rows in zip((u1, u2), product.rows):
-            np.multiply(free.paths, u, out=rows)
-        cells = _weighted_cells(product(), w_out, p.omega)
+        cells = harness_cells(product, weight, u1, u2)
         search.terms(cells, u1, u2)
         tracemalloc.start()
         mi, ki, r1, q1 = search.terms(cells, u1, u2)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         found = sorted(zip(mi.tolist(), ki.tolist(), r1.tolist(), q1.tolist()))
-        assert found == block_dominant_terms(cells, (kernel * u1, kernel * u2), TOP_CELLS)
-        (m_t, n_x), n_out = kernel.shape, cells.shape[1]
+        expected = block_dominant_terms(product.ascending(cells), (kernel * u1, kernel * u2), TOP_CELLS)
+        assert found == expected
+        (m_t, n_x), n_out = kernel.shape, cells.shape[0]
         column_max = np.max(np.abs(kernel) ** 2, axis=0)
         peak1, peak2 = (np.max(column_max * np.abs(u) ** 2) for u in (u1, u2))
         r2 = mi + m_t // 2 - 1 - r1
@@ -967,7 +1011,7 @@ class TestDominantTerms:
         cells[3, 10] = 2.0
         cells[5, 9] = 1.0
         search = _DominantRegions(np.ones((m_t, n_x), complex), gt, gs, EstimateParams.default_admissible(1.5))
-        found = self.found(search, cells, u, u)
+        found = self.found(search, slot_layout(cells), u, u)
         assert found == block_dominant_terms(cells, (np.ones((m_t, n_x)) * u,) * 2, TOP_CELLS)
         # the first row with a partner on the lattice, then the first column
         assert found == [(3, 10, 0, 4), (5, 9, 1, 3)]
@@ -975,8 +1019,9 @@ class TestDominantTerms:
 
 def ascending_product_field(traj1, traj2, T, n_slots):
     """product_derivative_field through the ascending transforms, each factor
-    zero-padded to the doubled grid: the reference whose bytes _ProductField
-    keeps.  Returns the coefficients and the tau grid."""
+    zero-padded to the doubled grid: the formula that _ProductField's folded
+    arithmetic restates, kept as a cross-check.  Returns the coefficients
+    and the tau grid."""
     n, box = traj1.grid.n_modes, traj1.grid.box_length
     psi = bump(traj1.times / T)[:, None]
 
@@ -990,9 +1035,43 @@ def ascending_product_field(traj1, traj2, T, n_slots):
     return coeffs * (1j * FrequencyGrid(2 * n, box).frequencies)[None, :], time_grid
 
 
+def folded_product_field(psi, paths, factors, box, times, n_slots):
+    """_ProductField's folded arithmetic in ascending order, the reference
+    whose bytes it keeps: factor i is paths * factors[i] (a row, or a table
+    on times) on the samples in the window, under the weight psi paths
+    (-1)^k sqrt(2 pi)/L in the doubled grid's modes of the grid, and zero
+    in its other modes, where the factor reads its first mode.  numpy's
+    unscaled transforms run in slot order, np.roll's shift by N/2 - 1 of
+    ascending: the inverse and then the forward one along x, and the
+    forward one along tau on axis 0.  Returns the spectrum X and the field
+    C = (-1)^m st (-1)^k sx i xi X, ascending, and (sx st xi)^2, with sx and
+    st the analysis scales of the doubled grid and the tau grid."""
+    n = paths.shape[1]
+    time_grid, samples, window = _time_window(times, n_slots, psi)
+    xi = FrequencyGrid(2 * n, box).frequencies
+
+    def signs(count):
+        k = np.arange(1 - count // 2, count // 2 + 1)
+        return np.where(k % 2 == 0, 1.0, -1.0) + 0j
+
+    weight = np.zeros((psi[samples].shape[0], 2 * n), complex)
+    weight[:, n // 2 : n // 2 + n] = psi[samples] * paths[samples] * (signs(n) * (math.sqrt(TWO_PI) / box))
+    mode = np.zeros(2 * n, int)
+    mode[n // 2 : n // 2 + n] = np.arange(n)
+    f1, f2 = (np.fft.ifft(np.roll(weight * (u[samples] if u.ndim == 2 else u)[..., mode], 1 - n, axis=-1),
+                          norm="forward") for u in factors)
+    signal = np.zeros((n_slots, 2 * n), complex)
+    signal[window] = np.fft.fft(f1 * f2)
+    spectrum = np.roll(np.fft.fft(signal, axis=0), (n_slots // 2 - 1, n - 1), axis=(0, 1))
+    sx, st = box / (2 * n * math.sqrt(TWO_PI)), time_grid.box_length / (n_slots * math.sqrt(TWO_PI))
+    coeffs = spectrum * np.outer(signs(n_slots) * st, signs(2 * n) * (sx * 1j * xi))
+    return spectrum, coeffs, np.square(sx * st * xi)
+
+
 class TestProductField:
-    """main_bilinear's per-resolution product field against the ascending
-    formula it replaced, byte for byte."""
+    """main_bilinear's per-resolution product field against the folded
+    arithmetic it runs, byte for byte, and against the ascending formula
+    it restates, to 1e-13."""
 
     L, T = 16.0, 0.5
 
@@ -1019,24 +1098,39 @@ class TestProductField:
 
     @settings(max_examples=30, deadline=None)
     @given(res=st.sampled_from(estimates._KIND_INPUTS["main_bilinear"]["resolutions"]), data=st.data())
-    def test_bytes_match_the_ascending_formula(self, res, data):
+    def test_bytes_match_the_folded_formula(self, res, data):
         n_space, n_time = res
         grid = FrequencyGrid(n_space, self.L)
         ones = SpectralField(grid, np.ones(n_space, dtype=complex))
         paths = free_cutoff_trajectory(ones, 1.5, self.T, n_time)
-        product = _ProductField(grid, paths.times, bump(paths.times / self.T)[:, None], n_time)
+        psi = bump(paths.times / self.T)[:, None]
+        p = EstimateParams.default_admissible(1.5)
+        product = _ProductField(grid, paths.times, psi, paths.coeffs, n_time)
+        w_out = bourgain_weights(product.time_grid.frequencies, product.ext.frequencies, p, p.b_prime)
+        weight = product.cell_weight(w_out)
+        measure = product.time_grid.spacing * product.ext.spacing
         for _ in range(2):  # sample B after sample A, on one workspace
             u1, u2 = (data.draw(self.factor(grid)) for _ in range(2))
+            spectrum, _, scale = folded_product_field(
+                psi, paths.coeffs, (u1.coeffs, u2.coeffs), self.L, paths.times, n_time)
+            assert product.ascending(product(u1.coeffs, u2.coeffs)).tobytes() == spectrum.tobytes()
+            cells = product.ascending(harness_cells(product, weight, u1.coeffs, u2.coeffs))
+            assert cells.tobytes() == (w_out * scale * np.square(np.abs(spectrum))).tobytes()
+            # the ascending formula's cells and b' norm
             trajs = [Trajectory(grid, paths.times, paths.coeffs * u.coeffs, 1.5) for u in (u1, u2)]
-            expected, time_grid = ascending_product_field(*trajs, self.T, n_time)
-            for u, rows in zip((u1, u2), product.rows):
-                np.multiply(paths.coeffs, u.coeffs, out=rows)
-            assert product().tobytes() == expected.tobytes()
+            old, time_grid = ascending_product_field(*trajs, self.T, n_time)
+            old_cells = w_out * np.abs(old) ** 2
             assert product.time_grid == time_grid
-            # the public one-shot builds a fresh workspace
+            assert np.max(np.abs(cells - old_cells)) <= 1e-13 * np.max(old_cells)
+            assert math.isclose(math.sqrt(np.sum(cells) * measure), math.sqrt(np.sum(old_cells) * measure),
+                                rel_tol=1e-13, abs_tol=0.0)
+            # the public one-shot builds a fresh workspace, whose paths are ones
             fresh = product_derivative_field(*trajs, self.T, n_time)
-            assert fresh.coeffs.tobytes() == product.coeffs.tobytes()
+            _, expected, _ = folded_product_field(
+                psi, np.ones(paths.coeffs.shape), [t.coeffs for t in trajs], self.L, paths.times, n_time)
+            assert fresh.coeffs.tobytes() == expected.tobytes()
             assert (fresh.space_grid, fresh.time_grid) == (product.ext, time_grid)
+            assert np.max(np.abs(fresh.coeffs - old)) <= 1e-13 * np.max(np.abs(old))
 
     def test_the_unpaired_mode_is_reached(self):
         # the top-of-band packets above put weight on the N/2 mode, even with
@@ -1050,7 +1144,7 @@ class TestProductField:
         grid = FrequencyGrid(16, self.L)
         times = np.linspace(-1.0, 1.0, 41)  # psi_T reaches |t| = 1, the window holds 16 slots
         with pytest.raises(ValueError, match="beyond the padded window"):
-            _ProductField(grid, times, bump(times / self.T)[:, None], 16)
+            _ProductField(grid, times, bump(times / self.T)[:, None], np.ones((41, 16)), 16)
 
 
 def masked_random_spacetime(rng, grid, time_grid, band):
