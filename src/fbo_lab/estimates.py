@@ -510,9 +510,10 @@ class _FreeLifts:
     field, and its squared restriction norm under p is the sum over xi of
     profile(xi) |u0(xi)|^2, where profile(xi) is the tau sum of
     w |kernel|^2 dtau dxi with w = bourgain_weights at b = p.b.  A norm then
-    costs O(N) per sample.  One instance serves one resolution of one harness
-    call, with one cutoff psi = bump(times / T) for its tables, its lifts and
-    main_bilinear's product field.
+    costs O(N) per sample.  One instance serves one resolution of one bilinear
+    harness call, or every strichartz resolution: on the same box and times a
+    coarser grid's own tables are their middle columns, bit for bit.  One
+    cutoff psi = bump(times / T) serves its tables, lifts and product field.
 
     The tables are built from the N/2+1 columns k >= 0: phases, the free
     group at times (exponentiated at t >= 0 only), the kernel, w and
@@ -573,12 +574,12 @@ class _FreeLifts:
         return SpaceTimeField(u0.grid, self.time_grid, coeffs)
 
     def norm(self, u0: SpectralField) -> float:
-        """bourgain_norm of the lift of u0, with its omega > 0 zero-mode check."""
-        mags = np.abs(u0.coeffs)
+        """bourgain_norm of the lift of u0, on this grid or a coarser one, and its zero-mode check."""
+        mags, zero = np.abs(u0.coeffs), u0.grid.zero_index
+        lo = self.grid.zero_index - zero
         if self.p.omega > 0.0:
-            zero = u0.grid.zero_index
-            _require_zero_mean(self.column_max * mags, zero, "bourgain norm with omega > 0")
-        return math.sqrt(float(np.sum(self.profile * mags**2)))
+            _require_zero_mean(self.column_max[lo : lo + mags.size] * mags, zero, "bourgain norm with omega > 0")
+        return math.sqrt(float(np.sum(self.profile[lo : lo + mags.size] * mags**2)))
 
 
 def _x_params(p: EstimateParams) -> EstimateParams:
@@ -835,26 +836,31 @@ class _DominantRegions:
                 for d, a in zip(d_codes.tolist(), a_codes.tolist())]
 
 
-def _strichartz_sides(p, free, inputs, histogram):
-    """The L4t Linfx norm of <D>^gamma psi_T W(t) u0 and the norm of its lift.
+def _strichartz_table(p, grids, T, n_time, descs):
+    """The L4t Linfx norm of <D>^gamma psi_T W(t) u0 and the norm of its lift,
+    as two (resolutions x samples) tables, the rows as grids.
 
-    Every draw is Hermitian and the free group keeps it so (phi is odd), so
-    the left side is synthesised as a real field from its k >= 0 modes, with
-    the cutoff, the group, <D>^gamma and the synthesis constants in one table.
+    Every draw is Hermitian and in the coarsest grid's band, and the free group
+    keeps it so (phi is odd): the cut evolution is one real trigonometric
+    polynomial on every grid of the box.  So one _FreeLifts on the finest grid
+    serves every resolution, each sample is synthesised once there from its
+    k >= 0 modes, with the cutoff, the group, <D>^gamma and the synthesis
+    constants in one table, and a grid of N modes reads every (N_f/N)-th node.
     """
-    grid, times = free.grid, free.times
-    gamma = (p.alpha - 1.0) / 4.0
-    bracket = japanese_bracket(grid.frequencies[grid.zero_index :]) ** gamma
-    table = _real_synthesis_table(free.psi * free.phases * bracket, grid.box_length)
-    dt = float(times[1] - times[0])
-
-    def sides(desc):
-        u0 = _field_from_descriptor(grid, desc, False)
-        samples = _real_synthesis(table, u0.coeffs)
+    fine = max(grids, key=lambda grid: grid.n_modes)
+    free = _FreeLifts(fine, _x_params(p), T, n_time)
+    bracket = japanese_bracket(fine.frequencies[fine.zero_index :]) ** ((p.alpha - 1.0) / 4.0)
+    table = _real_synthesis_table(free.psi * free.phases * bracket, fine.box_length)
+    dt = float(free.times[1] - free.times[0])
+    lhs, rhs = np.empty((2, len(grids), len(descs)))
+    for j, desc in enumerate(descs):
+        samples = _real_synthesis(table, _field_from_descriptor(fine, desc, False).coeffs)
         # the samples are a fresh array that nothing else holds: their moduli overwrite them
-        return _lebesgue_of_samples(np.abs(samples, out=samples), grid, dt, 4.0, math.inf), free.norm(u0)
-
-    return sides
+        mags = np.abs(samples, out=samples)
+        for i, grid in enumerate(grids):
+            lhs[i, j] = _lebesgue_of_samples(mags[:, :: fine.n_modes // grid.n_modes], grid, dt, 4.0, math.inf)
+            rhs[i, j] = free.norm(_field_from_descriptor(grid, desc, False))
+    return lhs, rhs
 
 
 def _bilinear_str_sides(p, free, inputs, histogram):
@@ -966,10 +972,10 @@ def _main_bilinear_sides(p, free, inputs, histogram):
     return sides
 
 
-#: Per sampled kind: (p, one resolution's _FreeLifts, inputs, histogram) -> the
+#: Per bilinear kind: (p, one resolution's _FreeLifts, inputs, histogram) -> the
 #: function taking one sample's descriptors to its (lhs, rhs).
-_SIDES = {"strichartz": _strichartz_sides, "bilinear_str": _bilinear_str_sides,
-          "dual_bilinear": _dual_bilinear_sides, "main_bilinear": _main_bilinear_sides}
+_SIDES = {"bilinear_str": _bilinear_str_sides, "dual_bilinear": _dual_bilinear_sides,
+          "main_bilinear": _main_bilinear_sides}
 
 
 def _smoothing_report(p: EstimateParams, n_samples: int, seed: int) -> RatioReport:
@@ -993,6 +999,8 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     before it writes anything.  Returns kind's inputs with their defaults and
     its resolutions as (label, spatial modes, tau modes), coarsest first.
 
+    Each strichartz resolution samples one synthesis at the finest grid, so
+    must divide the finest; its step is the one nearest 0.01 that divides 2T.
     A strichartz lift's energy sits at tau = phi(xi) = xi|xi|^alpha, spread
     over a few 1/T by the cutoff; at the tau Nyquist pi/dt it wraps round and
     is weighted at the wrong modulation.  So a band whose centre
@@ -1019,12 +1027,17 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
     if kind == "strichartz":
-        n_time = int(round(8.0 * T / 0.01 / 2)) * 2  # dt = 0.01 on a pad-2 window
+        # the step nearest 0.01 that divides 2T, on a pad-2 window of 8T
+        n_time = max(4 * round(2.0 * T / 0.01), 8)
         resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
     else:
         resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
     band_fraction = inputs.get("band_fraction")
     coarsest = FrequencyGrid(min(n for _, n, _ in resolutions), L)
+    finest = max(n for _, n, _ in resolutions)
+    if kind == "strichartz" and any(finest % n for _, n, _ in resolutions):
+        raise ValueError(f"strichartz resolutions {tuple(inputs['resolutions'])} must each divide the finest, "
+                         f"{finest}, whose synthesis they sample: pass resolutions=({finest // 2}, {finest})")
     grid_fits = fits = coarsest.largest_band
     # dt = 8T / n_time on the lifts' pad-2 window; strichartz has one n_time
     # at every resolution, and the band it names, the smaller of the two
@@ -1061,8 +1074,8 @@ def estimate_ratio(
     """Empirical sup (or inf, for lower bounds) of an estimate's side ratio.
 
     kind selects the inequality: 'strichartz' (L4t Linfx against the b-scale;
-    its draws are Hermitian, so the L4t Linfx side synthesises each one as a
-    real field from its k >= 0 modes), 'bilinear_str' and 'dual_bilinear'
+    its resolutions, each dividing the finest, sample one real synthesis per
+    draw at the finest grid), 'bilinear_str' and 'dual_bilinear'
     (the two weighted convolutions), 'main_bilinear' (the derivative product
     estimate, with a histogram of the regions of each sample's TOP_CELLS
     dominant contributions at the last resolution), or 'smoothing' (the
@@ -1070,7 +1083,8 @@ def estimate_ratio(
     only these keys (defaults shown):
 
     - strichartz: n_samples=200, resolutions=(256, 512) (spatial modes, at
-      time step 0.01), box_length=64.0, band=8.0, T=1.0
+      the time step nearest 0.01 that divides 2T), box_length=64.0, band=8.0,
+      T=1.0
     - bilinear_str, dual_bilinear: n_samples=100, resolutions=((48, 48),
       (64, 64)) (spatial x tau modes), box_length=16.0, band=3.0, T=0.5
     - main_bilinear: n_samples=200, resolutions=((56, 448), (64, 512)),
@@ -1094,19 +1108,23 @@ def estimate_ratio(
     tallies = {"d_part": dict.fromkeys(_D_PARTS, 0), "a_part": dict.fromkeys(_A_PARTS, 0)}
     histogram = tallies if kind == "main_bilinear" else None
     free_params = p if kind == "main_bilinear" else _x_params(p)
+    grids = [FrequencyGrid(n_space, L) for _, n_space, _ in resolutions]
+    grows = band_fraction is not None  # with fresh draws per resolution; a band's are shared
+    draws = [_draw_samples(kind, np.random.default_rng((seed, g.n_modes) if grows else seed), n_samples,
+                           g.band_modes(float(band_fraction) * g.largest_band if grows else band), g.spacing)
+             for g in (grids if grows else grids[:1])]
+    if kind == "strichartz":
+        lhs, rhs = _strichartz_table(p, grids, T, resolutions[0][2], draws[0])
+        table = np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0.0)
+    else:
+        table = []
+        for grid, (_, _, n_time), descs in zip(grids, resolutions, draws if grows else draws * len(grids)):
+            free = _FreeLifts(grid, free_params, T, n_time)
+            sides = _SIDES[kind](p, free, inputs, histogram if grid is grids[-1] else None)
+            table.append(np.array([lhs / rhs if rhs > 0.0 else np.nan for lhs, rhs in map(sides, descs)]))
+            del free, sides  # so that one resolution's lift tables are held at a time
     trend = []
-    for res_index, (label, n_space, n_time) in enumerate(resolutions):
-        grid = FrequencyGrid(n_space, L)
-        grows = band_fraction is not None  # with fresh draws; a band's are shared
-        if grows or res_index == 0:
-            n_band = grid.band_modes(float(band_fraction) * grid.largest_band if grows else band)
-            rng = np.random.default_rng((seed, n_space) if grows else seed)
-            descs = _draw_samples(kind, rng, n_samples, n_band, grid.spacing)
-        free = _FreeLifts(grid, free_params, T, n_time)
-        finest = res_index == len(resolutions) - 1
-        sides = _SIDES[kind](p, free, inputs, histogram if finest else None)
-        ratios = np.array([lhs / rhs if rhs > 0.0 else np.nan for lhs, rhs in map(sides, descs)])
-        del free, sides  # so that one resolution's lift tables are held at a time
+    for (label, _, _), ratios in zip(resolutions, table):
         finite = ratios[np.isfinite(ratios)]
         if finite.size == 0:
             raise ValueError(f"all samples were skipped at resolution {label}")

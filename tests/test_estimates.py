@@ -39,7 +39,7 @@ from fbo_lab.estimates import (
     _packet_descriptor,
     _ProductField,
     _random_spacetime,
-    _strichartz_sides,
+    _strichartz_table,
     _x_params,
     product_derivative_field,
 )
@@ -594,6 +594,30 @@ class TestEstimateRatio:
         for band in (8.0, 9.9227):  # the default, and the largest band named
             inputs, resolutions = estimates._checked_inputs("strichartz", {"band": band}, p)
             assert inputs["band"] == band and len(resolutions) == 2
+
+    @pytest.mark.parametrize("resolutions, finest", [((256, 384), 384), ((192, 256, 512), 512),
+                                                     ((512, 96), 512)])
+    def test_strichartz_resolutions_that_do_not_divide_the_finest_rejected_before_compute(
+        self, no_free_lifts, resolutions, finest
+    ):
+        p = EstimateParams.default_admissible(1.5)
+        message = (rf"strichartz resolutions \({', '.join(map(str, resolutions))}\) must each divide "
+                   rf"the finest, {finest}, .*: pass resolutions=\({finest // 2}, {finest}\)")
+        with pytest.raises(ValueError, match=message):
+            estimate_ratio("strichartz", {"n_samples": 2, "resolutions": resolutions}, p, 0)
+
+    def test_a_strichartz_cutoff_off_the_hundredth_grid_runs(self):
+        # 2T = 2/3 is no multiple of 0.01: the step nearest 0.01 that divides it is 2T/67
+        p = EstimateParams.default_admissible(1.5)
+        _, resolutions = estimates._checked_inputs("strichartz", {"T": 1 / 3}, p)
+        assert [n_time for _, _, n_time in resolutions] == [268, 268]
+        report = estimate_ratio("strichartz", {"n_samples": 2, "T": 1 / 3}, p, 0)
+        assert np.isfinite(report.sup_ratio) and report.skipped == 0
+        # the defaults, and T = 0.5, keep their tau modes and so their bytes
+        _, resolutions = estimates._checked_inputs("strichartz", {}, p)
+        assert resolutions == [("N=256", 256, 800), ("N=512", 512, 800)]
+        _, resolutions = estimates._checked_inputs("strichartz", {"T": 0.5}, p)
+        assert [n_time for _, _, n_time in resolutions] == [400, 400]
 
     def test_band_at_the_largest_paired_frequency_runs(self):
         p = EstimateParams.default_admissible(1.5)
@@ -1226,9 +1250,14 @@ class TestDrawsWithinTheBand:
 
             return sides
 
+        def record_table(p, grids, T, n_time, descs):
+            seen.extend((grid, desc) for grid in grids for desc in descs)
+            return np.ones((2, len(grids), len(descs)))
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimates, "_FreeLifts", lambda grid, *args: SimpleNamespace(grid=grid))
             patch.setitem(estimates._SIDES, kind, record)
+            patch.setattr(estimates, "_strichartz_table", record_table)
             if band + 1e-9 * coarsest.spacing < coarsest.spacing:
                 with pytest.raises(ValueError, match="admits no nonzero mode"):
                     estimate_ratio(kind, inputs, p, data.draw(st.integers(0, 2**32 - 1)))
@@ -1377,36 +1406,58 @@ class TestFreeLifts:
                 assert free.norm(field) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
 
 
-class TestStrichartzSides:
-    """The real half-spectrum synthesis of the left side against the complex
-    path it replaces: mixed_lebesgue_norm of the cut free evolution."""
+class TestStrichartzTable:
+    """One synthesis at the finest grid serves every resolution: each
+    resolution's left side against the complex path it replaces,
+    mixed_lebesgue_norm of the cut free evolution on that grid, and its right
+    side against that grid's own _FreeLifts."""
 
-    L, T, N_TIME = 64.0, 1.0, 800  # the kind's defaults: dt = 0.01 on a pad-2 window
+    @staticmethod
+    def n_time(ns, L, T):
+        inputs = {"resolutions": ns, "box_length": L, "T": T, "band": 1.0}
+        _, resolutions = estimates._checked_inputs("strichartz", inputs, EstimateParams.default_admissible(1.5))
+        return resolutions[0][2]
 
     def complex_path(self, p, free, u0):
         gamma = (p.alpha - 1.0) / 4.0
-        psi = bump(free.times / self.T)[:, None]
+        psi = bump(free.times / free.T)[:, None]
         cut = psi * free.paths * japanese_bracket(free.grid.frequencies) ** gamma * u0.coeffs
         return mixed_lebesgue_norm(Trajectory(free.grid, free.times, cut, p.alpha), 4.0, math.inf)
 
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_matches_the_complex_path(self, n):
+    @settings(max_examples=12, deadline=None)
+    @given(
+        # one grid alone draws up to its own largest paired frequency
+        box=st.sampled_from([((32, 64), 16.0, 0.5), ((64, 128, 256), 16.0, 0.5),
+                             ((256, 512), 64.0, 1.0), ((64,), 16.0, 0.5)]),
+        data=st.data(),
+    )
+    def test_each_resolution_matches_its_own_grid(self, box, data):
+        ns, L, T = box
         p = EstimateParams.default_admissible(1.5)
-        grid, coarsest = FrequencyGrid(n, self.L), FrequencyGrid(256, self.L)
-        free = _FreeLifts(grid, _x_params(p), self.T, self.N_TIME)
-        sides = _strichartz_sides(p, free, {}, None)
-        dxi = grid.spacing
-        # the default band, a band at the coarsest grid's largest paired
-        # frequency, and band_fraction=1 draws, which reach this grid's
-        n_bands = (grid.band_modes(8.0), grid.band_modes(coarsest.largest_band),
-                   grid.band_modes(grid.largest_band))
-        assert n_bands[-1] == n // 2 - 1
-        for i, n_band in enumerate(n_bands):
-            for desc in _draw_samples("strichartz", np.random.default_rng((n, i)), 3, n_band, dxi):
+        n_time = self.n_time(ns, L, T)
+        grids = [FrequencyGrid(n, L) for n in ns]
+        # up to the coarsest grid's largest paired frequency
+        n_band = data.draw(st.integers(1, ns[0] // 2 - 1), label="n_band")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        descs = _draw_samples("strichartz", rng, 2, n_band, grids[0].spacing)
+        lhs, rhs = _strichartz_table(p, grids, T, n_time, descs)
+        for i, grid in enumerate(grids):
+            free = _FreeLifts(grid, _x_params(p), T, n_time)
+            for j, desc in enumerate(descs):
                 u0 = _field_from_descriptor(grid, desc, False)
-                lhs, rhs = sides(desc)
-                assert lhs == pytest.approx(self.complex_path(p, free, u0), rel=1e-13, abs=0.0)
-                assert rhs == free.norm(u0)
+                assert lhs[i, j] == pytest.approx(self.complex_path(p, free, u0), rel=1e-13, abs=0.0)
+                assert rhs[i, j] == free.norm(u0)
+
+    @pytest.mark.parametrize("ns, L, T", [((32, 64), 16.0, 0.5), ((64, 256), 16.0, 0.5),
+                                          ((256, 512), 64.0, 1.0)])
+    def test_a_coarse_profile_is_the_middle_of_the_finest(self, ns, L, T):
+        p = EstimateParams.default_admissible(1.5)
+        n_time = self.n_time(ns, L, T)
+        coarse, fine = (_FreeLifts(FrequencyGrid(n, L), _x_params(p), T, n_time) for n in ns)
+        lo = fine.grid.zero_index - coarse.grid.zero_index
+        cols = slice(lo, lo + coarse.grid.n_modes)
+        assert fine.profile[cols].tobytes() == coarse.profile.tobytes()
+        assert fine.column_max[cols].tobytes() == coarse.column_max.tobytes()
 
 
 class TestBilinearStrSides:

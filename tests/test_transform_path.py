@@ -9,7 +9,12 @@ direct call elsewhere is a second copy of the transform steps.
 The slot-order kernel, whose constants sit in two weights, was measured
 against the ascending form through _inverse_raw and _forward_raw,
 interleaved over 25 rounds on a 2-core x86 box (Python 3.11, numpy 2.4):
-46-51 against 89-96 us per call on (2, 512) rows, so it stays.
+46-51 against 89-96 us per call on (2, 512) rows, so it stays.  Routed
+through spectral._slot_fft it keeps every byte but pays a call per
+transform, and it is the solver's innermost call, 8000 times per 1000-step
+simulate: a median 25.4 against 24.8 us (+2.6%, 25 interleaved rounds on
+(2, 512) rows), and in four later runs of 25 or 50 rounds 27.5-32.6 against
+27.0-32.1 us (-1% to +4.5%), no gain in any.  So it calls np.fft itself.
 _ProductField, whose constants also sit in two weights, runs its unscaled
 slot-order transforms through spectral._slot_fft: a 64x512 product with its
 cells took a median 1.12 ms (1.05-1.43) against 1.96 ms (1.82-2.46) for the
