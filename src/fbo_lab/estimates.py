@@ -37,6 +37,7 @@ from .spectral import (
     FrequencyGrid,
     SpectralField,
     _FAMILIES,
+    _even_time_spectrum,
     _freeze,
     _plan,
     _real_synthesis,
@@ -502,6 +503,12 @@ def _free_cutoff_times(T: float, n_time: int) -> np.ndarray:
     return np.arange(-n, n + 1) * dt
 
 
+#: Columns per block of _FreeLifts' profile: a block's spectra, weights and
+#: cells (32 x 801 at the strichartz defaults, 0.2 MB each) stay small, and
+#: the blocks are few enough that the loop costs nothing to speak of.
+_PROFILE_BLOCK = 32
+
+
 class _FreeLifts:
     """Free cutoff evolutions on one grid, their lifts and restriction norms.
 
@@ -516,17 +523,24 @@ class _FreeLifts:
     cutoff psi = bump(times / T) serves its tables, lifts and product field.
 
     The tables are built from the N/2+1 columns k >= 0: phases, the free
-    group at times (exponentiated at t >= 0 only), the kernel, w and
-    |kernel|^2.  The k < 0 entries come
+    group at times (exponentiated at t >= 0 only), w and |kernel|^2.  psi
+    being even, each column psi(t) e^{i t phi(xi)} is conjugate-even in t,
+    so its kernel column is real: |kernel|^2 is the square of the real
+    spectrum of its t >= 0 samples (_even_time_spectrum), half the samples
+    and half the arithmetic of the complex transform.  The profile and
+    column_max are built _PROFILE_BLOCK columns at a time, with w per block,
+    so no m x N/2 table is held.  The k < 0 entries come
     from the mirror (tau, -xi) <-> (-tau, xi), under which w is invariant
     and |kernel| is up to roundoff.  Mirrored, the tau grid reaches -m/2, not
     m/2, so w gets the extra row tau = -taus[-1] and |kernel|^2 a copy of row
     m/2 there (the transform is periodic in tau): profile(xi) sums rows 1..m
     and profile(-xi) rows 0..m-1.  column_max, a max over a period, is even.
-    paths, the free group over all N columns, and kernel, its lift, are built
-    on first use; strichartz never builds them.  phi being odd, the columns
-    xi < 0 of paths are bitwise the conjugates of the columns -xi, but at
-    t = 0, where the conjugate is 1 - 0j and the formula's 1 + 0j is set.
+    paths, the free group over all N columns, and kernel, its complex lift
+    (_padded_time_dft, which the bilinear region search reads bit for bit),
+    are built on first use; strichartz never builds them.  phi being odd,
+    the columns xi < 0 of paths are bitwise the conjugates of the columns
+    -xi, but at t = 0, where the conjugate is 1 - 0j and the formula's
+    1 + 0j is set.
     """
 
     def __init__(self, grid: FrequencyGrid, p: EstimateParams, T: float, n_time: int):
@@ -534,7 +548,8 @@ class _FreeLifts:
         z = grid.zero_index
         self.times = _free_cutoff_times(T, n_time)
         self.psi = bump(self.times / T)[:, None]
-        phi = dispersion_symbol(grid.frequencies[z:], p.alpha)
+        xis = grid.frequencies[z:]
+        phi = dispersion_symbol(xis, p.alpha)
         # the times are symmetric, and the row at -t is bitwise the conjugate
         # of the row at t, but at xi = 0, where the formula gives 1 + 0j
         n = self.times.size // 2
@@ -542,18 +557,28 @@ class _FreeLifts:
         np.exp(1j * np.outer(self.times[n:], phi), out=self.phases[n:])
         np.conjugate(self.phases[:n:-1, 1:], out=self.phases[:n, 1:])
         self.phases[:n, 0] = 1.0
-        half, self.time_grid = _padded_time_dft(self.psi * self.phases, self.times, n_time)
+        dt = float(self.times[1] - self.times[0])
+        self.time_grid = FrequencyGrid(n_time, n_time * dt)
         taus = self.time_grid.frequencies
-        w = bourgain_weights(np.concatenate(([-taus[-1]], taus)), grid.frequencies[z:], p, p.b)
-        mags = np.empty(w.shape)
-        np.abs(half, out=mags[1:])
-        mags[0] = mags[-1]
-        column_max = np.max(mags[1:], axis=0)
-        cells = np.multiply(w, np.square(mags, out=mags), out=mags)
+        taus = np.concatenate(([-taus[-1]], taus))
+        # per block of columns: their t >= 0 samples, contiguous in t, the
+        # squares of their spectra with row m/2 copied to -m/2, and the cells
+        half = np.empty((min(_PROFILE_BLOCK, xis.size), n + 1), complex)
+        squares = np.empty((half.shape[0], taus.size))
+        pos, neg, column_max = np.empty((3, xis.size))
+        for lo in range(0, xis.size, _PROFILE_BLOCK):
+            cols = slice(lo, lo + _PROFILE_BLOCK)
+            k = xis[cols].size
+            np.multiply(self.phases[n:, cols].T, self.psi[n:, 0], out=half[:k])
+            sq = squares[:k]
+            np.square(_even_time_spectrum(half[:k], dt, n_time), out=sq[:, 1:])
+            sq[:, 0] = sq[:, -1]
+            column_max[cols] = np.sqrt(np.max(sq[:, 1:], axis=1))
+            cells = np.multiply(bourgain_weights(taus, xis[cols], p, p.b).T, sq, out=sq)
+            np.sum(cells[:, 1:], axis=1, out=pos[cols])
+            np.sum(cells[:, :-1], axis=1, out=neg[cols])
         measure = self.time_grid.spacing * grid.spacing
-        pos = np.sum(cells[1:], axis=0) * measure
-        neg = np.sum(cells[:-1], axis=0) * measure
-        self.profile = np.concatenate((neg[z:0:-1], pos))
+        self.profile = np.concatenate((neg[z:0:-1], pos)) * measure
         self.column_max = np.concatenate((column_max[z:0:-1], column_max))
 
     @functools.cached_property
@@ -846,16 +871,23 @@ def _strichartz_table(p, grids, T, n_time, descs):
     serves every resolution, each sample is synthesised once there from its
     k >= 0 modes, with the cutoff, the group, <D>^gamma and the synthesis
     constants in one table, and a grid of N modes reads every (N_f/N)-th node.
+    The table is built by in-place multiplies, and each sample's product
+    with it and its samples are written into two buffers allocated once per
+    call, so the loop allocates no table-sized array.
     """
     fine = max(grids, key=lambda grid: grid.n_modes)
     free = _FreeLifts(fine, _x_params(p), T, n_time)
     bracket = japanese_bracket(fine.frequencies[fine.zero_index :]) ** ((p.alpha - 1.0) / 4.0)
-    table = _real_synthesis_table(free.psi * free.phases * bracket, fine.box_length)
+    table = free.psi * free.phases
+    table *= bracket
+    _real_synthesis_table(table, fine.box_length, out=table)
+    product = np.empty_like(table)
+    samples = np.empty((free.times.size, fine.n_modes))
     dt = float(free.times[1] - free.times[0])
     lhs, rhs = np.empty((2, len(grids), len(descs)))
     for j, desc in enumerate(descs):
-        samples = _real_synthesis(table, _field_from_descriptor(fine, desc, False).coeffs)
-        # the samples are a fresh array that nothing else holds: their moduli overwrite them
+        _real_synthesis(table, _field_from_descriptor(fine, desc, False).coeffs, product, samples)
+        # each sample's synthesis overwrites the last, and its moduli overwrite it
         mags = np.abs(samples, out=samples)
         for i, grid in enumerate(grids):
             lhs[i, j] = _lebesgue_of_samples(mags[:, :: fine.n_modes // grid.n_modes], grid, dt, 4.0, math.inf)
@@ -994,6 +1026,30 @@ def _smoothing_report(p: EstimateParams, n_samples: int, seed: int) -> RatioRepo
     return _infimum_report("smoothing", ratios, seed, int(np.sum(~valid)), {"beta": beta[valid]})
 
 
+def _strichartz_tau(T: float) -> tuple[int, float]:
+    """strichartz's tau count at cutoff T and its tau Nyquist pi/dt: the step
+    dt is the one nearest 0.01 that divides 2T, on a pad-2 window of 8T."""
+    n_time = max(4 * round(2.0 * T / 0.01), 8)
+    return n_time, math.pi * n_time / (8.0 * T)
+
+
+def _smallest_strichartz_T(band: float, alpha: float) -> float | None:
+    """The smallest T, to 4 decimals, at which band fits strichartz's tau
+    Nyquist, or None.  At q = n_time/4 steps in 2T, pi/dt - 4/T is
+    (pi q/2 - 4)/T, which falls as T grows, and q's smallest T is about
+    (q - 1/2)/200: so phi = phi(band) fits some T of q when
+    q > (800 - phi/2)/(100 pi - phi), which needs phi < 100 pi = pi/0.01.
+    The search starts just below that q and runs over a few more."""
+    phi = float(dispersion_symbol(band, alpha))
+    if not phi < 100.0 * math.pi:
+        return None
+    q = max(math.floor((800.0 - phi / 2.0) / (100.0 * math.pi - phi)) + 1, 3)
+    for T in (k / 1e4 for k in range(25 * (2 * q - 1) - 1, 25 * (2 * q + 7))):
+        if phi + 4.0 / T < _strichartz_tau(T)[1]:  # the rule of _checked_inputs
+            return T
+    return None
+
+
 def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     """The checks of estimate_ratio that need no compute, which the CLI runs
     before it writes anything.  Returns kind's inputs with their defaults and
@@ -1027,8 +1083,7 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
     if kind == "strichartz":
-        # the step nearest 0.01 that divides 2T, on a pad-2 window of 8T
-        n_time = max(4 * round(2.0 * T / 0.01), 8)
+        n_time, nyquist = _strichartz_tau(T)
         resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
     else:
         resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
@@ -1039,13 +1094,14 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
         raise ValueError(f"strichartz resolutions {tuple(inputs['resolutions'])} must each divide the finest, "
                          f"{finest}, whose synthesis they sample: pass resolutions=({finest // 2}, {finest})")
     grid_fits = fits = coarsest.largest_band
-    # dt = 8T / n_time on the lifts' pad-2 window; strichartz has one n_time
-    # at every resolution, and the band it names, the smaller of the two
-    # limits, is rounded down so that it fits
-    nyquist = math.pi * resolutions[0][2] / (8.0 * T)
+    short = False
     if kind == "strichartz":
-        tau_fits = max(nyquist - 4.0 / T, 0.0) ** (1.0 / (1.0 + p.alpha))
-        fits = min(grid_fits, math.floor(tau_fits * 1e4) / 1e4)
+        # the band strichartz names, the smaller of the two limits, is rounded
+        # down so that it fits; a T too short for any band that admits a mode
+        # leaves the band to the grid, and the tau check names a T instead
+        tau_fits = math.floor(max(nyquist - 4.0 / T, 0.0) ** (1.0 / (1.0 + p.alpha)) * 1e4) / 1e4
+        short = tau_fits < coarsest.spacing
+        fits = grid_fits if short else min(grid_fits, tau_fits)
     if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
         raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
     if band_fraction is None and not band > 0.0:  # nan fails it too
@@ -1060,10 +1116,14 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     coarsest.band_modes(band if band_fraction is None else float(band_fraction) * grid_fits)
     centre = float(dispersion_symbol(band, p.alpha)) + 4.0 / T
     if kind == "strichartz" and centre >= nyquist:
+        fix = f"the largest band that fits is {fits!r}"
+        if short:
+            smallest = _smallest_strichartz_T(band, p.alpha)
+            fix = (f"no band fits T={T!r}; the smallest T at which band {band!r} fits is {smallest!r}"
+                   if smallest else f"band {band!r} fits no T: phi(band) must stay below pi/0.01")
         raise ValueError(
             f"band {band!r} puts the strichartz lifts' energy centre phi(band) + 4/T = "
-            f"{centre:.6g} at or past the tau Nyquist pi/dt = {nyquist:.6g}: the largest "
-            f"band that fits is {fits!r}"
+            f"{centre:.6g} at or past the tau Nyquist pi/dt = {nyquist:.6g}: {fix}"
         )
     return inputs, resolutions
 

@@ -223,25 +223,43 @@ def _slot_fft(a: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarr
 # [z:] with z the zero index: the k < 0 modes are their conjugates.
 
 
-def _real_synthesis_table(half: np.ndarray, box_length: float) -> np.ndarray:
+def _real_synthesis_table(half: np.ndarray, box_length: float, out: np.ndarray | None = None) -> np.ndarray:
     """The half-spectrum table of a multiplier on N ascending modes, from
     half, its k >= 0 columns (the last N/2+1, in rows or one row): times the
-    (-1)^k origin phase and the synthesis scale, to be built once and passed
-    to _real_synthesis."""
+    (-1)^k origin phase and the synthesis scale, into out (which may be
+    half) when given, to be built once and passed to _real_synthesis."""
     n = 2 * (half.shape[-1] - 1)
     z = n // 2 - 1
     _, _, signs = _plan(n)
-    return half * (signs[z:] * (n * math.sqrt(TWO_PI) / box_length))
+    return np.multiply(half, signs[z:] * (n * math.sqrt(TWO_PI) / box_length), out=out)
 
 
-def _real_synthesis(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _real_synthesis(table: np.ndarray, coeffs: np.ndarray, product: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of weights * coeffs along the last axis, table being
     _real_synthesis_table(weights, box_length): one real inverse FFT of the
-    k >= 0 modes.  Each row of weights * coeffs must be Hermitian, as the
-    field it stands for is declared real; for such rows this is the real
-    part of _inverse_raw, whose imaginary part is roundoff."""
+    k >= 0 modes, through the buffers product (table's shape, complex) and
+    out (the samples') when given, so that a loop over fields allocates
+    neither.  Each row of weights * coeffs must be Hermitian, as the field
+    it stands for is declared real; for such rows this is the real part of
+    _inverse_raw, whose imaginary part is roundoff."""
     n = coeffs.shape[-1]
-    return np.fft.irfft(table * coeffs[..., n // 2 - 1 :], n=n, axis=-1)
+    product = np.multiply(table, coeffs[..., n // 2 - 1 :], out=product)
+    return np.fft.irfft(product, n=n, axis=-1, out=out)
+
+
+def _even_time_spectrum(half: np.ndarray, dt: float, n_slots: int) -> np.ndarray:
+    """Real ascending coefficients on n_slots tau modes of signals that are
+    conjugate-even in t (u(-t) = conj u(t)), sampled dt apart, from half,
+    their samples at t >= 0 along the last axis, t = 0 first, at most
+    n_slots/2 of them: one Hermitian FFT each, with the scale dt / sqrt(2 pi)
+    folded into the samples.  Such a signal, zero-padded into the window of
+    n_slots * dt centred on t = 0, has a real transform, the real part of
+    _forward_raw's, whose imaginary part is roundoff; the imaginary part of
+    the t = 0 sample is taken as 0."""
+    spectrum = np.fft.hfft(half * (dt / math.sqrt(TWO_PI)), n=n_slots, axis=-1)
+    # numpy's slots 0..n/2 hold tau >= 0, the ascending slice from n/2 - 1 on
+    return np.roll(spectrum, n_slots // 2 - 1, axis=-1)
 
 
 def forward_transform(samples: np.ndarray, grid: FrequencyGrid) -> SpectralField:

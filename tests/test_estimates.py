@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -55,6 +56,7 @@ from fbo_lab.spectral import (
     _FAMILIES,
     FrequencyGrid,
     SpectralField,
+    _even_time_spectrum,
     _forward_raw,
     _inverse_raw,
     bump,
@@ -594,6 +596,21 @@ class TestEstimateRatio:
         for band in (8.0, 9.9227):  # the default, and the largest band named
             inputs, resolutions = estimates._checked_inputs("strichartz", {"band": band}, p)
             assert inputs["band"] == band and len(resolutions) == 2
+
+    @pytest.mark.parametrize("T", [0.001, 0.004])
+    def test_a_strichartz_cutoff_too_short_for_any_band_names_a_T(self, no_free_lifts, T):
+        # pi/dt is below 4/T alone, so no positive band fits: the message names
+        # the smallest T, to 4 decimals, at which the band does, and it passes
+        p = EstimateParams.default_admissible(1.5)
+        message = rf"no band fits T={T!r}; the smallest T at which band 8.0 fits is (\S+)$"
+        with pytest.raises(ValueError, match=message) as raised:
+            estimate_ratio("strichartz", {"n_samples": 2, "T": T}, p, 0)
+        smallest = float(re.search(message, str(raised.value)).group(1))
+        assert smallest == 0.0275
+        inputs, _ = estimates._checked_inputs("strichartz", {"T": smallest}, p)
+        assert inputs["T"] == smallest
+        with pytest.raises(ValueError, match=r"the largest band that fits is 7\.\d+$"):
+            estimates._checked_inputs("strichartz", {"T": smallest - 1e-4}, p)
 
     @pytest.mark.parametrize("resolutions, finest", [((256, 384), 384), ((192, 256, 512), 512),
                                                      ((512, 96), 512)])
@@ -1361,8 +1378,9 @@ class TestFreeLifts:
         kernel, profile = self.full_profile(grid, p, T, n_time)
         assert free.kernel.coeffs.tobytes() == kernel.coeffs.tobytes()
         assert free.time_grid == kernel.time_grid
-        assert free.profile[z:].tobytes() == profile[z:].tobytes()
-        np.testing.assert_allclose(free.profile[:z], profile[:z], rtol=1e-13, atol=0.0)
+        # the profile comes from the real spectrum of the t >= 0 samples, the
+        # oracle from the complex transform of all of them: equal to roundoff
+        np.testing.assert_allclose(free.profile, profile, rtol=1e-13, atol=0.0)
         column_max = np.max(np.abs(kernel.coeffs), axis=0)
         np.testing.assert_allclose(free.column_max, column_max, rtol=1e-13, atol=0.0)
         rng = np.random.default_rng(seed)
@@ -1371,6 +1389,27 @@ class TestFreeLifts:
         u0 = SpectralField(grid, c)
         lift = localized_lift(free_cutoff_trajectory(u0, p.alpha, T, n_time), T, 2.0)
         assert free.norm(u0) == pytest.approx(bourgain_norm(lift, p), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        quarter_time=st.integers(2, 100),
+        n_columns=st.integers(1, 40),
+        T=st.floats(0.05, 2.0),
+        alpha=st.floats(1.05, 1.95),
+        box=st.floats(4.0, 64.0),
+    )
+    def test_the_real_spectrum_is_the_padded_transform(self, quarter_time, n_columns, T, alpha, box):
+        # columns psi(t) e^{i t phi(xi)}, conjugate-even in t, from their t >= 0 samples
+        n_time = 4 * quarter_time
+        times = _free_cutoff_times(T, n_time)
+        xis = TWO_PI * np.arange(n_columns) / box
+        rows = bump(times / T)[:, None] * np.exp(1j * np.outer(times, dispersion_symbol(xis, alpha)))
+        n = times.size // 2
+        real = _even_time_spectrum(np.ascontiguousarray(rows[n:].T), times[1] - times[0], n_time)
+        full, _ = _padded_time_dft(rows, times, n_time)
+        bound = 1e-14 * np.max(np.abs(full), axis=0)
+        assert np.all(np.max(np.abs(np.abs(real.T) - np.abs(full)), axis=0) <= bound)
+        assert np.all(np.max(np.abs(real.T - full.real), axis=0) <= bound)
 
     @pytest.mark.parametrize("res", [(48, 48), (64, 64), (64, 512)])
     def test_the_mirror_takes_the_extra_tau_row(self, res):
@@ -1458,6 +1497,25 @@ class TestStrichartzTable:
         cols = slice(lo, lo + coarse.grid.n_modes)
         assert fine.profile[cols].tobytes() == coarse.profile.tobytes()
         assert fine.column_max[cols].tobytes() == coarse.column_max.tobytes()
+
+    def test_the_working_set_is_a_few_tables(self):
+        # at the defaults: the phases, the synthesis table, the per-sample
+        # product (each 401 x 257 complex, 1.6 MB) and the samples (401 x 512
+        # real, 1.6 MB), each allocated once, with the profile built in blocks
+        p = EstimateParams.default_admissible(1.5)
+        inputs, resolutions = estimates._checked_inputs("strichartz", {"n_samples": 25}, p)
+        grids = [FrequencyGrid(n, inputs["box_length"]) for _, n, _ in resolutions]
+        n_band = grids[0].band_modes(inputs["band"])
+        descs = _draw_samples("strichartz", np.random.default_rng(0), 25, n_band, grids[0].spacing)
+        args = (p, grids, inputs["T"], resolutions[0][2], descs)
+        _strichartz_table(*args)
+        tracemalloc.start()
+        try:
+            _strichartz_table(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 class TestBilinearStrSides:

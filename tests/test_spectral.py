@@ -229,6 +229,18 @@ class TestRealSynthesis:
         table = _real_synthesis_table(weights[:, g.zero_index :], box)
         self.check(_real_synthesis(table, u), _inverse_raw(weights * u, box, axis=1))
 
+    def test_the_buffers_change_no_bit(self):
+        g = make_grid(64, 17.0)
+        times = np.linspace(-1.0, 1.0, 9)[:, None]
+        half = np.exp(1j * times * dispersion_symbol(g.frequencies[g.zero_index :], 1.5))
+        table = _real_synthesis_table(half, g.box_length)
+        assert _real_synthesis_table(half, g.box_length, out=half) is half
+        assert half.tobytes() == table.tobytes()
+        product, out = np.empty_like(table), np.empty((times.size, g.n_modes))
+        for u in self.hermitian_rows(g, 64):
+            assert _real_synthesis(table, u, product, out) is out
+            assert out.tobytes() == _real_synthesis(table, u).tobytes()
+
 
 class TestTransformProperties:
     """Parseval and the round trip over generated samples, sizes and boxes."""
