@@ -8,8 +8,8 @@ from .estimates import (
     bilinear_K,
     classify_region,
     estimate_ratio,
+    pointwise_infimum,
     resonance,
-    resonance_infimum,
     spacetime_inner,
 )
 from .evolution import (

@@ -18,14 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .conservation import apriori_check, l2_drift
-from .estimates import (
-    _KIND_INPUTS,
-    SCAN_SAMPLE_BYTES,
-    RatioReport,
-    _checked_inputs,
-    estimate_ratio,
-    resonance_infimum,
-)
+from .estimates import RatioReport, _checked_inputs, estimate_ratio, pointwise_infimum
 from .evolution import (
     BlowUpError,
     _check_dt,
@@ -95,7 +88,7 @@ SUBCOMMAND_KEYS = {
     + _INITIAL_FIELD_KEYS,
     "picard": ("alpha", "n_modes", "box_length", "t_span", "dt", "tol", "max_iter")
     + _INITIAL_FIELD_KEYS,
-    "verify-resonance": ("alpha", "samples", "seed"),
+    "verify-resonance": ("alpha",),
     "verify-estimate": (
         "alpha", "s", "kind", "epsilon", "b", "b_prime", "band", "samples", "seed",
     ),
@@ -204,12 +197,10 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _estimate_summary_row(report: RatioReport, alpha: float, p: EstimateParams | None) -> str:
-    params = ("", "", "") if p is None else (repr(p.s), repr(p.b), repr(p.b_prime))
-    res = report.refinement_trend[-1][0]
+def _estimate_summary_row(report: RatioReport, p: EstimateParams) -> str:
     return ",".join([
-        report.kind, repr(alpha), *params, repr(report.ratio), str(report.sample_count), res,
-        str(report.seed),
+        report.kind, repr(p.alpha), repr(p.s), repr(p.b), repr(p.b_prime), repr(report.sup_ratio),
+        str(report.sample_count), report.refinement_trend[-1][0], str(report.seed),
     ])
 
 
@@ -265,26 +256,11 @@ def _memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_samples_fit(config: ExperimentConfig, scan: str, scans: int) -> None:
-    """Before any compute: scans concurrent scans of config.samples samples,
-    at SCAN_SAMPLE_BYTES[scan] bytes a sample, fit in the machine's memory;
-    else name the largest --samples that fits."""
-    memory, per_sample = _memory(), SCAN_SAMPLE_BYTES[scan] * scans
-    if config.samples * per_sample > memory:
-        largest = memory // per_sample
-        raise ConfigError(
-            f"samples={config.samples} needs more than the machine's {memory / 1e9:.4g} GB of "
-            f"memory: {config.subcommand} runs {scans} {scan} scan(s) at once, at "
-            f"{SCAN_SAMPLE_BYTES[scan]} bytes a sample; "
-            + (f"the largest --samples that fits is {largest}" if largest else "no --samples fits")
-        )
-
-
 def _check_config(config: ExperimentConfig) -> tuple:
     """The checks of a config's values, run before anything is written, so
     that the runners only compute: every alpha in (1, 2), one point for the
-    subcommands that run one, a dt the solver accepts, a trajectory and
-    sample scans that fit in memory, at least 0 retained modes, a tol and
+    subcommands that run one, a dt the solver accepts, a trajectory that
+    fits in memory, at least 0 retained modes, a tol and
     max_iter picard accepts, a known kind and epsilon at every point, at
     least one sample, and verify-estimate's inputs as estimate_ratio checks
     them.  The inputs built on the way, which reject their own bad values,
@@ -336,14 +312,11 @@ def _check_config(config: ExperimentConfig) -> tuple:
         if config.band is not None:
             inputs["band"] = config.band
         _checked_inputs(config.kind, inputs, p)
-        if config.kind in SCAN_SAMPLE_BYTES:
-            _check_samples_fit(config, config.kind, 1)
         return p, inputs
     if subcommand == "sweep":
         points = _sweep_points(config)
         _check_epsilon(config, [(alpha, s) for alpha, s, _ in points])
         return (points, [_build_params(config, alpha, s) for alpha, s, _ in points])
-    _check_samples_fit(config, "resonance", _pool_size(len(config.alpha)))
     return ()
 
 
@@ -402,17 +375,13 @@ def _run_picard(config: ExperimentConfig, u0: SpectralField) -> int:
 
 
 def _run_verify_resonance(config: ExperimentConfig) -> int:
-    def one(alpha: float) -> RatioReport:
-        return resonance_infimum(alpha, {"n_samples": config.samples}, config.seed)
-
-    reports = _ordered_map(one, list(config.alpha))
-    rows = [_SUMMARY_HEADER]
-    for alpha, report in zip(config.alpha, reports):
-        _write_json(
-            os.path.join(config.out, f"resonance_alpha_{alpha}.json"),
-            report.to_json_dict(),
-        )
-        rows.append(_estimate_summary_row(report, alpha, None))
+    rows = ["kind,alpha,inf_ratio,closed_form,beta"]
+    for alpha in config.alpha:
+        for kind in ("resonance", "smoothing"):
+            result = pointwise_infimum(kind, alpha)
+            _write_json(os.path.join(config.out, f"{kind}_alpha_{alpha}.json"), result)
+            values = (result[key] for key in ("alpha", "inf_ratio", "closed_form", "beta"))
+            rows.append(",".join([kind, *map(repr, values)]))
     _write_text(os.path.join(config.out, "summary.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -422,7 +391,7 @@ def _run_verify_estimate(config: ExperimentConfig, p: EstimateParams, inputs: di
     _write_json(
         os.path.join(config.out, f"estimate_{config.kind}.json"), report.to_json_dict()
     )
-    rows = [_SUMMARY_HEADER, _estimate_summary_row(report, p.alpha, p)]
+    rows = [_SUMMARY_HEADER, _estimate_summary_row(report, p)]
     _write_text(os.path.join(config.out, "summary.csv"), "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -522,15 +491,10 @@ def _bind_number_lists(argv: list[str]) -> list[str]:
 
 
 def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | None) -> None:
-    """Reject a key the subcommand does not read, or a set band its kind does
-    not read, naming the flag or line to drop and the flags it reads."""
-    reads, label = SUBCOMMAND_KEYS[subcommand], subcommand
+    """Reject a key the subcommand does not read, naming the flag or line to
+    drop and the flags it reads."""
+    reads = SUBCOMMAND_KEYS[subcommand]
     given = {**from_file, **from_flags}
-    kind = given.get("kind", ExperimentConfig.kind)  # _check_config names an unknown kind
-    band_unread = given.get("band") is not None and "band" not in _KIND_INPUTS.get(kind, ("band",))
-    if subcommand == "verify-estimate" and band_unread:  # band=none, as in a manifest, is no band
-        reads = tuple(key for key in reads if key != "band")
-        label = f"{subcommand} --kind {kind}"
     unread = [key for key in _KEY_TYPES if key in given and key not in reads + ("out",)]
     if not unread:
         return
@@ -539,7 +503,7 @@ def _check_keys(subcommand: str, from_file: dict, from_flags: dict, path: str | 
     if lines:
         drop.append(f"the lines {' '.join(lines)} from {path}")
     raise ConfigError(
-        f"{label} does not read {', '.join(unread)}: remove {'; '.join(drop)}. "
+        f"{subcommand} does not read {', '.join(unread)}: remove {'; '.join(drop)}. "
         f"It reads {' '.join(_flag(key) for key in reads)} and --out"
     )
 

@@ -1,11 +1,12 @@
 """Resonance function, region classifier, bilinear operators, and ratio sweeps.
 
 The inequalities exercised here all have existential constants, so nothing
-is "verified" in the proof sense.  Instead each inequality kind is turned
-into an empirical sup (or inf) of left-side/right-side ratios over a
-declared, seeded family of test inputs, reported together with a refinement
-trend across at least two resolutions.  A stable, finite trend is the
-evidence; a growing one is the red flag.
+is "verified" in the proof sense.  Instead each sampled inequality kind is
+turned into an empirical sup of left-side/right-side ratios over a declared,
+seeded family of test inputs, reported together with a refinement trend
+across at least two resolutions.  A stable, finite trend is the evidence; a
+growing one is the red flag.  The two pointwise lower bounds, resonance and
+smoothing, depend on one number each and are found by a scan over it.
 
 Discrete bilinear convolutions act on the symmetric sublattice |k| <= N/2-1,
 |m| <= M/2-1: the unpaired extreme modes are annihilated on input and
@@ -137,35 +138,25 @@ def classify_region(
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Outcome of an estimate sweep: extremal ratio plus reproducibility data.
-
-    Exactly one of sup_ratio / inf_ratio is set, matching the direction of
-    the inequality being probed.  refinement_trend pairs a resolution label
-    with the extremal ratio measured there, coarsest first.
+    """Outcome of a sampled estimate sweep: the sup of the side ratios plus
+    reproducibility data.  refinement_trend pairs a resolution label with the
+    sup measured there, coarsest first.
     """
 
     kind: str
     sample_count: int
     seed: int
     refinement_trend: tuple[tuple[str, float], ...]
-    sup_ratio: float | None = None
-    inf_ratio: float | None = None
+    sup_ratio: float
     extremal_sample: dict = field(default_factory=dict)
     region_histogram: dict | None = None
     skipped: int = 0
 
     def __post_init__(self):
-        if (self.sup_ratio is None) == (self.inf_ratio is None):
-            raise ValueError("exactly one of sup_ratio / inf_ratio must be set")
-        value = self.sup_ratio if self.sup_ratio is not None else self.inf_ratio
-        if not (np.isfinite(value) and value >= 0.0):
-            raise ValueError(f"ratio must be finite and nonnegative, got {value}")
+        if not (np.isfinite(self.sup_ratio) and self.sup_ratio >= 0.0):
+            raise ValueError(f"ratio must be finite and nonnegative, got {self.sup_ratio}")
         if len(self.refinement_trend) == 0:
             raise ValueError("refinement trend must be nonempty")
-
-    @property
-    def ratio(self) -> float:
-        return self.sup_ratio if self.sup_ratio is not None else self.inf_ratio
 
     def to_json_dict(self) -> dict:
         out = {
@@ -178,97 +169,102 @@ class RatioReport:
             ],
             "extremal_sample": self.extremal_sample,
             "skipped": self.skipped,
+            "sup_ratio": self.sup_ratio,
         }
-        if self.sup_ratio is not None:
-            out["sup_ratio"] = self.sup_ratio
-        else:
-            out["inf_ratio"] = self.inf_ratio
         if self.region_histogram is not None:
             out["region_histogram"] = self.region_histogram
         return out
 
 
-def _infimum_report(kind: str, ratios, seed: int, skipped: int, extremal: dict) -> RatioReport:
-    """Report of the smallest of the admissible ratios.
-
-    The sample count is that of the draws, the skipped ones included, as for
-    the sampled kinds.  The trend compares the first half of the admissible
-    ratios, at least one, with all of them; extremal maps a name to
-    per-sample values, reported at the argmin.  With no admissible ratio,
-    every sample was skipped: a ValueError.
-    """
-    if ratios.size == 0:
-        raise ValueError(f"every sample of {kind} was skipped ({skipped} skipped)")
-    half = max(1, ratios.size // 2)
-    trend = (
-        (f"n={half}", float(np.min(ratios[:half]))),
-        (f"n={ratios.size}", float(np.min(ratios))),
-    )
-    i_min = int(np.argmin(ratios))
-    sample = {name: float(values[i_min]) for name, values in extremal.items()}
-    sample["ratio"] = float(ratios[i_min])
-    return RatioReport(
-        kind, int(ratios.size) + skipped, seed, trend, inf_ratio=sample["ratio"],
-        extremal_sample=sample, skipped=skipped,
-    )
-
-
 # ---------------------------------------------------------------------------
-# resonance lower-bound scan
+# pointwise lower bounds
 
 
-#: The peak bytes one sample of each scan holds, rounded up from what
-#: tracemalloc measures over a scan of 2**16 samples: about 113 for
-#: resonance_infimum and 73 for the smoothing kind.
-SCAN_SAMPLE_BYTES = {"resonance": 120, "smoothing": 88}
+def _resonance_ratio(beta, alpha: float):
+    """The resonance ratio |h(xi1, xi2)| / (|xi|_min |xi|_max^alpha), the
+    min and max over the moduli of xi1, xi2 and xi = xi1 + xi2, as a function
+    of beta = -|xi|_min / |xi|_max in [-1/2, 0).
 
+    With phi(x) = x|x|^alpha odd, h = phi(xi) - phi(xi1) - phi(xi2) is
+    -(phi(a) + phi(b) + phi(c)) for the zero-sum triple (a, b, c) =
+    (xi1, xi2, -xi).  So the ratio is symmetric in the triple, unchanged when
+    the triple is negated, and homogeneous of degree 0: scaling the triple by
+    lambda > 0 scales |h| and the right side by lambda^(1+alpha).  Scale and
+    sign it so that its entry of largest modulus is 1.  The other two then
+    sum to -1 and have moduli at most 1, so both lie in [-1, 0]: they are
+    beta and -(1 + beta), beta the one of smaller modulus, so |beta| <=
+    1 - |beta| and beta lies in [-1/2, 0) (at 0 the right side vanishes).
+    So the ratio is
 
-def _check_inputs(what: str, given: dict, keys) -> None:
-    """Reject input keys outside keys, naming them and the keys that are read."""
-    unknown = set(given) - set(keys)
-    if unknown:
-        raise ValueError(
-            f"unknown input keys for {what}: {sorted(unknown)}; it reads {sorted(keys)}"
-        )
+        R(beta) = |h(beta, 1)| / |beta| = g(|beta|) / |beta|,
+        g(t) = 1 - t^(1+alpha) - (1 - t)^(1+alpha).
 
-
-def resonance_infimum(
-    alpha: float, sampler_spec: dict | None = None, seed: int = 0
-) -> RatioReport:
-    """inf over sampled tuples of |h(xi1, xi2)| / (|xi_min| |xi_max|^alpha).
-
-    sampler_spec may set only n_samples (default 1000000).  The sampler mixes
-    the full dyadic ladder (+-2^e for e in -10..10, crossed with itself) with
-    uniform draws over the square [-1000, 1000]^2; tuples with any vanishing
-    frequency are excluded since the right side degenerates there.
+    g is concave with g(0) = 0, so g(t)/t, the slope of its chord from 0,
+    falls as t grows.  The minimum is at beta = -1/2, the triple of
+    xi1 = xi2: R(-1/2) = 2 g(1/2) = 2 - 2^(1-alpha).  As beta -> 0, R tends
+    to g'(0) = 1 + alpha.
     """
-    spec = sampler_spec or {}
-    _check_inputs("resonance_infimum", spec, ("n_samples",))
-    n_samples = int(spec.get("n_samples", 1_000_000))
-    if n_samples <= 0:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    return np.abs(resonance(beta, 1.0, alpha)) / np.abs(beta)
 
-    ladder = 2.0 ** np.arange(-10, 11, dtype=float)
-    ladder = np.concatenate([-ladder[::-1], ladder])
-    d1, d2 = np.meshgrid(ladder, ladder, indexing="ij")
-    xi1 = d1.ravel()
-    xi2 = d2.ravel()
-    n_random = max(0, n_samples - xi1.size)
-    rng = np.random.default_rng(seed)
-    if n_random:
-        draws = rng.uniform(-1e3, 1e3, size=(n_random, 2))
-        xi1 = np.concatenate([xi1, draws[:, 0]])
-        xi2 = np.concatenate([xi2, draws[:, 1]])
-    xi1, xi2 = xi1[:n_samples], xi2[:n_samples]
-    xi = xi1 + xi2
-    valid = (xi1 != 0.0) & (xi2 != 0.0) & (xi != 0.0)
-    skipped = int(np.sum(~valid))
-    xi1, xi2, xi = xi1[valid], xi2[valid], xi[valid]
-    mags = np.vstack([np.abs(xi1), np.abs(xi2), np.abs(xi)])
-    lo = np.min(mags, axis=0)
-    hi = np.max(mags, axis=0)
-    ratios = np.abs(resonance(xi1, xi2, alpha)) / (lo * hi**alpha)
-    return _infimum_report("resonance", ratios, seed, skipped, {"xi1": xi1, "xi2": xi2})
+
+def _smoothing_ratio(beta, alpha: float):
+    """The smoothing ratio ||xi1|^alpha - |xi2|^alpha|^(1/2) /
+    ((1/2) |xi|^(1/2) |xi2|^((alpha-1)/2)) on its family xi1 = beta xi2,
+    beta in (-1, -1/4], as a function of beta.
+
+    Both sides scale by |xi2|^(alpha/2), so with b = |beta| = -beta the ratio
+    is homogeneous of degree 0:
+
+        R(beta) = 2 sqrt((1 - b^alpha) / (1 + beta)) = 2 sqrt((1 - b^alpha) / (1 - b)).
+
+    (1 - b^alpha)/(1 - b) is the slope of the chord of x^alpha over [b, 1],
+    the mean of alpha x^(alpha-1) there, which grows with b as x^(alpha-1)
+    does.  So R grows as beta falls: the minimum is at the family's edge
+    beta = -1/4, 2 sqrt((1 - 4^(-alpha)) / (3/4)), and R tends to
+    2 sqrt(alpha) as beta -> -1, where xi = 0 and the right side vanishes.
+    The minimum reports where the family ends, not the lemma's constant.
+    """
+    return 2.0 * np.sqrt((1.0 - np.abs(beta) ** alpha) / (1.0 + beta))
+
+
+#: Per pointwise kind: its ratio as a function of (beta, alpha), the ends of
+#: its beta range (the closed end first, the open one second) and its closed
+#: form as a function of alpha.
+_POINTWISE = {
+    "resonance": (_resonance_ratio, (-0.5, 0.0), lambda alpha: 2.0 - 2.0 ** (1.0 - alpha)),
+    "smoothing": (
+        _smoothing_ratio, (-0.25, -1.0), lambda alpha: 2.0 * math.sqrt((1.0 - 4.0**-alpha) / 0.75)
+    ),
+}
+
+#: Points of each of pointwise_infimum's two grids.
+_SCAN_POINTS = 1025
+
+
+def pointwise_infimum(kind: str, alpha: float) -> dict:
+    """The infimum over its beta range of a pointwise kind's ratio
+    ('resonance' or 'smoothing'), each of which depends on beta alone (see
+    _resonance_ratio and _smoothing_ratio for the reductions).
+
+    The ratio is evaluated on a grid of the range, from its closed end up to
+    its open one (excluded), and on a finer grid of the two cells about the
+    grid's argmin.  Returns kind, alpha, inf_ratio and its beta, the closed
+    form and beta_range, ascending; the open end is resonance's 0 and
+    smoothing's -1.
+    """
+    if kind not in _POINTWISE:
+        raise ValueError(f"unknown pointwise kind {kind!r}; expected one of {tuple(_POINTWISE)}")
+    ratio, (closed, open_end), closed_form = _POINTWISE[kind]
+    beta = closed + (open_end - closed) * (np.arange(_SCAN_POINTS) / _SCAN_POINTS)
+    i = int(np.argmin(ratio(beta, alpha)))
+    fine = np.linspace(beta[max(i - 1, 0)], beta[min(i + 1, beta.size - 1)], _SCAN_POINTS)
+    beta = np.concatenate((beta, fine))
+    values = ratio(beta, alpha)
+    i = int(np.argmin(values))
+    return {
+        "kind": kind, "alpha": alpha, "inf_ratio": float(values[i]), "beta": float(beta[i]),
+        "closed_form": closed_form(alpha), "beta_range": sorted((closed, open_end)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +705,6 @@ _KIND_INPUTS = {
         _BILINEAR_INPUTS, n_samples=200, resolutions=((56, 448), (64, 512)), band=10.0,
         band_fraction=None,
     ),
-    "smoothing": dict(n_samples=100_000),
 }
 
 
@@ -1010,22 +1005,6 @@ _SIDES = {"bilinear_str": _bilinear_str_sides, "dual_bilinear": _dual_bilinear_s
           "main_bilinear": _main_bilinear_sides}
 
 
-def _smoothing_report(p: EstimateParams, n_samples: int, seed: int) -> RatioReport:
-    rng = np.random.default_rng(seed)
-    beta = np.concatenate(
-        [np.array([-1.0, -0.5, -0.25]), rng.uniform(-1.0, -0.25, size=max(0, n_samples - 3))]
-    )[:n_samples]
-    exps = rng.integers(-6, 7, size=n_samples)
-    xi2 = np.where(rng.random(n_samples) < 0.5, 1.0, -1.0) * 2.0 ** exps.astype(float)
-    xi1 = beta * xi2
-    xi = xi1 + xi2
-    lhs = np.sqrt(np.abs(np.abs(xi1) ** p.alpha - np.abs(xi2) ** p.alpha))
-    rhs = 0.5 * np.sqrt(np.abs(xi)) * np.abs(xi2) ** ((p.alpha - 1.0) / 2.0)
-    valid = rhs > 0.0
-    ratios = lhs[valid] / rhs[valid]
-    return _infimum_report("smoothing", ratios, seed, int(np.sum(~valid)), {"beta": beta[valid]})
-
-
 def _strichartz_tau(T: float) -> tuple[int, float]:
     """strichartz's tau count at cutoff T and its tau Nyquist pi/dt: the step
     dt is the one nearest 0.01 that divides 2T, on a pad-2 window of 8T."""
@@ -1063,10 +1042,17 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     phi(band) + 4/T reaches pi/dt is rejected.
     """
     if kind not in _KIND_INPUTS:
-        raise ValueError(f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)}")
+        raise ValueError(
+            f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)} "
+            "(verify-resonance computes the pointwise resonance and smoothing bounds)"
+        )
     keys = _KIND_INPUTS[kind]
     given = inputs or {}
-    _check_inputs(f"kind {kind!r}", given, keys)
+    unknown = set(given) - set(keys)
+    if unknown:
+        raise ValueError(
+            f"unknown input keys for kind {kind!r}: {sorted(unknown)}; it reads {sorted(keys)}"
+        )
     if "band" in given and given.get("band_fraction") is not None:
         raise ValueError(
             "band and band_fraction are exclusive: set band for draws shared by every "
@@ -1076,9 +1062,6 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     n_samples = int(inputs["n_samples"])
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if kind == "smoothing":
-        return inputs, []
-
     L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
@@ -1131,16 +1114,15 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
 def estimate_ratio(
     kind: str, inputs: dict | None, p: EstimateParams, seed: int = 0
 ) -> RatioReport:
-    """Empirical sup (or inf, for lower bounds) of an estimate's side ratio.
+    """Empirical sup of an estimate's side ratio.
 
     kind selects the inequality: 'strichartz' (L4t Linfx against the b-scale;
     its resolutions, each dividing the finest, sample one real synthesis per
     draw at the finest grid), 'bilinear_str' and 'dual_bilinear'
     (the two weighted convolutions), 'main_bilinear' (the derivative product
     estimate, with a histogram of the regions of each sample's TOP_CELLS
-    dominant contributions at the last resolution), or 'smoothing' (the
-    pointwise frequency lower bound, reported as an infimum).  inputs may set
-    only these keys (defaults shown):
+    dominant contributions at the last resolution).  inputs may set only
+    these keys (defaults shown):
 
     - strichartz: n_samples=200, resolutions=(256, 512) (spatial modes, at
       the time step nearest 0.01 that divides 2T), box_length=64.0, band=8.0,
@@ -1149,11 +1131,13 @@ def estimate_ratio(
       (64, 64)) (spatial x tau modes), box_length=16.0, band=3.0, T=0.5
     - main_bilinear: n_samples=200, resolutions=((56, 448), (64, 512)),
       box_length=16.0, band=10.0, band_fraction=None, T=0.5
-    - smoothing: n_samples=100000
 
-    The samples are drawn once, within band, and shared by every resolution,
-    so the trend isolates discretization effects; band must fit the coarsest
-    grid.  A band_fraction in (0, 1] instead gives each resolution that
+    The sample descriptors are drawn once, within band, and shared by every
+    resolution; band must fit the coarsest grid.  A field is built from its
+    descriptor on each grid, though: a packet's envelope is sampled on that
+    grid's nodes and transformed, so a packet near the band edge aliases
+    differently on each grid, and the trend then compares slightly different
+    inputs.  A band_fraction in (0, 1] instead gives each resolution that
     fraction of its largest paired frequency as band, with fresh draws; band
     and band_fraction are exclusive, so inputs may set at most one of them.
     n_samples is at least 1.  Samples where the right side vanishes are
@@ -1161,8 +1145,6 @@ def estimate_ratio(
     """
     inputs, resolutions = _checked_inputs(kind, inputs, p)
     n_samples = int(inputs["n_samples"])
-    if kind == "smoothing":
-        return _smoothing_report(p, n_samples, seed)
     L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
     band_fraction = inputs.get("band_fraction")
     tallies = {"d_part": dict.fromkeys(_D_PARTS, 0), "a_part": dict.fromkeys(_A_PARTS, 0)}

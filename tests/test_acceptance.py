@@ -22,9 +22,9 @@ from fbo_lab import (
     make_grid,
     make_test_field,
     picard_solve,
+    pointwise_infimum,
     propagate,
     resonance,
-    resonance_infimum,
     sobolev_norm,
     solve_reference,
     spacetime_inner,
@@ -82,19 +82,17 @@ def test_criterion_2_l2_conservation():
 def test_criterion_3_resonance_bound():
     ok = True
     details = []
-    spec = {"n_samples": 1_000_000}
     for alpha in (1.1, 1.3, 1.5, 1.7, 1.9):
-        r0 = resonance_infimum(alpha, spec, seed=0)
-        r1 = resonance_infimum(alpha, spec, seed=1)
+        inf = pointwise_infimum("resonance", alpha)["inf_ratio"]
         equal_pair = abs(resonance(1.0, 1.0, alpha)) / (2.0**alpha)
         closed_form = 2.0 - 2.0 ** (1.0 - alpha)
         here = (
-            r0.inf_ratio > 0.0
-            and abs(r0.inf_ratio - r1.inf_ratio) < 0.01 * r0.inf_ratio
+            inf > 0.0
+            and abs(inf - closed_form) <= 1e-10
             and abs(equal_pair - closed_form) <= 1e-10
         )
         ok = ok and here
-        details.append(f"a={alpha}: inf={r0.inf_ratio:.6f}")
+        details.append(f"a={alpha}: inf={inf:.6f}")
     report(3, "resonance lower bound scan", ok, "; ".join(details))
     assert ok
 

@@ -131,20 +131,20 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._RUNNERS, "verify-resonance", fail)
         out = tmp_path / "res"
-        assert main(["verify-resonance", "--samples", "10", "--out", str(out)]) == EXIT_RUN
+        assert main(["verify-resonance", "--alpha", "1.5", "--out", str(out)]) == EXIT_RUN
         assert (out / "manifest.txt").exists()
         err = capsys.readouterr().err
         assert err == f"run error: {type(error).__name__}: {error}\n"
         # a bad config is still a config error, and leaves no manifest
         bad = tmp_path / "bad"
-        assert main(["verify-resonance", "--samples", "0", "--out", str(bad)]) == EXIT_CONFIG
+        assert main(["verify-resonance", "--alpha", "2.5", "--out", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ") and not bad.exists()
 
     def test_bad_params_exit_2(self, tmp_path):
         rc = main(
             [
                 "verify-estimate",
-                "--kind", "smoothing",
+                "--kind", "strichartz",
                 "--b", "0.9",  # outside (1/2, b'+1)
                 "--out", str(tmp_path / "bad"),
             ]
@@ -255,28 +255,33 @@ class TestSimulate:
 
 
 class TestVerifyResonance:
-    def test_reports_per_alpha_and_determinism(self, tmp_path):
-        args = [
-            "verify-resonance",
-            "--alpha", "1.3,1.7",
-            "--samples", "20000",
-            "--seed", "4",
-        ]
+    def test_reports_both_kinds_per_alpha_and_determinism(self, tmp_path):
+        args = ["verify-resonance", "--alpha", "1.3,1.7"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
-        for name in ("resonance_alpha_1.3.json", "resonance_alpha_1.7.json"):
+        names = sorted(os.listdir(out1))
+        assert names == sorted(os.listdir(out2)) == [
+            "manifest.txt", "resonance_alpha_1.3.json", "resonance_alpha_1.7.json",
+            "smoothing_alpha_1.3.json", "smoothing_alpha_1.7.json", "summary.csv",
+        ]
+        for name in names[1:]:
             assert read(out1 / name) == read(out2 / name)
-            payload = json.loads(read(out1 / name))
-            assert payload["inf_ratio"] > 0.0
+        for kind, alpha in (("resonance", 1.3), ("smoothing", 1.7)):
+            payload = json.loads(read(out1 / f"{kind}_alpha_{alpha}.json"))
+            assert payload == estimates.pointwise_infimum(kind, alpha)
+            assert sorted(payload) == [
+                "alpha", "beta", "beta_range", "closed_form", "inf_ratio", "kind"]
         summary = read(out1 / "summary.csv").strip().split("\n")
-        assert summary[0] == "kind,alpha,s,b,b_prime,sup_or_inf,n_samples,resolution,seed"
-        assert len(summary) == 3
+        assert summary[0] == "kind,alpha,inf_ratio,closed_form,beta"
+        assert [row.split(",")[:2] for row in summary[1:]] == [
+            ["resonance", "1.3"], ["smoothing", "1.3"], ["resonance", "1.7"], ["smoothing", "1.7"]]
+        inf_ratio, closed_form, beta = map(float, summary[1].split(",")[2:])
+        assert inf_ratio == pytest.approx(closed_form, rel=1e-12) and beta == -0.5
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify-resonance", "--alpha", "1.2,1.5,1.8", "--samples", "5000", "--seed", "1"],
             ["sweep", "--alpha", "1.5", "--s=-0.5,-0.4,-0.3", "--samples", "2", "--seed", "1"],
         ],
         ids=lambda argv: argv[0],
@@ -311,32 +316,6 @@ class TestVerifyResonance:
 
 
 class TestVerifyEstimate:
-    def test_smoothing_kind(self, tmp_path):
-        out = tmp_path / "est"
-        rc = main(
-            [
-                "verify-estimate",
-                "--kind", "smoothing",
-                "--alpha", "1.5",
-                "--samples", "20000",
-                "--out", str(out),
-            ]
-        )
-        assert rc == EXIT_OK
-        payload = json.loads(read(out / "estimate_smoothing.json"))
-        assert payload["inf_ratio"] >= 1.0
-        summary = read(out / "summary.csv").strip().split("\n")
-        assert summary[1].startswith("smoothing,1.5,")
-
-    def test_infimum_sample_count_is_the_draws(self, tmp_path):
-        # one of the two draws (beta = -1) has xi = 0 and is skipped
-        out = tmp_path / "est"
-        argv = ["verify-estimate", "--kind", "smoothing", "--samples", "2", "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        payload = json.loads(read(out / "estimate_smoothing.json"))
-        assert payload["sample_count"] == 2 and payload["skipped"] == 1
-        assert read(out / "summary.csv").strip().split("\n")[1].split(",")[6] == "2"
-
     def test_bilinear_kind_small(self, tmp_path):
         out = tmp_path / "est2"
         rc = main(
@@ -494,8 +473,8 @@ def reached(*args, **kwargs):
 #: Where each subcommand's compute starts, as the CLI and estimate_ratio call it.
 #: The initial field of simulate and picard is built by the config check.
 COMPUTE_ENTRY_POINTS = [
-    (cli, "solve_reference"), (cli, "picard_solve"), (cli, "resonance_infimum"),
-    (estimates, "_smoothing_report"), (estimates, "_draw_samples"),
+    (cli, "solve_reference"), (cli, "picard_solve"), (cli, "pointwise_infimum"),
+    (estimates, "_draw_samples"),
 ]
 
 
@@ -506,9 +485,10 @@ def reads_message(subcommand, unread=()):
 
 ALPHA_MESSAGE = "alpha must lie in (1, 2), got alpha={}: pass --alpha 1.5"
 
-SMOOTHING_BAND_MESSAGE = (
-    "verify-estimate --kind smoothing does not read band: remove --band. "
-    + reads_message("verify-estimate", unread=("band",))
+SMOOTHING_KIND_MESSAGE = (
+    "unknown estimate kind 'smoothing'; expected one of ('strichartz', 'bilinear_str', "
+    "'dual_bilinear', 'main_bilinear') (verify-resonance computes the pointwise resonance "
+    "and smoothing bounds)"
 )
 
 
@@ -519,7 +499,7 @@ class TestSubcommandKeys:
             (["simulate", "--kind", "strichartz"], reads_message("simulate")),
             (["sweep", "--kind", "bilinear_str"], reads_message("sweep")),
             (["verify-estimate", "--box-length", "32"], reads_message("verify-estimate")),
-            (["verify-estimate", "--kind", "smoothing", "--band", "2"], SMOOTHING_BAND_MESSAGE),
+            (["verify-estimate", "--kind", "smoothing"], SMOOTHING_KIND_MESSAGE),
             (["simulate", "--alpha", "1.3,1.5"], "simulate runs one point"),
             (["verify-estimate", "--s=-0.3,-0.2"], "verify-estimate runs one point"),
             (["verify-estimate", "--kind", "foo"], "unknown estimate kind 'foo'"),
@@ -535,7 +515,7 @@ class TestSubcommandKeys:
                 "retained_modes must be at least 0, got -1: pass --retained-modes 16",
             ),
             (["sweep", "--alpha", "1.3,1.5"], "epsilon=0.1 exceeds (alpha-1)/4 = 0.075"),
-            (["verify-estimate", "--kind", "smoothing", "--b", "0.9"], "b must lie in (1/2, b'+1)"),
+            (["verify-estimate", "--b", "0.9"], "b must lie in (1/2, b'+1)"),
             (["simulate", "--dt", "0"], "t_span and dt must be positive, got 1.0, 0.0"),
             (
                 ["simulate", "--t-span", "inf"],
@@ -556,7 +536,10 @@ class TestSubcommandKeys:
             ),
             (["verify-estimate", "--samples", "-3"], "got samples=-3: pass --samples 1 or more"),
             (["sweep", "--samples", "0"], "sweep needs at least one sample"),
-            (["verify-resonance", "--samples", "0"], "verify-resonance needs at least one sample"),
+            (
+                ["verify-resonance", "--samples", "0"],
+                "verify-resonance does not read samples: remove --samples. It reads --alpha and --out",
+            ),
             (
                 ["verify-estimate", "--kind", "strichartz", "--band", "12"],
                 "pi/dt = 314.159: the largest band that fits is 9.9227",
@@ -632,16 +615,8 @@ class TestSubcommandKeys:
                 "band 0.01 admits no nonzero mode: the smallest band that does is the grid "
                 "spacing 0.04908738521234052",
             ),
-            (
-                ["verify-resonance", "--samples", "10000000000"],
-                "samples=10000000000 needs more than the machine's",
-            ),
-            (
-                ["verify-estimate", "--kind", "smoothing", "--samples", "10000000000"],
-                "runs 1 smoothing scan(s) at once, at 88 bytes a sample; the largest --samples",
-            ),
         ],
-        ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-band",
+        ids=["simulate-kind", "sweep-kind", "estimate-box-length", "smoothing-kind",
              "simulate-alpha-list", "estimate-s-list", "estimate-kind", "estimate-epsilon",
              "picard-dt", "picard-tol", "picard-max-iter", "simulate-retained-modes",
              "sweep-epsilon", "estimate-b", "simulate-dt", "simulate-t-span-inf",
@@ -659,8 +634,7 @@ class TestSubcommandKeys:
              "picard-t-span-memory", "simulate-step-count-overflow", "sweep-empty-s",
              "estimate-empty-s", "resonance-empty-alpha", "bilinear-str-band-below-spacing",
              "dual-bilinear-band-below-spacing", "strichartz-band-below-spacing",
-             "simulate-band-below-spacing", "resonance-samples-memory",
-             "smoothing-samples-memory"],
+             "simulate-band-below-spacing"],
     )
     def test_rejected_before_any_compute(self, tmp_path, monkeypatch, capsys, argv, message):
         for module, name in COMPUTE_ENTRY_POINTS:
@@ -693,35 +667,6 @@ class TestSubcommandKeys:
         with pytest.raises(cli.ConfigError, match="n_modes=16, no t_span fits"):
             cli._check_config(build_config(argv + ["--t-span", "1"]))
 
-    @pytest.mark.parametrize(
-        "argv, scans",
-        [
-            (["verify-resonance", "--alpha", "1.3,1.5,1.7"], 2),
-            (["verify-resonance", "--alpha", "1.5"], 1),
-            (["verify-estimate", "--kind", "smoothing"], 1),
-        ],
-        ids=["resonance-two-scans", "resonance-one-scan", "smoothing"],
-    )
-    def test_the_largest_samples_named_fits(self, tmp_path, monkeypatch, capsys, argv, scans):
-        for module, name in COMPUTE_ENTRY_POINTS:
-            monkeypatch.setattr(module, name, reached)
-        # a machine of 1 MiB whose process may run on 2 CPUs: nothing is allocated
-        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert main(argv + ["--samples", "1000000", "--out", str(tmp_path / "a")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"runs {scans} " in err
-        largest = int(err.split("the largest --samples that fits is ")[1])
-        scan = "smoothing" if "smoothing" in argv else "resonance"
-        assert largest == 2**20 // (scans * estimates.SCAN_SAMPLE_BYTES[scan])
-        cli._check_config(build_config(argv + ["--samples", str(largest)]))
-        with pytest.raises(cli.ConfigError, match="the largest --samples that fits is"):
-            cli._check_config(build_config(argv + ["--samples", str(largest + 1)]))
-        # 64 bytes hold no sample
-        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 64}.get)
-        with pytest.raises(cli.ConfigError, match="a sample; no --samples fits"):
-            cli._check_config(build_config(argv + ["--samples", "1"]))
-
     def test_unread_config_file_key_names_the_lines(self, tmp_path, monkeypatch, capsys):
         for module, name in COMPUTE_ENTRY_POINTS:
             monkeypatch.setattr(module, name, reached)
@@ -732,38 +677,19 @@ class TestSubcommandKeys:
         assert f"remove the lines samples= kind= from {path}" in err
         assert reads_message("picard") in err
 
-    def test_band_the_kind_does_not_read_is_rejected_before_the_manifest(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        for module, name in COMPUTE_ENTRY_POINTS:
-            monkeypatch.setattr(module, name, reached)
-        out = tmp_path / "out"
-        argv = ["verify-estimate", "--kind", "smoothing", "--band", "2", "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
+    def test_old_verify_resonance_manifest_names_its_sampler_lines(self, tmp_path, capsys):
+        # as written before the scans were exact: every key the sampler read
+        path = tmp_path / "manifest.txt"
+        lines = ["subcommand=verify-resonance", "alpha=1.3,1.7", "samples=1000000", "seed=0",
+                 f"out={tmp_path / 'old'}"]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify-resonance", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "remove --band." in err and "--samples" in err and "n_samples" not in err
-        path = tmp_path / "smoothing.cfg"
-        path.write_text("subcommand=verify-estimate\nkind=smoothing\nband=2.0\n")
-        assert main(["verify-estimate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert f"remove the lines band= from {path}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_smoothing_manifest_replays(self, tmp_path):
-        # the manifest records the unset band as band=none, which is no band
-        first, second = tmp_path / "a", tmp_path / "b"
-        argv = ["verify-estimate", "--kind", "smoothing", "--samples", "3", "--out", str(first)]
-        assert main(argv) == EXIT_OK
-        manifest = read(first / "manifest.txt")
-        assert "band=none\n" in manifest
-        cfg = tmp_path / "echo.cfg"
-        cfg.write_text(manifest.replace(str(first), str(second)))
-        assert main(["verify-estimate", "--config", str(cfg)]) == EXIT_OK
-        assert read(second / "manifest.txt") == cfg.read_text()
-        names = sorted(os.listdir(first))
-        assert sorted(os.listdir(second)) == names
-        for name in names:
-            if name != "manifest.txt":
-                assert read(first / name) == read(second / name)
+        assert f"remove the lines samples= seed= from {path}" in err
+        assert not (tmp_path / "old").exists()
+        path.write_text("\n".join(lines[:2] + lines[4:]) + "\n")
+        assert main(["verify-resonance", "--config", str(path)]) == EXIT_OK
+        assert read(tmp_path / "old" / "summary.csv").count("\n") == 5
 
     @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_KEYS))
     def test_manifest_holds_the_keys_read(self, subcommand):
@@ -793,7 +719,7 @@ class TestSubcommandKeys:
         [
             dict(subcommand="simulate", t_span=0.02, dt=0.01),
             dict(subcommand="picard", t_span=0.1, dt=0.01),
-            dict(subcommand="verify-resonance", samples=100),
+            dict(subcommand="verify-resonance"),
             dict(subcommand="verify-estimate", kind="strichartz", samples=1, band=2.0),
             dict(subcommand="sweep", s=(-0.2,), samples=1),
         ],
@@ -841,7 +767,7 @@ class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_command_passes_its_checks(self, tmp_path, monkeypatch, argv):
         config = build_config(argv)
-        for name in ("solve_reference", "picard_solve", "resonance_infimum", "estimate_ratio"):
+        for name in ("solve_reference", "picard_solve", "pointwise_infimum", "estimate_ratio"):
             monkeypatch.setattr(cli, name, reached)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(Reached):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fbo_lab import (
@@ -19,8 +19,8 @@ from fbo_lab import (
     bourgain_norm,
     classify_region,
     estimate_ratio,
+    pointwise_infimum,
     resonance,
-    resonance_infimum,
     spacetime_inner,
 )
 from fbo_lab import estimates
@@ -88,7 +88,7 @@ class TestResonance:
         assert np.array_equal(np.abs(h), np.abs(resonance(-xi1, -xi2, 1.4)))
 
 
-class TestResonanceInfimum:
+class TestPointwiseInfimum:
     def test_equal_pair_ratio_closed_form(self):
         # algebraic simplification: ratio at xi1=xi2 equals 2 - 2^(1-alpha)
         for alpha, expected in [
@@ -99,60 +99,74 @@ class TestResonanceInfimum:
             a = abs(resonance(1.0, 1.0, alpha)) / (1.0 * 2.0**alpha)
             assert a == pytest.approx(expected, abs=1e-12)
 
-    def test_report_matches_equal_pair_minimum(self):
-        report = resonance_infimum(1.5, {"n_samples": 100_000}, seed=3)
-        assert report.inf_ratio == pytest.approx(2.0 - 2.0**-0.5, abs=1e-12)
-        assert report.sup_ratio is None
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    def test_scan_finds_each_closed_form(self, alpha):
+        for kind, minimiser, closed_form in (
+            ("resonance", -0.5, 2.0 - 2.0 ** (1.0 - alpha)),
+            ("smoothing", -0.25, 2.0 * math.sqrt((1.0 - 0.25**alpha) / 0.75)),
+        ):
+            result = pointwise_infimum(kind, alpha)
+            assert result["closed_form"] == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+            assert result["inf_ratio"] == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+            assert result["beta"] == minimiser
 
-    def test_seed_stability(self):
-        a = resonance_infimum(1.3, {"n_samples": 50_000}, seed=1)
-        b = resonance_infimum(1.3, {"n_samples": 50_000}, seed=2)
-        assert abs(a.inf_ratio - b.inf_ratio) <= 0.01 * a.inf_ratio
+    def test_result_keys_and_ranges(self):
+        resonance_result = pointwise_infimum("resonance", 1.5)
+        assert resonance_result == {
+            "kind": "resonance", "alpha": 1.5, "inf_ratio": 2.0 - 2.0**-0.5, "beta": -0.5,
+            "closed_form": 2.0 - 2.0**-0.5, "beta_range": [-0.5, 0.0],
+        }
+        assert pointwise_infimum("smoothing", 1.5)["beta_range"] == [-1.0, -0.25]
 
-    def test_enlarging_sample_set_does_not_decrease_inf(self):
-        small = resonance_infimum(1.7, {"n_samples": 20_000}, seed=5)
-        large = resonance_infimum(1.7, {"n_samples": 200_000}, seed=5)
-        assert large.inf_ratio >= small.inf_ratio - 1e-12
+    def test_ratios_reach_their_limits_at_the_open_ends(self):
+        for alpha in (1.1, 1.5, 1.9):
+            near_zero = estimates._resonance_ratio(-1e-9, alpha)
+            assert near_zero == pytest.approx(1.0 + alpha, rel=1e-6)
+            near_minus_one = estimates._smoothing_ratio(-1.0 + 1e-7, alpha)
+            assert near_minus_one == pytest.approx(2.0 * math.sqrt(alpha), rel=1e-6)
 
-    def test_trend_and_argmin_present(self):
-        report = resonance_infimum(1.5, {"n_samples": 20_000}, seed=0)
-        assert len(report.refinement_trend) == 2
-        assert {"xi1", "xi2", "ratio"} <= set(report.extremal_sample)
-        assert report.skipped > 0  # the dyadic ladder contains xi1+xi2=0 pairs
+    _frequency = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
 
-    def test_unknown_sampler_keys_rejected(self):
-        with pytest.raises(ValueError):
-            resonance_infimum(1.5, {"n": 10}, seed=0)
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), xi1=_frequency, xi2=_frequency)
+    def test_resonance_ratio_depends_on_beta_alone(self, alpha, xi1, xi2):
+        """The 2-D ratio over (xi1, xi2) is the 1-D one at beta = -smallest/largest
+        modulus of (xi1, xi2, xi1 + xi2).  Below a smallest/largest of 1e-3,
+        roundoff in h grows like eps/|beta|, so those pairs are left out."""
+        mags = np.abs([xi1, xi2, xi1 + xi2])
+        lo, hi = mags.min(), mags.max()
+        assume(lo > 0.0 and lo >= 1e-3 * hi)
+        two_d = abs(resonance(xi1, xi2, alpha)) / (lo * hi**alpha)
+        assert two_d == pytest.approx(estimates._resonance_ratio(-lo / hi, alpha), rel=1e-11, abs=0.0)
+        # at least the closed form, but for the few ulps of roundoff at beta = -1/2
+        assert two_d >= (2.0 - 2.0 ** (1.0 - alpha)) * (1.0 - 1e-14)
 
-    def test_one_sample_is_its_own_trend(self):
-        report = resonance_infimum(1.5, {"n_samples": 1}, seed=0)
-        assert report.sample_count == 1 and report.skipped == 0
-        assert report.refinement_trend == (("n=1", report.inf_ratio), ("n=1", report.inf_ratio))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+        beta=st.floats(-0.999, -0.25),
+        exponent=st.integers(-6, 6),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_smoothing_ratio_depends_on_beta_alone(self, alpha, beta, exponent, sign):
+        """The 2-D ratio over the family xi1 = beta xi2, xi2 = +-2^exponent, is
+        the 1-D one at beta.  Within 1e-3 of beta = -1, 1 - |beta|^alpha
+        cancels and roundoff grows like eps/(1 + beta), so beta stays above."""
+        xi2 = sign * 2.0**exponent
+        xi1 = beta * xi2
+        xi = xi1 + xi2
+        lhs = math.sqrt(abs(abs(xi1) ** alpha - abs(xi2) ** alpha))
+        rhs = 0.5 * math.sqrt(abs(xi)) * abs(xi2) ** ((alpha - 1.0) / 2.0)
+        assert lhs / rhs == pytest.approx(estimates._smoothing_ratio(beta, alpha), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("scan", ["resonance", "smoothing"])
-    def test_scan_sample_bytes_bound_the_traced_peak(self, scan):
-        """The CLI sizes a scan's memory at SCAN_SAMPLE_BYTES a sample: it
-        bounds the peak tracemalloc traces over small and large scans, by a
-        margin under 25%."""
-        p = EstimateParams.default_admissible(1.5)
-        for n in (2**12, 2**16):
-            if scan == "resonance":
-                run = functools.partial(resonance_infimum, 1.5, {"n_samples": n}, 0)
-            else:
-                run = functools.partial(estimates._smoothing_report, p, n, 0)
-            run()  # a first call's one-off allocations stay out of the peak
-            tracemalloc.start()
-            run()
-            per_sample = tracemalloc.get_traced_memory()[1] / n
-            tracemalloc.stop()
-            assert per_sample <= estimates.SCAN_SAMPLE_BYTES[scan]
-        assert estimates.SCAN_SAMPLE_BYTES[scan] <= 1.25 * per_sample
+    def test_smoothing_lower_bound_holds(self):
+        for alpha in (1.1, 1.5, 1.9):
+            assert pointwise_infimum("smoothing", alpha)["inf_ratio"] >= 1.0
 
-    @pytest.mark.parametrize("key", ["freq_limit", "dyadic_exponent_range"])
-    def test_sampler_reads_only_n_samples(self, key):
-        message = rf"unknown input keys for resonance_infimum: \['{key}'\]; it reads \['n_samples'\]"
-        with pytest.raises(ValueError, match=message):
-            resonance_infimum(1.5, {"n_samples": 10, key: 1.0}, seed=0)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown pointwise kind 'strichartz'; expected one of"):
+            pointwise_infimum("strichartz", 1.5)
 
 
 class TestClassifyRegion:
@@ -643,42 +657,16 @@ class TestEstimateRatio:
         report = estimate_ratio("strichartz", {**inputs, "band": grid.nyquist - grid.spacing}, p, 3)
         assert np.isfinite(report.sup_ratio)
 
-    def test_smoothing_inf_matches_derived_minimum(self):
-        # the chord slope (1-x^alpha)/(1-x) is smallest at x = 1/4, giving
-        # inf ratio 2 sqrt((1-4^(-alpha))/(3/4)); beta=-1 samples are skipped
-        p = EstimateParams.default_admissible(1.5)
-        report = estimate_ratio("smoothing", {"n_samples": 50_000}, p, seed=9)
-        expected = 2.0 * math.sqrt((1.0 - 0.25**1.5) / 0.75)
-        assert report.inf_ratio == pytest.approx(expected, rel=1e-12)
-        assert report.skipped >= 1
-        assert report.extremal_sample["beta"] == pytest.approx(-0.25)
-
-    @pytest.mark.parametrize("kind", ["strichartz", "smoothing"])
-    def test_no_samples_rejected_up_front(self, no_free_lifts, kind):
+    def test_no_samples_rejected_up_front(self, no_free_lifts):
         p = EstimateParams.default_admissible(1.5)
         with pytest.raises(ValueError, match=r"n_samples must be positive, got 0"):
-            estimate_ratio(kind, {"n_samples": 0}, p, 0)
+            estimate_ratio("strichartz", {"n_samples": 0}, p, 0)
 
-    def test_smoothing_with_one_admissible_sample(self):
-        # the first draw, beta = -1, has xi = 0 and is skipped; beta = -0.5 is kept
+    def test_smoothing_is_no_sampled_kind(self):
         p = EstimateParams.default_admissible(1.5)
-        report = estimate_ratio("smoothing", {"n_samples": 2}, p, seed=0)
-        # the count is of the draws, the skipped one included
-        assert report.sample_count == 2 and report.skipped == 1
-        assert report.extremal_sample["beta"] == -0.5
-        assert report.refinement_trend == (("n=1", report.inf_ratio), ("n=1", report.inf_ratio))
-
-    def test_smoothing_with_no_admissible_sample(self):
-        p = EstimateParams.default_admissible(1.5)
-        message = r"every sample of smoothing was skipped \(1 skipped\)"
+        message = r"unknown estimate kind 'smoothing'; .* \(verify-resonance computes the pointwise"
         with pytest.raises(ValueError, match=message):
-            estimate_ratio("smoothing", {"n_samples": 1}, p, seed=0)
-
-    def test_smoothing_lower_bound_holds(self):
-        for alpha in (1.1, 1.5, 1.9):
-            p = EstimateParams.default_admissible(alpha, epsilon=(alpha - 1) / 8)
-            report = estimate_ratio("smoothing", {"n_samples": 20_000}, p, seed=2)
-            assert report.inf_ratio >= 1.0
+            estimate_ratio("smoothing", None, p, 0)
 
     def test_ratio_invariant_under_rescaling(self):
         # equal homogeneity on both sides: scaling a factor by 2 scales the
@@ -712,7 +700,7 @@ class TestEstimateRatio:
         assert report.sample_count == 4
         payload = report.to_json_dict()
         assert payload["kind"] == "strichartz"
-        assert "sup_ratio" in payload and "inf_ratio" not in payload
+        assert "sup_ratio" in payload
 
     def test_main_bilinear_histogram_and_trend(self):
         p = EstimateParams.default_admissible(1.5)
@@ -1607,10 +1595,10 @@ def test_trend_matches_recorded_values(kind):
 
 
 class TestRatioReport:
-    def test_exactly_one_ratio_required(self):
-        with pytest.raises(ValueError):
+    def test_sup_ratio_required(self):
+        with pytest.raises(TypeError):
             RatioReport("x", 1, 0, (("r", 1.0),), sup_ratio=1.0, inf_ratio=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RatioReport("x", 1, 0, (("r", 1.0),))
 
     def test_trend_nonempty(self):
