@@ -279,6 +279,45 @@ class TestVerifyResonance:
         inf_ratio, closed_form, beta = map(float, summary[1].split(",")[2:])
         assert inf_ratio == pytest.approx(closed_form, rel=1e-12) and beta == -0.5
 
+    @pytest.mark.parametrize("kind", ["resonance", "smoothing"])
+    def test_summary_rows_repeat_the_reports(self, tmp_path, kind):
+        out = tmp_path / "r"
+        assert main(["verify-resonance", "--alpha", "1.1,1.25,1.9", "--out", str(out)]) == EXIT_OK
+        rows = [row.split(",") for row in read(out / "summary.csv").strip().split("\n")[1:]]
+        rows = [row for row in rows if row[0] == kind]
+        assert [row[1] for row in rows] == ["1.1", "1.25", "1.9"]
+        for row in rows:
+            payload = json.loads(read(out / f"{kind}_alpha_{row[1]}.json"))
+            # each value is written by repr, so it reads back to the same float
+            assert [float(v) for v in row[1:]] == [
+                payload[key] for key in ("alpha", "inf_ratio", "closed_form", "beta")]
+
+    def test_starts_no_thread_pool(self, tmp_path, monkeypatch):
+        # each alpha takes well under a millisecond, so the alphas run in turn
+        def no_pool(*args, **kwargs):
+            raise AssertionError("verify-resonance started a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / "r"
+        assert main(["verify-resonance", "--alpha", "1.2,1.5,1.8", "--out", str(out)]) == EXIT_OK
+        assert read(out / "summary.csv").count("\n") == 7
+
+    def test_manifest_replays(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["verify-resonance", "--alpha", "1.3,1.7", "--out", str(first)]) == EXIT_OK
+        manifest = read(first / "manifest.txt")
+        assert manifest.splitlines()[1:] == [
+            "subcommand=verify-resonance", "alpha=1.3,1.7", f"out={first}"]
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text(manifest.replace(str(first), str(second)))
+        assert main(["verify-resonance", "--config", str(cfg)]) == EXIT_OK
+        assert read(second / "manifest.txt") == cfg.read_text()
+        names = sorted(os.listdir(first))
+        assert sorted(os.listdir(second)) == names
+        for name in names:
+            if name != "manifest.txt":
+                assert read(first / name) == read(second / name)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -541,6 +580,15 @@ class TestSubcommandKeys:
                 "verify-resonance does not read samples: remove --samples. It reads --alpha and --out",
             ),
             (
+                ["verify-resonance", "--samples", "1", "--seed", "3"],
+                "verify-resonance does not read samples, seed: remove --samples; --seed. "
+                "It reads --alpha and --out",
+            ),
+            (
+                ["verify-resonance", "--kind", "smoothing"],
+                "verify-resonance does not read kind: remove --kind. It reads --alpha and --out",
+            ),
+            (
                 ["verify-estimate", "--kind", "strichartz", "--band", "12"],
                 "pi/dt = 314.159: the largest band that fits is 9.9227",
             ),
@@ -623,6 +671,7 @@ class TestSubcommandKeys:
              "picard-t-span-inf", "simulate-both-inf", "picard-dt-minus-inf", "simulate-dt-nan",
              "simulate-band", "estimate-samples",
              "estimate-negative-samples", "sweep-samples", "resonance-samples",
+             "resonance-samples-seed", "resonance-kind",
              "strichartz-tau-nyquist", "strichartz-band", "estimate-band-nan",
              "dual-bilinear-negative-band", "main-bilinear-negative-band",
              "strichartz-negative-band", "bilinear-str-zero-band", "simulate-alpha",
@@ -690,6 +739,22 @@ class TestSubcommandKeys:
         path.write_text("\n".join(lines[:2] + lines[4:]) + "\n")
         assert main(["verify-resonance", "--config", str(path)]) == EXIT_OK
         assert read(tmp_path / "old" / "summary.csv").count("\n") == 5
+
+    def test_old_smoothing_estimate_manifest_points_to_verify_resonance(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        # the smoothing kind read the same keys as the sampled kinds
+        out = tmp_path / "old"
+        text = config_to_text(
+            ExperimentConfig(subcommand="verify-estimate", kind="strichartz", out=str(out)))
+        assert "kind=strichartz\n" in text
+        path = tmp_path / "manifest.txt"
+        path.write_text(text.replace("kind=strichartz\n", "kind=smoothing\n"))
+        assert main(["verify-estimate", "--config", str(path)]) == EXIT_CONFIG
+        assert SMOOTHING_KIND_MESSAGE in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_KEYS))
     def test_manifest_holds_the_keys_read(self, subcommand):

@@ -99,17 +99,32 @@ class TestPointwiseInfimum:
             a = abs(resonance(1.0, 1.0, alpha)) / (1.0 * 2.0**alpha)
             assert a == pytest.approx(expected, abs=1e-12)
 
+    #: Per kind: its ratio of beta, its minimiser and its closed form of alpha.
+    _MINIMA = {
+        "resonance": (estimates._resonance_ratio, -0.5, lambda alpha: 2.0 - 2.0 ** (1.0 - alpha)),
+        "smoothing": (
+            estimates._smoothing_ratio, -0.25,
+            lambda alpha: 2.0 * math.sqrt((1.0 - 0.25**alpha) / 0.75),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(_MINIMA))
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
-    def test_scan_finds_each_closed_form(self, alpha):
-        for kind, minimiser, closed_form in (
-            ("resonance", -0.5, 2.0 - 2.0 ** (1.0 - alpha)),
-            ("smoothing", -0.25, 2.0 * math.sqrt((1.0 - 0.25**alpha) / 0.75)),
-        ):
-            result = pointwise_infimum(kind, alpha)
-            assert result["closed_form"] == pytest.approx(closed_form, rel=1e-15, abs=0.0)
-            assert result["inf_ratio"] == pytest.approx(closed_form, rel=1e-12, abs=0.0)
-            assert result["beta"] == minimiser
+    def test_closed_form_is_the_ratio_at_the_minimiser(self, kind, alpha):
+        # R(-1/2) = 2 g(1/2) and R(-1/4) = 2 sqrt((1 - 4^-alpha) / (3/4)), to roundoff
+        ratio, minimiser, closed_form = self._MINIMA[kind]
+        assert ratio(minimiser, alpha) == pytest.approx(closed_form(alpha), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kind", list(_MINIMA))
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    def test_scan_finds_each_closed_form(self, kind, alpha):
+        _, minimiser, closed_form = self._MINIMA[kind]
+        result = pointwise_infimum(kind, alpha)
+        assert result["closed_form"] == pytest.approx(closed_form(alpha), rel=1e-15, abs=0.0)
+        assert result["inf_ratio"] == pytest.approx(closed_form(alpha), rel=1e-12, abs=0.0)
+        assert result["beta"] == minimiser
 
     def test_result_keys_and_ranges(self):
         resonance_result = pointwise_infimum("resonance", 1.5)
@@ -119,14 +134,60 @@ class TestPointwiseInfimum:
         }
         assert pointwise_infimum("smoothing", 1.5)["beta_range"] == [-1.0, -0.25]
 
-    def test_ratios_reach_their_limits_at_the_open_ends(self):
+    @pytest.mark.parametrize("kind", list(_MINIMA))
+    def test_infimum_is_below_the_ratio_over_its_range(self, kind):
+        """The reported infimum is the ratio at its beta (to the ulp by which
+        numpy's scalar and array powers may differ), and no point of an
+        independent grid of the open range lies below it."""
+        ratio = self._MINIMA[kind][0]
         for alpha in (1.1, 1.5, 1.9):
-            near_zero = estimates._resonance_ratio(-1e-9, alpha)
-            assert near_zero == pytest.approx(1.0 + alpha, rel=1e-6)
-            near_minus_one = estimates._smoothing_ratio(-1.0 + 1e-7, alpha)
-            assert near_minus_one == pytest.approx(2.0 * math.sqrt(alpha), rel=1e-6)
+            result = pointwise_infimum(kind, alpha)
+            lo, hi = result["beta_range"]
+            assert lo <= result["beta"] <= hi
+            at_beta = ratio(result["beta"], alpha)
+            assert result["inf_ratio"] == pytest.approx(at_beta, rel=1e-15, abs=0.0)
+            beta = np.linspace(lo, hi, 10_001)[1:-1]
+            assert ratio(beta, alpha).min() >= result["inf_ratio"]
+
+    @pytest.mark.parametrize("kind", list(_MINIMA))
+    def test_ratio_grows_away_from_its_minimiser(self, kind):
+        """Resonance: g(t)/t falls as t = |beta| grows to 1/2, so the ratio
+        falls as beta goes from 0 to -1/2.  Smoothing: the chord slope grows
+        with |beta|, so the ratio grows as beta falls from -1/4 to -1."""
+        ratio, minimiser, _ = self._MINIMA[kind]
+        open_end = 0.0 if kind == "resonance" else -1.0
+        # from the minimiser out to (not at) the open end
+        beta = minimiser + (open_end - minimiser) * np.linspace(0.0, 1.0, 2001)[:-1]
+        for alpha in (1.1, 1.5, 1.9):
+            assert np.all(np.diff(ratio(beta, alpha)) > 0.0)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_ratios_reach_their_limits_at_the_open_ends(self, alpha):
+        near_zero = estimates._resonance_ratio(-1e-9, alpha)
+        assert near_zero == pytest.approx(1.0 + alpha, rel=1e-6)
+        near_minus_one = estimates._smoothing_ratio(-1.0 + 1e-7, alpha)
+        assert near_minus_one == pytest.approx(2.0 * math.sqrt(alpha), rel=1e-6)
 
     _frequency = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+        xi1=_frequency,
+        xi2=_frequency,
+        scale=st.floats(1e-2, 1e2),
+    )
+    def test_resonance_is_symmetric_odd_and_homogeneous(self, alpha, xi1, xi2, scale):
+        """The premises of the reduction: |h| is the same for each pair of
+        the zero-sum triple (xi1, xi2, -(xi1 + xi2)), unchanged when the pair
+        is negated, and scales by lambda^(1 + alpha)."""
+        xi = xi1 + xi2
+        h = abs(resonance(xi1, xi2, alpha))
+        assume(h > 0.0)
+        for a, b in ((xi2, xi1), (xi1, -xi), (-xi, xi1), (xi2, -xi), (-xi, xi2), (-xi1, -xi2)):
+            assert abs(resonance(a, b, alpha)) == pytest.approx(h, rel=1e-9, abs=0.0)
+        scaled = abs(resonance(scale * xi1, scale * xi2, alpha))
+        assert scaled == pytest.approx(scale ** (1.0 + alpha) * h, rel=1e-9, abs=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), xi1=_frequency, xi2=_frequency)
@@ -160,9 +221,9 @@ class TestPointwiseInfimum:
         rhs = 0.5 * math.sqrt(abs(xi)) * abs(xi2) ** ((alpha - 1.0) / 2.0)
         assert lhs / rhs == pytest.approx(estimates._smoothing_ratio(beta, alpha), rel=1e-12, abs=0.0)
 
-    def test_smoothing_lower_bound_holds(self):
-        for alpha in (1.1, 1.5, 1.9):
-            assert pointwise_infimum("smoothing", alpha)["inf_ratio"] >= 1.0
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_smoothing_lower_bound_holds(self, alpha):
+        assert pointwise_infimum("smoothing", alpha)["inf_ratio"] >= 1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match=r"unknown pointwise kind 'strichartz'; expected one of"):
@@ -700,7 +761,7 @@ class TestEstimateRatio:
         assert report.sample_count == 4
         payload = report.to_json_dict()
         assert payload["kind"] == "strichartz"
-        assert "sup_ratio" in payload
+        assert "sup_ratio" in payload and "inf_ratio" not in payload
 
     def test_main_bilinear_histogram_and_trend(self):
         p = EstimateParams.default_admissible(1.5)
