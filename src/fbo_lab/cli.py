@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .conservation import apriori_check, l2_drift
-from .estimates import RatioReport, _checked_inputs, estimate_ratio, pointwise_infimum
+from .estimates import RatioReport, _checked_inputs, _kind_inputs, estimate_ratio, pointwise_infimum
 from .evolution import (
     BlowUpError,
     _check_dt,
@@ -306,6 +306,7 @@ def _check_config(config: ExperimentConfig) -> tuple:
         return (_initial_field(config, FrequencyGrid(config.n_modes, config.box_length)),)
     if subcommand == "verify-estimate":
         alpha, s = _single(config, "alpha"), _single(config, "s")
+        _kind_inputs(config.kind)
         _check_epsilon(config, [(alpha, s)])
         p = _build_params(config, alpha, s)
         inputs = {"n_samples": config.samples}

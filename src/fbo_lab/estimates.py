@@ -513,10 +513,11 @@ class _FreeLifts:
     field, and its squared restriction norm under p is the sum over xi of
     profile(xi) |u0(xi)|^2, where profile(xi) is the tau sum of
     w |kernel|^2 dtau dxi with w = bourgain_weights at b = p.b.  A norm then
-    costs O(N) per sample.  One instance serves one resolution of one bilinear
-    harness call, or every strichartz resolution: on the same box and times a
-    coarser grid's own tables are their middle columns, bit for bit.  One
-    cutoff psi = bump(times / T) serves its tables, lifts and product field.
+    costs O(N) per sample.  One instance serves one resolution of a bilinear
+    harness call, or every strichartz resolution from the band grid: on one
+    box and times a coarser grid's tables are a finer one's middle columns,
+    bit for bit.  One cutoff psi = bump(times / T) serves its tables, lifts
+    and product field.
 
     The tables are built from the N/2+1 columns k >= 0: phases, the free
     group at times (exponentiated at t >= 0 only), w and |kernel|^2.  psi
@@ -860,24 +861,26 @@ def _strichartz_table(p, grids, T, n_time, descs):
     """The L4t Linfx norm of <D>^gamma psi_T W(t) u0 and the norm of its lift,
     as two (resolutions x samples) tables, the rows as grids.
 
-    Every draw is Hermitian and in the coarsest grid's band, and the free group
-    keeps it so (phi is odd): the cut evolution is one real trigonometric
-    polynomial on every grid of the box.  So one _FreeLifts on the finest grid
-    serves every resolution, each sample is synthesised once there from its
-    k >= 0 modes, with the cutoff, the group, <D>^gamma and the synthesis
-    constants in one table, and a grid of N modes reads every (N_f/N)-th node.
-    The table is built by in-place multiplies, and each sample's product
-    with it and its samples are written into two buffers allocated once per
-    call, so the loop allocates no table-sized array.
+    Every draw is Hermitian, in the coarsest grid's band of n_band modes, and
+    the free group keeps it so (phi is odd): the cut evolution is one real
+    trigonometric polynomial on every grid of the box.  So one _FreeLifts on
+    the band grid, the smallest holding the band, serves every resolution,
+    whose right side sums its profile zero-padded to N columns.  A sample is
+    synthesised once at the finest grid from its modes k = 0..n_band, with
+    the cutoff, the group, <D>^gamma and the synthesis constants in one table
+    of n_band + 1 columns, through two buffers allocated once per call; a
+    grid of N modes reads every (N_f/N)-th node.
     """
     fine = max(grids, key=lambda grid: grid.n_modes)
-    free = _FreeLifts(fine, _x_params(p), T, n_time)
-    bracket = japanese_bracket(fine.frequencies[fine.zero_index :]) ** ((p.alpha - 1.0) / 4.0)
-    table = free.psi * free.phases
-    table *= bracket
-    _real_synthesis_table(table, fine.box_length, out=table)
-    product = np.empty_like(table)
+    n_band = max(desc["modes"].size for desc in descs) // 2
+    band = FrequencyGrid(max(8, 2 * n_band + 2), fine.box_length)
+    free = _FreeLifts(band, _x_params(p), T, n_time)
+    table = free.psi * free.phases[:, : n_band + 1]
+    table *= japanese_bracket(band.frequencies[band.zero_index :][: n_band + 1]) ** ((p.alpha - 1.0) / 4.0)
+    _real_synthesis_table(table, fine.box_length, out=table, n=fine.n_modes)
+    product = np.zeros((free.times.size, fine.n_modes // 2 + 1), complex)
     samples = np.empty((free.times.size, fine.n_modes))
+    profiles = [np.pad(free.profile, (grid.n_modes - band.n_modes) // 2) for grid in grids]
     dt = float(free.times[1] - free.times[0])
     lhs, rhs = np.empty((2, len(grids), len(descs)))
     for j, desc in enumerate(descs):
@@ -886,7 +889,8 @@ def _strichartz_table(p, grids, T, n_time, descs):
         mags = np.abs(samples, out=samples)
         for i, grid in enumerate(grids):
             lhs[i, j] = _lebesgue_of_samples(mags[:, :: fine.n_modes // grid.n_modes], grid, dt, 4.0, math.inf)
-            rhs[i, j] = free.norm(_field_from_descriptor(grid, desc, False))
+            coeffs = _field_from_descriptor(grid, desc, False).coeffs
+            rhs[i, j] = math.sqrt(float(np.sum(profiles[i] * np.abs(coeffs) ** 2)))
     return lhs, rhs
 
 
@@ -1029,6 +1033,16 @@ def _smallest_strichartz_T(band: float, alpha: float) -> float | None:
     return None
 
 
+def _kind_inputs(kind: str) -> dict:
+    """kind's inputs and their defaults; an unknown kind names the known ones."""
+    if kind not in _KIND_INPUTS:
+        raise ValueError(
+            f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)} "
+            "(verify-resonance computes the pointwise resonance and smoothing bounds)"
+        )
+    return _KIND_INPUTS[kind]
+
+
 def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     """The checks of estimate_ratio that need no compute, which the CLI runs
     before it writes anything.  Returns kind's inputs with their defaults and
@@ -1041,12 +1055,7 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     is weighted at the wrong modulation.  So a band whose centre
     phi(band) + 4/T reaches pi/dt is rejected.
     """
-    if kind not in _KIND_INPUTS:
-        raise ValueError(
-            f"unknown estimate kind {kind!r}; expected one of {tuple(_KIND_INPUTS)} "
-            "(verify-resonance computes the pointwise resonance and smoothing bounds)"
-        )
-    keys = _KIND_INPUTS[kind]
+    keys = _kind_inputs(kind)
     given = inputs or {}
     unknown = set(given) - set(keys)
     if unknown:
@@ -1118,11 +1127,11 @@ def estimate_ratio(
 
     kind selects the inequality: 'strichartz' (L4t Linfx against the b-scale;
     its resolutions, each dividing the finest, sample one real synthesis per
-    draw at the finest grid), 'bilinear_str' and 'dual_bilinear'
-    (the two weighted convolutions), 'main_bilinear' (the derivative product
-    estimate, with a histogram of the regions of each sample's TOP_CELLS
-    dominant contributions at the last resolution).  inputs may set only
-    these keys (defaults shown):
+    draw at the finest grid, from tables on the draws' band alone),
+    'bilinear_str' and 'dual_bilinear' (the two weighted convolutions),
+    'main_bilinear' (the derivative product estimate, with a histogram of the
+    regions of each sample's TOP_CELLS dominant contributions at the last
+    resolution).  inputs may set only these keys (defaults shown):
 
     - strichartz: n_samples=200, resolutions=(256, 512) (spatial modes, at
       the time step nearest 0.01 that divides 2T), box_length=64.0, band=8.0,

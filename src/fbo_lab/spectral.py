@@ -223,28 +223,33 @@ def _slot_fft(a: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarr
 # [z:] with z the zero index: the k < 0 modes are their conjugates.
 
 
-def _real_synthesis_table(half: np.ndarray, box_length: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The half-spectrum table of a multiplier on N ascending modes, from
-    half, its k >= 0 columns (the last N/2+1, in rows or one row): times the
-    (-1)^k origin phase and the synthesis scale, into out (which may be
-    half) when given, to be built once and passed to _real_synthesis."""
-    n = 2 * (half.shape[-1] - 1)
-    z = n // 2 - 1
-    _, _, signs = _plan(n)
-    return np.multiply(half, signs[z:] * (n * math.sqrt(TWO_PI) / box_length), out=out)
+def _real_synthesis_table(half: np.ndarray, box_length: float, out: np.ndarray | None = None,
+                          n: int | None = None) -> np.ndarray:
+    """The half-spectrum table of a multiplier on n ascending modes, from
+    half, its first K columns k = 0..K-1 (in rows or one row; all N/2+1 when
+    n is None): times the (-1)^k origin phase and the synthesis scale, into
+    out (which may be half) when given, to be passed to _real_synthesis."""
+    n = 2 * (half.shape[-1] - 1) if n is None else n
+    signs = _plan(n)[2][n // 2 - 1 :][: half.shape[-1]]
+    return np.multiply(half, signs * (n * math.sqrt(TWO_PI) / box_length), out=out)
 
 
 def _real_synthesis(table: np.ndarray, coeffs: np.ndarray, product: np.ndarray | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of weights * coeffs along the last axis, table being
-    _real_synthesis_table(weights, box_length): one real inverse FFT of the
-    k >= 0 modes, through the buffers product (table's shape, complex) and
-    out (the samples') when given, so that a loop over fields allocates
-    neither.  Each row of weights * coeffs must be Hermitian, as the field
-    it stands for is declared real; for such rows this is the real part of
-    _inverse_raw, whose imaginary part is roundoff."""
-    n = coeffs.shape[-1]
-    product = np.multiply(table, coeffs[..., n // 2 - 1 :], out=product)
+    _real_synthesis_table(weights, box_length, n=N) of K columns: one real
+    inverse FFT of the k >= 0 modes, which must vanish past K-1 (else
+    ValueError), through the buffers product (N/2+1 complex columns, zero
+    past K-1) and out (the samples') when given, so that a loop over fields
+    allocates neither.  Each row of weights * coeffs must be Hermitian (the
+    field is declared real); this is then the real part of _inverse_raw."""
+    n, k = coeffs.shape[-1], table.shape[-1]
+    half = coeffs[..., n // 2 - 1 :]
+    if np.any(half[..., k:]):
+        raise ValueError(f"coefficients are nonzero past the table's K={k} columns k = 0..{k - 1}")
+    if product is None:
+        product = np.zeros(np.broadcast_shapes(table.shape[:-1], half.shape[:-1]) + half.shape[-1:], complex)
+    np.multiply(table, half[..., :k], out=product[..., :k])
     return np.fft.irfft(product, n=n, axis=-1, out=out)
 
 

@@ -524,11 +524,13 @@ def reads_message(subcommand, unread=()):
 
 ALPHA_MESSAGE = "alpha must lie in (1, 2), got alpha={}: pass --alpha 1.5"
 
-SMOOTHING_KIND_MESSAGE = (
-    "unknown estimate kind 'smoothing'; expected one of ('strichartz', 'bilinear_str', "
+KIND_MESSAGE = (
+    "unknown estimate kind {!r}; expected one of ('strichartz', 'bilinear_str', "
     "'dual_bilinear', 'main_bilinear') (verify-resonance computes the pointwise resonance "
     "and smoothing bounds)"
 )
+
+SMOOTHING_KIND_MESSAGE = KIND_MESSAGE.format("smoothing")
 
 
 class TestSubcommandKeys:
@@ -614,6 +616,9 @@ class TestSubcommandKeys:
                 ["verify-estimate", "--kind", "bilinear_str", "--band", "0"],
                 "band must be positive, got 0.0: pass band=3.0",
             ),
+            # the kind is looked up first: epsilon=0.1 exceeds (alpha-1)/4 at alpha=1.2
+            (["verify-estimate", "--kind", "smoothing", "--alpha", "1.2"], SMOOTHING_KIND_MESSAGE),
+            (["verify-estimate", "--kind", "nope", "--alpha", "1.2"], KIND_MESSAGE.format("nope")),
             (["simulate", "--alpha", "2.5"], ALPHA_MESSAGE.format("2.5")),
             (["picard", "--alpha", "2.5"], ALPHA_MESSAGE.format("2.5")),
             (["verify-resonance", "--alpha", "2.5"], ALPHA_MESSAGE.format("2.5")),
@@ -674,7 +679,8 @@ class TestSubcommandKeys:
              "resonance-samples-seed", "resonance-kind",
              "strichartz-tau-nyquist", "strichartz-band", "estimate-band-nan",
              "dual-bilinear-negative-band", "main-bilinear-negative-band",
-             "strichartz-negative-band", "bilinear-str-zero-band", "simulate-alpha",
+             "strichartz-negative-band", "bilinear-str-zero-band", "smoothing-kind-before-epsilon",
+             "unknown-kind-before-epsilon", "simulate-alpha",
              "picard-alpha", "resonance-alpha-high", "resonance-alpha-low",
              "resonance-alpha-list", "simulate-alpha-nan", "resonance-alpha-nan",
              "simulate-amplitude-nan", "picard-amplitude-nan", "random-amplitude-inf",

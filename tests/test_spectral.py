@@ -241,6 +241,38 @@ class TestRealSynthesis:
             assert _real_synthesis(table, u, product, out) is out
             assert out.tobytes() == _real_synthesis(table, u).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_band_table_synthesises_the_full_tables_bytes(self, data):
+        # a table of the first K columns, through a zeroed product buffer or
+        # none, against the full N/2+1 columns for coefficients zero past K-1
+        n = 2 * data.draw(st.integers(4, 160), label="n/2")
+        k = data.draw(st.integers(1, n // 2 + 1), label="K")
+        n_rows = data.draw(st.integers(1, 6), label="rows")
+        g = make_grid(n, data.draw(st.floats(1.0, 100.0), label="box"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        z, m = g.zero_index, min(k - 1, n // 2 - 1)  # m paired modes
+        draws = rng.standard_normal((2, k))
+        u = np.zeros(n, complex)
+        u[z : z + k] = draws[0] + 1j * draws[1]
+        u[z] = u[z].real
+        u[-1] = u[-1].real  # the unpaired extreme mode, when K reaches it
+        u[z - m : z] = np.conj(u[z + m : z : -1])
+        times = rng.uniform(-1.0, 1.0, (n_rows, 1))
+        half = np.exp(1j * times * dispersion_symbol(g.frequencies[z:], 1.5))
+        full = _real_synthesis_table(half, g.box_length)
+        band = _real_synthesis_table(half[:, :k], g.box_length, n=n)
+        assert band.tobytes() == full[:, :k].tobytes()
+        expected = _real_synthesis(full, u).tobytes()
+        assert _real_synthesis(band, u).tobytes() == expected
+        product = np.zeros_like(full)
+        for _ in range(2):  # the buffer's columns past K-1 stay zero
+            assert _real_synthesis(band, u, product).tobytes() == expected
+        if k <= n // 2:
+            u[z + k] = 1.0
+            with pytest.raises(ValueError, match=f"K={k} columns"):
+                _real_synthesis(band, u)
+
 
 class TestTransformProperties:
     """Parseval and the round trip over generated samples, sizes and boxes."""
