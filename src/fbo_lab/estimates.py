@@ -596,12 +596,11 @@ class _FreeLifts:
         return SpaceTimeField(u0.grid, self.time_grid, coeffs)
 
     def norm(self, u0: SpectralField) -> float:
-        """bourgain_norm of the lift of u0, on this grid or a coarser one, and its zero-mode check."""
-        mags, zero = np.abs(u0.coeffs), u0.grid.zero_index
-        lo = self.grid.zero_index - zero
+        """bourgain_norm of the lift of u0, a field on this grid, and its zero-mode check."""
+        mags = np.abs(u0.coeffs)
         if self.p.omega > 0.0:
-            _require_zero_mean(self.column_max[lo : lo + mags.size] * mags, zero, "bourgain norm with omega > 0")
-        return math.sqrt(float(np.sum(self.profile[lo : lo + mags.size] * mags**2)))
+            _require_zero_mean(self.column_max * mags, self.grid.zero_index, "bourgain norm with omega > 0")
+        return math.sqrt(float(np.sum(self.profile * mags**2)))
 
 
 def _x_params(p: EstimateParams) -> EstimateParams:
@@ -1009,28 +1008,22 @@ _SIDES = {"bilinear_str": _bilinear_str_sides, "dual_bilinear": _dual_bilinear_s
           "main_bilinear": _main_bilinear_sides}
 
 
-def _strichartz_tau(T: float) -> tuple[int, float]:
-    """strichartz's tau count at cutoff T and its tau Nyquist pi/dt: the step
-    dt is the one nearest 0.01 that divides 2T, on a pad-2 window of 8T."""
-    n_time = max(4 * round(2.0 * T / 0.01), 8)
-    return n_time, math.pi * n_time / (8.0 * T)
+def _strichartz_tau(T: float, band: float, alpha: float) -> int:
+    """strichartz's tau count at cutoff T for draws within band, on a pad-2
+    window of 8T, whose tau Nyquist is pi n_time/(8T).
 
-
-def _smallest_strichartz_T(band: float, alpha: float) -> float | None:
-    """The smallest T, to 4 decimals, at which band fits strichartz's tau
-    Nyquist, or None.  At q = n_time/4 steps in 2T, pi/dt - 4/T is
-    (pi q/2 - 4)/T, which falls as T grows, and q's smallest T is about
-    (q - 1/2)/200: so phi = phi(band) fits some T of q when
-    q > (800 - phi/2)/(100 pi - phi), which needs phi < 100 pi = pi/0.01.
-    The search starts just below that q and runs over a few more."""
-    phi = float(dispersion_symbol(band, alpha))
-    if not phi < 100.0 * math.pi:
-        return None
-    q = max(math.floor((800.0 - phi / 2.0) / (100.0 * math.pi - phi)) + 1, 3)
-    for T in (k / 1e4 for k in range(25 * (2 * q - 1) - 1, 25 * (2 * q + 7))):
-        if phi + 4.0 / T < _strichartz_tau(T)[1]:  # the rule of _checked_inputs
-            return T
-    return None
+    A lift's energy sits at tau = phi(xi) = xi|xi|^alpha, spread over a few
+    1/T by the cutoff; at the Nyquist it would wrap round and be weighted at
+    the wrong modulation.  So the count is the one whose step is nearest
+    0.01 that divides 2T while the centre phi(band) + 4/T stays below its
+    Nyquist, and otherwise the smallest multiple of 4 whose Nyquist the
+    centre stays below (the loop corrects the rounding of its floor).
+    """
+    centre = float(dispersion_symbol(band, alpha)) + 4.0 / T
+    n_time = max(4 * round(2.0 * T / 0.01), 8, 4 * math.floor(2.0 * T * centre / math.pi))
+    while not centre < math.pi * n_time / (8.0 * T):
+        n_time += 4
+    return n_time
 
 
 def _kind_inputs(kind: str) -> dict:
@@ -1049,11 +1042,8 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     its resolutions as (label, spatial modes, tau modes), coarsest first.
 
     Each strichartz resolution samples one synthesis at the finest grid, so
-    must divide the finest; its step is the one nearest 0.01 that divides 2T.
-    A strichartz lift's energy sits at tau = phi(xi) = xi|xi|^alpha, spread
-    over a few 1/T by the cutoff; at the tau Nyquist pi/dt it wraps round and
-    is weighted at the wrong modulation.  So a band whose centre
-    phi(band) + 4/T reaches pi/dt is rejected.
+    must divide the finest; all share the tau count of _strichartz_tau,
+    derived from T and the band once both are checked.
     """
     keys = _kind_inputs(kind)
     given = inputs or {}
@@ -1072,11 +1062,10 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     L, band, T = (float(inputs[key]) for key in ("box_length", "band", "T"))
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}: pass T={keys['T']!r}")
     if kind == "strichartz":
-        n_time, nyquist = _strichartz_tau(T)
-        resolutions = [(f"N={n}", int(n), n_time) for n in inputs["resolutions"]]
+        resolutions = [(f"N={n}", int(n), None) for n in inputs["resolutions"]]
     else:
         resolutions = [(f"{n}x{m}", int(n), int(m)) for n, m in inputs["resolutions"]]
     band_fraction = inputs.get("band_fraction")
@@ -1085,38 +1074,22 @@ def _checked_inputs(kind: str, inputs: dict | None, p: EstimateParams) -> tuple:
     if kind == "strichartz" and any(finest % n for _, n, _ in resolutions):
         raise ValueError(f"strichartz resolutions {tuple(inputs['resolutions'])} must each divide the finest, "
                          f"{finest}, whose synthesis they sample: pass resolutions=({finest // 2}, {finest})")
-    grid_fits = fits = coarsest.largest_band
-    short = False
-    if kind == "strichartz":
-        # the band strichartz names, the smaller of the two limits, is rounded
-        # down so that it fits; a T too short for any band that admits a mode
-        # leaves the band to the grid, and the tau check names a T instead
-        tau_fits = math.floor(max(nyquist - 4.0 / T, 0.0) ** (1.0 / (1.0 + p.alpha)) * 1e4) / 1e4
-        short = tau_fits < coarsest.spacing
-        fits = grid_fits if short else min(grid_fits, tau_fits)
+    fits = coarsest.largest_band
     if band_fraction is not None and not 0.0 < float(band_fraction) <= 1.0:
         raise ValueError(f"band_fraction must lie in (0, 1], got {band_fraction}")
     if band_fraction is None and not band > 0.0:  # nan fails it too
         raise ValueError(
             f"band must be positive, got {band!r}: pass band={min(keys['band'], fits)!r}, say")
-    if band_fraction is None and band > grid_fits:
+    if band_fraction is None and band > fits:
         raise ValueError(
             f"band {band} does not fit the coarsest grid, {coarsest.n_modes} modes on a "
             f"box of {L}: the largest band that fits is {fits!r}"
         )
     # the coarsest grid's band must admit a nonzero mode, else band_modes raises
-    coarsest.band_modes(band if band_fraction is None else float(band_fraction) * grid_fits)
-    centre = float(dispersion_symbol(band, p.alpha)) + 4.0 / T
-    if kind == "strichartz" and centre >= nyquist:
-        fix = f"the largest band that fits is {fits!r}"
-        if short:
-            smallest = _smallest_strichartz_T(band, p.alpha)
-            fix = (f"no band fits T={T!r}; the smallest T at which band {band!r} fits is {smallest!r}"
-                   if smallest else f"band {band!r} fits no T: phi(band) must stay below pi/0.01")
-        raise ValueError(
-            f"band {band!r} puts the strichartz lifts' energy centre phi(band) + 4/T = "
-            f"{centre:.6g} at or past the tau Nyquist pi/dt = {nyquist:.6g}: {fix}"
-        )
+    coarsest.band_modes(band if band_fraction is None else float(band_fraction) * fits)
+    if kind == "strichartz":
+        n_time = _strichartz_tau(T, band, p.alpha)
+        resolutions = [(label, n, n_time) for label, n, _ in resolutions]
     return inputs, resolutions
 
 
@@ -1134,8 +1107,8 @@ def estimate_ratio(
     resolution).  inputs may set only these keys (defaults shown):
 
     - strichartz: n_samples=200, resolutions=(256, 512) (spatial modes, at
-      the time step nearest 0.01 that divides 2T), box_length=64.0, band=8.0,
-      T=1.0
+      the tau count that _strichartz_tau derives from T and band),
+      box_length=64.0, band=8.0, T=1.0
     - bilinear_str, dual_bilinear: n_samples=100, resolutions=((48, 48),
       (64, 64)) (spatial x tau modes), box_length=16.0, band=3.0, T=0.5
     - main_bilinear: n_samples=200, resolutions=((56, 448), (64, 512)),
@@ -1149,8 +1122,8 @@ def estimate_ratio(
     inputs.  A band_fraction in (0, 1] instead gives each resolution that
     fraction of its largest paired frequency as band, with fresh draws; band
     and band_fraction are exclusive, so inputs may set at most one of them.
-    n_samples is at least 1.  Samples where the right side vanishes are
-    skipped and counted.
+    n_samples is at least 1, T positive and finite.  Samples where the
+    right side vanishes are skipped and counted.
     """
     inputs, resolutions = _checked_inputs(kind, inputs, p)
     n_samples = int(inputs["n_samples"])

@@ -591,13 +591,18 @@ class TestSubcommandKeys:
                 "verify-resonance does not read kind: remove --kind. It reads --alpha and --out",
             ),
             (
-                ["verify-estimate", "--kind", "strichartz", "--band", "12"],
-                "pi/dt = 314.159: the largest band that fits is 9.9227",
-            ),
-            (
                 ["verify-estimate", "--kind", "strichartz", "--band", "13"],
                 "band 13.0 does not fit the coarsest grid, 256 modes on a box of 64.0: "
-                "the largest band that fits is 9.9227",
+                "the largest band that fits is 12.468195843934492",
+            ),
+            (
+                ["verify-estimate", "--kind", "strichartz", "--band", "nan"],
+                "band must be positive, got nan: pass band=8.0",
+            ),
+            (
+                ["verify-estimate", "--kind", "strichartz", "--band", "inf"],
+                "band inf does not fit the coarsest grid, 256 modes on a box of 64.0: "
+                "the largest band that fits is 12.468195843934492",
             ),
             (["verify-estimate", "--band", "nan"], "band must be positive, got nan: pass band=10.0"),
             (
@@ -677,7 +682,7 @@ class TestSubcommandKeys:
              "simulate-band", "estimate-samples",
              "estimate-negative-samples", "sweep-samples", "resonance-samples",
              "resonance-samples-seed", "resonance-kind",
-             "strichartz-tau-nyquist", "strichartz-band", "estimate-band-nan",
+             "strichartz-band", "strichartz-band-nan", "strichartz-band-inf", "estimate-band-nan",
              "dual-bilinear-negative-band", "main-bilinear-negative-band",
              "strichartz-negative-band", "bilinear-str-zero-band", "smoothing-kind-before-epsilon",
              "unknown-kind-before-epsilon", "simulate-alpha",
