@@ -25,7 +25,6 @@ from .spectral import (
     _held,
     _inverse_raw,
     _l2_raw,
-    _plan,
     bump,
     dispersion_symbol,
 )
@@ -121,42 +120,49 @@ def _dealias_mask(grid: FrequencyGrid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _slot_kernel(grid: FrequencyGrid):
-    """(kernel, w_out): kernel(c, w_out, out) writes -(1/2) d/dx (u^2) of rows
-    c of coefficients in numpy's fft slot order into out, not c; a multiple
-    of w_out in its place gives that multiple of it.
+def _half_kernel(grid: FrequencyGrid):
+    """(kernel, w_out): kernel(c, w_out, out, samples) writes -(1/2) d/dx (u^2) of the real
+    fields whose k >= 0 modes (the ascending slice [z:], numpy's rfft bins) are the rows c into
+    out, not c, through samples, a real buffer of N columns; a multiple of w_out in its place
+    gives that multiple of it.  The square is of the 2/3-dealiased field and is dealiased again.
+    Two weights on k = 0..N/2 hold every constant of the transform pair: w_in the (-1)^k origin
+    phase, the synthesis scale and the mask, w_out the phase, the analysis scale, -(i/2) xi and
+    the mask.  The mask multiplies by 0, so a value that is not finite in a dropped mode makes
+    the result nan."""
+    n, box, z = grid.n_modes, grid.box_length, grid.zero_index
+    signs = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0) + 0j
+    mask = _dealias_mask(grid)[z:]
+    w_in = signs * (math.sqrt(TWO_PI) / box) * mask
+    w_out = signs * (box / (n * math.sqrt(TWO_PI))) * (-0.5j * grid.frequencies[z:]) * mask
 
-    The square is of the 2/3-dealiased field and is dealiased again; the
-    complex square serves real and complex u alike.  Two slot-order weights
-    hold every constant of the transform pair: w_in the (-1)^k origin phase,
-    the synthesis scale and the mask, and w_out the phase, the analysis
-    scale, -(i/2) xi and the mask.  The mask multiplies by 0, so a value
-    that is not finite in a dropped mode makes the result nan.
-    """
-    n, box = grid.n_modes, grid.box_length
-    _, grid_slot, signs = _plan(n)
-    mask = _dealias_mask(grid)
-    w_in = (signs * (math.sqrt(TWO_PI) / box) * mask)[grid_slot]
-    w_out = (signs * (box / (n * math.sqrt(TWO_PI))) * (-0.5j * grid.frequencies) * mask)[grid_slot]
-
-    def kernel(c, w, out):
-        np.fft.ifft(np.multiply(c, w_in, out=out), norm="forward", out=out)
-        np.fft.fft(np.multiply(out, out, out=out), out=out)
+    def kernel(c, w, out, samples):
+        np.fft.irfft(np.multiply(c, w_in, out=out), n=n, norm="forward", out=samples)
+        np.fft.rfft(np.multiply(samples, samples, out=samples), out=out)
         return np.multiply(out, w, out=out)
 
     return kernel, _freeze(w_out)
 
 
+def _mirror(rows: np.ndarray, z: int) -> None:
+    """Make ascending rows the real fields of their k >= 0 modes, in place: k < 0 the conjugates
+    of k > 0, the unpaired mode N/2 its real part (the real flow's, where the march turns it)."""
+    np.conjugate(rows[..., 2 * z : z : -1], out=rows[..., :z])
+    rows[..., -1] = rows[..., -1].real
+
+
 def _nonlinearity_raw(c: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """-(1/2) d/dx (u^2) of ascending rows, through _slot_kernel."""
-    fft_slot, grid_slot, _ = _plan(grid.n_modes)
-    kernel, w_out = _slot_kernel(grid)
-    out = kernel(np.take(c, grid_slot, axis=-1), w_out, np.empty(np.shape(c), complex))
-    return np.take(out, fft_slot, axis=-1)
+    """-(1/2) d/dx (u^2) of ascending rows of real fields, from their k >= 0 modes."""
+    z = grid.zero_index
+    kernel, w_out = _half_kernel(grid)
+    out = np.empty(c.shape, complex)
+    kernel(c[..., z:], w_out, out[..., z:], np.empty(c.shape))
+    _mirror(out, z)
+    return out
 
 
 def nonlinearity(u: SpectralField) -> SpectralField:
-    """-(1/2) d/dx (u^2) with 2/3-rule dealiasing of the square."""
+    """-(1/2) d/dx (u^2) with 2/3-rule dealiasing of the square, of u declared real: a complex
+    u gives, byte for byte, what the real field of its k >= 0 modes and their mirror gives."""
     return SpectralField(u.grid, _nonlinearity_raw(u.coeffs, u.grid))
 
 
@@ -178,32 +184,32 @@ def _etdrk4_coeffs(lin: np.ndarray, dt: float):
 
 
 def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
-    """Step rows of slot-ordered coefficients in place, each by its signed step
-    in the column dt; products keep the operand order of the ascending schemes,
-    as complex products round differently when swapped."""
+    """Step rows of the k >= 0 modes of real fields (the ascending slice [z:]) in place, each by
+    its signed step in the column dt; products keep the operand order of the ascending
+    schemes, as complex products round differently when swapped."""
     if scheme not in ("split_step", "exponential_integrator"):
         raise ValueError(
             f"unknown scheme {scheme!r}; use 'split_step' or 'exponential_integrator'"
         )
-    _, grid_slot, _ = _plan(grid.n_modes)
-    lin = 1j * dispersion_symbol(grid.frequencies[grid_slot], alpha)
-    kernel, w_out = _slot_kernel(grid)
+    lin = 1j * dispersion_symbol(grid.frequencies[grid.zero_index :], alpha)
+    kernel, w_out = _half_kernel(grid)
     half = np.exp(0.5 * dt * lin)
-    a, b, hc, k0, k1, k2 = (np.empty((dt.shape[0], grid.n_modes), complex) for _ in range(6))
+    a, b, hc, k0, k1, k2 = (np.empty((dt.shape[0], lin.size), complex) for _ in range(6))
+    samples = np.empty((dt.shape[0], grid.n_modes))
     if scheme == "split_step":
         w_half = (0.5 * dt) * w_out
 
         def split_step(c):
             # half * rk4(nl, half * c) by stages k' = (dt/2) nl; k0 sums them
             np.multiply(half, c, out=c)
-            kernel(c, w_half, k0)
-            kernel(np.add(c, k0, out=a), w_half, k1)
+            kernel(c, w_half, k0, samples)
+            kernel(np.add(c, k0, out=a), w_half, k1, samples)
             np.add(c, k1, out=a)
             np.add(k0, np.multiply(2.0, k1, out=k1), out=k0)
-            kernel(a, w_half, k1)
+            kernel(a, w_half, k1, samples)
             np.add(c, np.multiply(2.0, k1, out=k1), out=a)
             np.add(k0, k1, out=k0)
-            np.add(k0, kernel(a, w_half, k1), out=k0)
+            np.add(k0, kernel(a, w_half, k1, samples), out=k0)
             np.add(c, np.divide(k0, 3.0, out=k0), out=k0)
             np.multiply(half, k0, out=c)
 
@@ -217,16 +223,16 @@ def _stepper(grid: FrequencyGrid, dt: np.ndarray, alpha: float, scheme: str):
     def etdrk4(c):
         # n0, na, nb in k0, k1, k2; a and then cc in a; b and temporaries in b
         np.multiply(half, c, out=hc)
-        kernel(c, w_out, k0)
+        kernel(c, w_out, k0, samples)
         np.add(hc, np.multiply(q, k0, out=a), out=a)
-        kernel(a, w_out, k1)
-        kernel(np.add(hc, np.multiply(q, k1, out=b), out=b), w_out, k2)
+        kernel(a, w_out, k1, samples)
+        kernel(np.add(hc, np.multiply(q, k1, out=b), out=b), w_out, k2, samples)
         np.subtract(np.multiply(2.0, k2, out=b), k0, out=b)
         np.add(np.multiply(half, a, out=a), np.multiply(q, b, out=b), out=a)
         np.multiply(full, c, out=c)
         np.add(c, np.multiply(f1, k0, out=k0), out=c)
         np.add(c, np.multiply(two_f2, np.add(k1, k2, out=k1), out=k1), out=c)
-        np.add(c, np.multiply(f3, kernel(a, w_out, k2), out=k2), out=c)
+        np.add(c, np.multiply(f3, kernel(a, w_out, k2, samples), out=k2), out=c)
 
     return etdrk4
 
@@ -259,20 +265,24 @@ def solve_reference(
 ) -> Trajectory:
     """Integrate forward and backward from t=0 over [-t_span, t_span].
 
-    The linear substeps use the exact propagator phases.  dt is adjusted to
-    the nearest value that divides t_span evenly.  Both directions march
-    together as a pair of rows, one stepping by +dt and one by -dt, written
-    straight into the trajectory.  If the L2 norm of either grows past
-    blowup_factor times its initial value, or is not a number, BlowUpError
-    names the signed t of the first step at which that happens, the forward
-    t when both directions cross on the same step.  The norms are checked
-    once per block of _BLOCK_ROWS steps, so the march may run up to a block
-    past the crossing; numpy's overflow and invalid-value warnings are off
-    while it runs, as the sentinel is what reports growth.
+    u0 is declared real: the march reads its k >= 0 modes only, so a complex u0 gives, byte
+    for byte, what the real field of those modes and their mirror gives, and every row, t=0
+    included, is real, the unpaired mode N/2 as the real flow turns it.  The linear substeps
+    use the exact propagator phases.  dt is adjusted to the nearest value that divides t_span
+    evenly.  Both directions march together as a pair of rows, one stepping by +dt and one by
+    -dt, written straight into the trajectory.  If the L2 norm of either grows past
+    blowup_factor times its initial value, or is not a number, BlowUpError names the signed t
+    of the first step at which that happens, the forward t when both directions cross on the
+    same step.  The norms are checked once per block of _BLOCK_ROWS steps, so the march may run
+    up to a block past the crossing; numpy's overflow and invalid-value warnings are off while
+    it runs, as the sentinel is what reports growth.
     """
     n, dt_eff = _check_dt(t_span, dt)
-    grid = u0.grid
-    max_u = float(np.max(np.abs(_inverse_raw(u0.coeffs, grid.box_length))))
+    grid, z = u0.grid, u0.grid.zero_index
+    coeffs = np.empty((2 * n + 1, grid.n_modes), dtype=complex)
+    coeffs[n, z:] = u0.coeffs[z:]
+    _mirror(coeffs[n], z)
+    max_u = float(np.max(np.abs(_inverse_raw(coeffs[n], grid.box_length))))
     cfl = dt_eff * grid.nyquist * max_u
     if cfl > 1.0:
         warnings.warn(
@@ -283,24 +293,21 @@ def solve_reference(
         )
     steps = np.array([[dt_eff], [-dt_eff]])
     step = _stepper(grid, steps, alpha, scheme)
-    limit = blowup_factor * max(_l2_raw(u0.coeffs, grid.spacing), np.finfo(float).tiny)
-    coeffs = np.empty((2 * n + 1, grid.n_modes), dtype=complex)
-    coeffs[n] = u0.coeffs
-    # the march runs in fft slot order; each written row is gathered back
-    fft_slot, grid_slot, _ = _plan(grid.n_modes)
-    c = np.stack([u0.coeffs, u0.coeffs])[:, grid_slot]
+    limit = blowup_factor * max(_l2_raw(coeffs[n], grid.spacing), np.finfo(float).tiny)
+    c = np.stack([coeffs[n, z:], coeffs[n, z:]])
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _row_blocks(n):
             lo, hi = block.start, min(block.stop, n)
             for i in range(lo, hi):
                 step(c)
                 # rows n+1+i and n-1-i, forward first, as one view of the trajectory
-                pair = coeffs[n - 1 - i : n + 2 + i : 2 * i + 2][::-1]
-                np.take(c, fft_slot, axis=1, out=pair)
-            # the block's norms, a row per step, forward first; nan counts as grown
-            fwd = _l2_raw(coeffs[n + 1 + lo : n + 1 + hi], grid.spacing)
-            bwd = _l2_raw(coeffs[n - hi : n - lo], grid.spacing)[::-1]
-            grown = ~(np.stack([fwd, bwd], axis=1) <= limit)
+                coeffs[n - 1 - i : n + 2 + i : 2 * i + 2][::-1, z:] = c
+            # the block's rows made real, and their norms, forward first; nan counts as grown
+            norms = []
+            for rows in (coeffs[n + 1 + lo : n + 1 + hi], coeffs[n - hi : n - lo][::-1]):
+                _mirror(rows, z)
+                norms.append(_l2_raw(rows, grid.spacing))
+            grown = ~(np.stack(norms, axis=1) <= limit)
             if grown.any():
                 i, direction = divmod(int(np.argmax(grown)), 2)
                 t = steps[direction, 0] * (lo + i + 1)
@@ -357,6 +364,8 @@ def duhamel_apply(
     # conj(W(-t)) (psi_free u0 + psi_T acc), written over h
     np.add(np.multiply(psi_free, u0.coeffs, out=h), np.multiply(psi_T, acc, out=acc), out=h)
     np.multiply(np.conjugate(back_phase, out=back_phase), h, out=h)
+    # the unpaired mode N/2 as the real flow turns it, as solve_reference writes it
+    h[:, -1] = h[:, -1].real
     return Trajectory(grid, t, _freeze(h), float(alpha))
 
 

@@ -11,20 +11,18 @@ from hypothesis import strategies as st
 from fbo_lab import make_grid, make_test_field
 
 
-def hermitian_error(coeffs, scale=None, unpaired=True):
+def hermitian_error(coeffs, scale=None):
     """Largest |c(-xi) - conj(c(xi))| over the paired modes k = -N/2+1 .. N/2-1
     of each row of ascending coefficients, and |Im c| at the unpaired mode
-    k = N/2 unless unpaired is False, relative to scale, by default the
-    largest |c| (0 for zero coefficients)."""
+    k = N/2, relative to scale, by default the largest |c| (0 for zero
+    coefficients)."""
     coeffs = np.atleast_2d(coeffs)
     if scale is None:
         scale = np.max(np.abs(coeffs))
     if scale == 0.0:
         return 0.0
     paired = coeffs[:, :-1]
-    err = np.max(np.abs(paired - np.conj(paired[:, ::-1])))
-    if unpaired:
-        err = max(err, np.max(np.abs(coeffs[:, -1].imag)))
+    err = max(np.max(np.abs(paired - np.conj(paired[:, ::-1]))), np.max(np.abs(coeffs[:, -1].imag)))
     return float(err / scale)
 
 

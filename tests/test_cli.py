@@ -443,14 +443,14 @@ class TestPicardCommand:
     #: of the nonlinearity kernel whose constants sit in two weights.
     EARLIER_HISTORIES = {
         ("0.5", "0.005"): (
-            "0.11195151379152735", "0.002199473342832827", "4.505466987109844e-05",
-            "7.869024433211789e-07", "1.3134356145294875e-08", "2.0036646677735344e-10",
-            "1.7767723729491233e-07",
+            "0.11195151379152732", "0.002199473342832827", "4.5054669871098606e-05",
+            "7.869024433213076e-07", "1.3134356145352867e-08", "2.0036646682751957e-10",
+            "1.7767723729538948e-07",
         ),
         ("1.5", "0.01"): (
-            "0.11195151379152735", "0.003401478500841086", "9.782324395866138e-05",
-            "2.7264260207213275e-06", "6.39172751994031e-08", "1.476659773212485e-09",
-            "7.109329808506492e-07",
+            "0.11195151379152732", "0.003401478500841086", "9.782324395866114e-05",
+            "2.726426020722428e-06", "6.391727520052636e-08", "1.4766597736216632e-09",
+            "7.109329808507841e-07",
         ),
     }
 

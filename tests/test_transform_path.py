@@ -1,25 +1,27 @@
 """The package has one transform path: spectral.py's functions call np.fft,
 and every other module goes through them.
 
-The named exceptions are the solver's slot-order kernel, which marches in
-numpy's slot order, and the two bilinear convolutions, which pad to 2m
-modes for a linear convolution rather than transform on a grid.  A new
-direct call elsewhere is a second copy of the transform steps.
+The named exceptions are the solver's half-spectrum kernel, which marches
+the k >= 0 modes of real fields in numpy's rfft bin order, and the two
+bilinear convolutions, which pad to 2m modes for a linear convolution
+rather than transform on a grid.  A new direct call elsewhere is a second
+copy of the transform steps.
 
-The slot-order kernel, whose constants sit in two weights, was measured
-against the ascending form through _inverse_raw and _forward_raw,
-interleaved over 25 rounds on a 2-core x86 box (Python 3.11, numpy 2.4):
-46-51 against 89-96 us per call on (2, 512) rows, so it stays.  Routed
-through spectral._slot_fft it keeps every byte but pays a call per
-transform, and it is the solver's innermost call, 8000 times per 1000-step
-simulate: a median 25.4 against 24.8 us (+2.6%, 25 interleaved rounds on
-(2, 512) rows), and in four later runs of 25 or 50 rounds 27.5-32.6 against
-27.0-32.1 us (-1% to +4.5%), no gain in any.  So it calls np.fft itself.
-_ProductField, whose constants also sit in two weights, runs its unscaled
-slot-order transforms through spectral._slot_fft: a 64x512 product with its
-cells took a median 1.12 ms (1.05-1.43) against 1.96 ms (1.82-2.46) for the
-ascending form through _inverse_raw and _forward_raw, interleaved over 15
-rounds of 50 draws on the same box.
+The half-spectrum kernel, whose constants sit in two weights, is the
+solver's innermost call, 8000 times per 1000-step simulate.  On (2, 512)
+rows it took a median 16.8 us (14.8-20.0) against 23.5 us (20.6-25.2) for
+the complex slot-order kernel it replaced, interleaved over 25 rounds on a
+2-core x86 box (Python 3.11, numpy 2.4); that kernel had taken 46-51 against
+89-96 us for the ascending form through _inverse_raw and _forward_raw.
+Routed through a spectral wrapper, the slot-order kernel kept every byte but
+paid a call per transform and gained nothing: a median 25.4 against 24.8 us
+(+2.6%, 25 interleaved rounds), and in four later runs of 25 or 50 rounds
+27.5-32.6 against 27.0-32.1 us (-1% to +4.5%).  So the kernel calls np.fft
+itself.  _ProductField, whose constants also sit in two weights, runs its
+unscaled slot-order transforms through spectral._slot_fft: a 64x512 product
+with its cells took a median 1.12 ms (1.05-1.43) against 1.96 ms (1.82-2.46)
+for the ascending form through _inverse_raw and _forward_raw, interleaved
+over 15 rounds of 50 draws on the same box.
 """
 
 import ast
@@ -27,7 +29,7 @@ from pathlib import Path
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "fbo_lab").glob("*.py"))
 
-EXCEPTIONS = ["estimates._bilinear_convolve", "estimates._bilinear_str_sides", "evolution._slot_kernel"]
+EXCEPTIONS = ["estimates._bilinear_convolve", "estimates._bilinear_str_sides", "evolution._half_kernel"]
 
 
 def fft_callers(sources: dict[str, str]) -> list[str]:
