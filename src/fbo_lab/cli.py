@@ -17,15 +17,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-from .conservation import apriori_check, l2_drift
+import numpy as np
+
+from .conservation import _apriori_report, _drift, _weighted_norms
 from .estimates import RatioReport, _checked_inputs, _kind_inputs, estimate_ratio, pointwise_infimum
 from .evolution import (
-    BlowUpError,
-    _check_dt,
-    export_trajectory_binary,
-    export_trajectory_csv,
-    picard_solve,
-    solve_reference,
+    _BLOCK_ROWS, BlowUpError, _binary_writer, _check_dt, _march, _row_blocks, _table_rows,
+    _write_csv, picard_solve, retained_mode_indices, solve_reference,
 )
 from .norms import _ADMISSIBLE_TOL, EstimateParams, admissible_omega, epsilon_ceiling, s_threshold
 from .spectral import BUMP_PROFILE, FrequencyGrid, SpectralField, _l2_raw, make_test_field
@@ -280,22 +278,28 @@ def _check_config(config: ExperimentConfig) -> tuple:
         )
     if subcommand in ("simulate", "picard"):
         _single(config, "alpha")
-        _check_dt(config.t_span, config.dt)
-        picard, row = subcommand == "picard", 16 * config.n_modes
-        reach = 2.0 * max(config.t_span, 1.0) if picard else config.t_span
-        memory = _memory()
-        if (2.0 * reach / config.dt + 1.0) * row > memory:
-            largest = (memory // row - 1) // 2 // (1 + picard) * config.dt
-            fits = largest >= max(config.dt, picard)
-            raise ConfigError(
-                f"{subcommand}'s trajectory needs more than the machine's {memory / 1e9:.4g} GB of "
-                f"memory: at dt={config.dt!r} and n_modes={config.n_modes}, "
-                + (f"the largest t_span that fits is {largest!r}" if fits else "no t_span fits")
-            )
+        steps = _check_dt(config.t_span, config.dt)[0]
         if subcommand == "simulate" and config.retained_modes < 0:
             raise ConfigError(
                 f"retained_modes must be at least 0, got {config.retained_modes}: "
                 "pass --retained-modes 16, or as many modes as the CSV should keep"
+            )
+        # picard holds its trajectory, on a grid that reaches 2 max(t_span, 1); simulate the
+        # times, the CSV table and two norms per time, and the march's block, a block's
+        # temporaries and its CSV lines, under 128 bytes per mode and row of a block
+        picard, n_modes, dt = subcommand == "picard", config.n_modes, config.dt
+        per_time = 16 * n_modes if picard else 8 * (4 + 2 * min(config.retained_modes, n_modes))
+        times = 4.0 * max(config.t_span, 1.0) / dt + 1.0 if picard else 2 * steps + 1
+        fixed, memory = (0 if picard else 128 * _BLOCK_ROWS * n_modes), _memory()
+        if times * per_time + fixed > memory:
+            largest = ((memory - fixed) // per_time - 1) // 2 // (1 + picard) * dt
+            fits = largest >= max(dt, picard)
+            held = "trajectory needs" if picard else "CSV table and norms need"
+            at = "" if picard else f", retained_modes={config.retained_modes}"
+            raise ConfigError(
+                f"{subcommand}'s {held} more than the machine's {memory / 1e9:.4g} GB of memory: "
+                f"at dt={dt!r}{at} and n_modes={n_modes}, "
+                + (f"the largest t_span that fits is {largest!r}" if fits else "no t_span fits")
             )
         if subcommand == "picard" and not config.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {config.tol!r}: pass --tol 1e-08, say")
@@ -337,19 +341,34 @@ def _initial_field(config: ExperimentConfig, grid: FrequencyGrid) -> SpectralFie
 
 
 def _run_simulate(config: ExperimentConfig, u0: SpectralField) -> int:
-    alpha = config.alpha[0]
-    traj = solve_reference(u0, config.t_span, config.dt, alpha)
-    drift = l2_drift(traj)
+    """Stream the march to traj.bin, the CSV table and the norms; a failed run leaves none."""
+    alpha, grid = config.alpha[0], u0.grid
     omega = admissible_omega(alpha) if config.zero_mean else 0.0
-    report = apriori_check(traj, omega)
-    export_trajectory_csv(traj, os.path.join(config.out, "traj.csv"), config.retained_modes)
-    export_trajectory_binary(traj, os.path.join(config.out, "traj.bin"))
-    values = (alpha, omega, report.T, report.initial_norm, report.sup_norm, report.fitted_C, drift)
-    rows = [
-        "run_id,alpha,omega,T,initial_norm,sup_norm,fitted_C,l2_drift",
-        ",".join([f"simulate-seed{config.seed}"] + [repr(v) for v in values]),
-    ]
-    _write_text(os.path.join(config.out, "conservation.csv"), "\n".join(rows) + "\n")
+    paths = [os.path.join(config.out, f) for f in ("traj.bin", "traj.csv", "conservation.csv")]
+    try:
+        times, blocks = _march(u0, config.t_span, config.dt, alpha, stacklevel=2)
+        idx = retained_mode_indices(grid, config.retained_modes)
+        table, norms = np.empty((times.size, 1 + 2 * idx.size)), np.empty((2, times.size))
+        weighted = _weighted_norms(grid, omega)
+        with open(paths[0], "wb") as fh:
+            write = _binary_writer(fh, grid, times)
+            for first, rows, l2 in blocks:
+                at = slice(first, first + rows.shape[0])
+                write(first, rows)
+                _table_rows(times[at], rows, idx, table[at])
+                norms[:, at] = l2, weighted(rows, first)
+        _write_csv(paths[1], grid, idx, (table[r] for r in _row_blocks(times.size)))
+        n = times.size // 2
+        report = _apriori_report(norms[1], float(times[-1]), n)
+        values = (alpha, omega, report.T, report.initial_norm, report.sup_norm, report.fitted_C,
+                  _drift(norms[0], n))
+        lines = ["run_id,alpha,omega,T,initial_norm,sup_norm,fitted_C,l2_drift",
+                 ",".join([f"simulate-seed{config.seed}"] + [repr(v) for v in values])]
+        _write_text(paths[2], "\n".join(lines) + "\n")
+    except BaseException:
+        for path in filter(os.path.exists, paths):
+            os.remove(path)
+        raise
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import Trajectory, _row_blocks
 from .norms import _sobolev_rows, _sobolev_weights
-from .spectral import _l2_raw
+from .spectral import FrequencyGrid, _l2_raw
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,33 @@ class AprioriReport:
                 raise ValueError("fitted_C below the defining ratio")
 
 
-def l2_drift(traj: Trajectory) -> float:
-    """max over t of |  ||u(t)|| - ||u(0)||  | / max(||u(0)||, tiny).
+def _drift(norms: np.ndarray, i0: int) -> float:
+    """l2_drift of the L2 norms of every time, the one of t=0 at i0."""
+    ref = norms[i0]
+    return float(np.max(np.abs(norms - ref)) / max(ref, np.finfo(float).tiny))
 
-    The norms are taken in blocks of rows, as in apriori_check.
-    """
+
+def l2_drift(traj: Trajectory) -> float:
+    """max over t of |  ||u(t)|| - ||u(0)||  | / max(||u(0)||, tiny), the norms taken in
+    blocks of rows, as in apriori_check."""
     norms = np.empty(traj.n_times)
     for rows in _row_blocks(traj.n_times):
         norms[rows] = _l2_raw(traj.coeffs[rows], traj.grid.spacing)
-    i0 = traj.index_of_time(0.0)
-    ref = norms[i0]
-    return float(np.max(np.abs(norms - ref)) / max(ref, np.finfo(float).tiny))
+    return _drift(norms, traj.index_of_time(0.0))
+
+
+def _weighted_norms(grid: FrequencyGrid, omega: float):
+    """norms(rows, first): apriori_check's s = 0 weighted norm of each row, rows numbered from
+    first for the mean-zero check."""
+    weights = _sobolev_weights(grid.frequencies, 0.0, omega)
+    return lambda rows, first: _sobolev_rows(rows, grid, weights, omega, first)
+
+
+def _apriori_report(norms: np.ndarray, T: float, i0: int) -> AprioriReport:
+    """apriori_check's report from the weighted norms of every time, the one of t=0 at i0."""
+    initial, sup = float(norms[i0]), float(np.max(norms))
+    fitted = 0.0 if initial == 0.0 else sup / (initial + T * initial**2)
+    return AprioriReport(sup_norm=sup, initial_norm=initial, T=T, fitted_C=fitted)
 
 
 def apriori_check(traj: Trajectory, omega: float) -> AprioriReport:
@@ -55,17 +71,7 @@ def apriori_check(traj: Trajectory, omega: float) -> AprioriReport:
     true for every C).  The states are taken in blocks of rows, with the
     weight built once.
     """
-    grid = traj.grid
-    weights = _sobolev_weights(grid.frequencies, 0.0, omega)
-    norms = np.empty(traj.n_times)
+    norms_of, norms = _weighted_norms(traj.grid, omega), np.empty(traj.n_times)
     for rows in _row_blocks(traj.n_times):
-        norms[rows] = _sobolev_rows(traj.coeffs[rows], grid, weights, omega, rows.start)
-    T = float(traj.times[-1])
-    i0 = traj.index_of_time(0.0)
-    initial = float(norms[i0])
-    sup = float(np.max(norms))
-    if initial == 0.0:
-        fitted = 0.0
-    else:
-        fitted = sup / (initial + T * initial**2)
-    return AprioriReport(sup_norm=sup, initial_norm=initial, T=T, fitted_C=fitted)
+        norms[rows] = norms_of(traj.coeffs[rows], rows.start)
+    return _apriori_report(norms, float(traj.times[-1]), traj.index_of_time(0.0))

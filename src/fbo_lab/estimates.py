@@ -1009,18 +1009,18 @@ _SIDES = {"bilinear_str": _bilinear_str_sides, "dual_bilinear": _dual_bilinear_s
 
 
 def _strichartz_tau(T: float, band: float, alpha: float) -> int:
-    """strichartz's tau count at cutoff T for draws within band, on a pad-2
-    window of 8T, whose tau Nyquist is pi n_time/(8T).
+    """strichartz's tau count at cutoff T for draws within band, on a pad-2 window of 8T, whose
+    tau Nyquist is pi n_time/(8T).
 
-    A lift's energy sits at tau = phi(xi) = xi|xi|^alpha, spread over a few
-    1/T by the cutoff; at the Nyquist it would wrap round and be weighted at
-    the wrong modulation.  So the count is the one whose step is nearest
-    0.01 that divides 2T while the centre phi(band) + 4/T stays below its
-    Nyquist, and otherwise the smallest multiple of 4 whose Nyquist the
-    centre stays below (the loop corrects the rounding of its floor).
+    A lift's energy sits at tau = phi(xi) = xi|xi|^alpha, spread over a few 1/T by the cutoff;
+    at the Nyquist it would wrap round and be weighted at the wrong modulation.  So the count
+    is the one whose step is nearest 0.01 that divides 2T, and at least 64, so that the
+    support [-2T, 2T] holds 33 samples, while the centre phi(band) + 4/T stays below its
+    Nyquist, and otherwise the smallest multiple of 4 whose Nyquist the centre stays below
+    (the loop corrects the rounding of its floor).
     """
     centre = float(dispersion_symbol(band, alpha)) + 4.0 / T
-    n_time = max(4 * round(2.0 * T / 0.01), 8, 4 * math.floor(2.0 * T * centre / math.pi))
+    n_time = max(4 * round(2.0 * T / 0.01), 64, 4 * math.floor(2.0 * T * centre / math.pi))
     while not centre < math.pi * n_time / (8.0 * T):
         n_time += 4
     return n_time

@@ -100,7 +100,7 @@ class PicardHistory:
 
 
 #: Trajectory rows taken at once by the per-time loops: duhamel_apply's
-#: forcing, solve_reference's blow-up check, export_trajectory_csv, and
+#: forcing, the march's steps per blow-up check, export_trajectory_csv, and
 #: conservation's l2_drift and apriori_check.  64 rows of 512 modes are
 #: 512 KB, and no temporary grows with the number of times.
 _BLOCK_ROWS = 64
@@ -254,15 +254,52 @@ def _check_dt(t_span: float, dt: float) -> tuple[int, float]:
     return n, t_span / n
 
 
-def solve_reference(
-    u0: SpectralField,
-    t_span: float,
-    dt: float,
-    alpha: float,
-    scheme: str = "split_step",
-    *,
-    blowup_factor: float = 10.0,
-) -> Trajectory:
+def _march(u0: SpectralField, t_span: float, dt: float, alpha: float,
+           scheme: str = "split_step", blowup_factor: float = 10.0, stacklevel: int = 2):
+    """(times, blocks) of solve_reference's march, checked, CFL-warned (at stacklevel) and set
+    up at once.  blocks yields (first, rows, norms): ascending rows from row first of the
+    trajectory and their L2 norms, the t=0 row, then per block of _BLOCK_ROWS steps the forward
+    rows and the backward rows; rows is a view of a buffer that the next block overwrites."""
+    n, dt_eff = _check_dt(t_span, dt)
+    grid, z = u0.grid, u0.grid.zero_index
+    buf = np.empty((2, min(n, _BLOCK_ROWS), grid.n_modes), dtype=complex)
+    buf[0, 0, z:] = u0.coeffs[z:]
+    _mirror(buf[0, 0], z)
+    max_u = float(np.max(np.abs(_inverse_raw(buf[0, 0], grid.box_length))))
+    cfl = dt_eff * grid.nyquist * max_u
+    if cfl > 1.0:
+        warnings.warn(f"dt*max|xi|*max|u| = {cfl:.3g} exceeds 1; the nonlinear substep may be "
+                      "under-resolved", RuntimeWarning, stacklevel=stacklevel)
+    steps = np.array([[dt_eff], [-dt_eff]])
+    step = _stepper(grid, steps, alpha, scheme)
+    norm0 = _l2_raw(buf[0, :1], grid.spacing)
+    limit = blowup_factor * max(norm0[0], np.finfo(float).tiny)
+    c = np.stack([buf[0, 0, z:], buf[0, 0, z:]])
+
+    def blocks():
+        yield n, buf[0, :1], norm0
+        for lo in range(1, n + 1, _BLOCK_ROWS):
+            rows = buf[:, : min(_BLOCK_ROWS, n + 1 - lo)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(rows.shape[1]):
+                    step(c)
+                    rows[:, i, z:] = c  # steps lo + i forward and backward
+                # the block's rows made real, and their norms; nan counts as grown
+                _mirror(rows, z)
+                norms = _l2_raw(rows, grid.spacing)
+            grown = ~(norms.T <= limit)  # step-major, forward first
+            if grown.any():
+                i, direction = divmod(int(np.argmax(grown)), 2)
+                t = f"{steps[direction, 0] * (lo + i):.6g}"
+                raise BlowUpError(f"L2 norm grew past {blowup_factor}x the initial value at t={t}")
+            yield n + lo, rows[0], norms[0]
+            yield n - lo - rows.shape[1] + 1, rows[1, ::-1], norms[1, ::-1]
+
+    return np.arange(-n, n + 1) * dt_eff, blocks()
+
+
+def solve_reference(u0: SpectralField, t_span: float, dt: float, alpha: float,
+                    scheme: str = "split_step", *, blowup_factor: float = 10.0) -> Trajectory:
     """Integrate forward and backward from t=0 over [-t_span, t_span].
 
     u0 is declared real: the march reads its k >= 0 modes only, so a complex u0 gives, byte
@@ -270,51 +307,18 @@ def solve_reference(
     included, is real, the unpaired mode N/2 as the real flow turns it.  The linear substeps
     use the exact propagator phases.  dt is adjusted to the nearest value that divides t_span
     evenly.  Both directions march together as a pair of rows, one stepping by +dt and one by
-    -dt, written straight into the trajectory.  If the L2 norm of either grows past
-    blowup_factor times its initial value, or is not a number, BlowUpError names the signed t
-    of the first step at which that happens, the forward t when both directions cross on the
-    same step.  The norms are checked once per block of _BLOCK_ROWS steps, so the march may run
-    up to a block past the crossing; numpy's overflow and invalid-value warnings are off while
-    it runs, as the sentinel is what reports growth.
+    -dt, into a block of _BLOCK_ROWS steps, copied into the trajectory.  If the L2 norm of
+    either grows past blowup_factor times its initial value, or is not a number, BlowUpError
+    names the signed t of the first step at which that happens, the forward t when both
+    directions cross on the same step.  The norms are checked once per block, so the march may
+    run up to a block past the crossing; numpy's overflow and invalid-value warnings are off
+    while it steps, as the sentinel is what reports growth.
     """
-    n, dt_eff = _check_dt(t_span, dt)
-    grid, z = u0.grid, u0.grid.zero_index
-    coeffs = np.empty((2 * n + 1, grid.n_modes), dtype=complex)
-    coeffs[n, z:] = u0.coeffs[z:]
-    _mirror(coeffs[n], z)
-    max_u = float(np.max(np.abs(_inverse_raw(coeffs[n], grid.box_length))))
-    cfl = dt_eff * grid.nyquist * max_u
-    if cfl > 1.0:
-        warnings.warn(
-            f"dt*max|xi|*max|u| = {cfl:.3g} exceeds 1; the nonlinear substep "
-            "may be under-resolved",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    steps = np.array([[dt_eff], [-dt_eff]])
-    step = _stepper(grid, steps, alpha, scheme)
-    limit = blowup_factor * max(_l2_raw(coeffs[n], grid.spacing), np.finfo(float).tiny)
-    c = np.stack([coeffs[n, z:], coeffs[n, z:]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _row_blocks(n):
-            lo, hi = block.start, min(block.stop, n)
-            for i in range(lo, hi):
-                step(c)
-                # rows n+1+i and n-1-i, forward first, as one view of the trajectory
-                coeffs[n - 1 - i : n + 2 + i : 2 * i + 2][::-1, z:] = c
-            # the block's rows made real, and their norms, forward first; nan counts as grown
-            norms = []
-            for rows in (coeffs[n + 1 + lo : n + 1 + hi], coeffs[n - hi : n - lo][::-1]):
-                _mirror(rows, z)
-                norms.append(_l2_raw(rows, grid.spacing))
-            grown = ~(np.stack(norms, axis=1) <= limit)
-            if grown.any():
-                i, direction = divmod(int(np.argmax(grown)), 2)
-                t = steps[direction, 0] * (lo + i + 1)
-                raise BlowUpError(
-                    f"L2 norm grew past {blowup_factor}x the initial value at t={t:.6g}"
-                )
-    return Trajectory(grid, np.arange(-n, n + 1) * dt_eff, _freeze(coeffs), float(alpha))
+    times, blocks = _march(u0, t_span, dt, alpha, scheme, blowup_factor, stacklevel=3)
+    coeffs = np.empty((times.size, u0.grid.n_modes), dtype=complex)
+    for first, rows, _ in blocks:
+        coeffs[first : first + rows.shape[0]] = rows
+    return Trajectory(u0.grid, times, _freeze(coeffs), float(alpha))
 
 
 def duhamel_apply(
@@ -432,41 +436,52 @@ def retained_mode_indices(grid: FrequencyGrid, max_modes: int | None) -> np.ndar
     return np.sort(order[:max_modes])
 
 
-def export_trajectory_csv(traj: Trajectory, path, max_modes: int | None = None) -> None:
-    """CSV columns: t, then |coeff| and phase per retained mode, xi ascending.
+def _table_rows(times: np.ndarray, coeffs: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
+    """traj.csv's rows of the ascending rows coeffs at times, in out or a new array: t, then
+    |coeff| and phase of each retained column idx."""
+    sub = coeffs[:, idx]
+    out = np.empty((sub.shape[0], 1 + 2 * idx.size)) if out is None else out
+    out[:, 0], out[:, 1::2], out[:, 2::2] = times, np.abs(sub), np.angle(sub)
+    return out
 
-    The lines are written a block of _BLOCK_ROWS times at a time.
-    """
-    idx = retained_mode_indices(traj.grid, max_modes)
-    header = ["t"]
-    for f in traj.grid.frequencies[idx]:
-        header += [f"abs[xi={float(f)!r}]", f"phase[xi={float(f)!r}]"]
+
+def _write_csv(path, grid: FrequencyGrid, idx: np.ndarray, tables) -> None:
+    """traj.csv: the header of the retained columns idx, then the lines of each table block."""
+    xis = [float(f) for f in grid.frequencies[idx]]
+    header = ["t"] + [f"{part}[xi={f!r}]" for f in xis for part in ("abs", "phase")]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for rows in _row_blocks(traj.n_times):
-            sub = traj.coeffs[rows, idx]
-            table = np.empty((sub.shape[0], 1 + 2 * idx.size))
-            table[:, 0] = traj.times[rows]
-            table[:, 1::2], table[:, 2::2] = np.abs(sub), np.angle(sub)
+        for table in tables:
             # a list of floats prints as their reprs joined by ", "
             fh.writelines(repr(row)[1:-1].replace(", ", ",") + "\n" for row in table.tolist())
 
 
+def export_trajectory_csv(traj: Trajectory, path, max_modes: int | None = None) -> None:
+    """CSV columns: t, then |coeff| and phase per retained mode, xi ascending; the lines are
+    written a block of _BLOCK_ROWS times at a time."""
+    idx = retained_mode_indices(traj.grid, max_modes)
+    tables = (_table_rows(traj.times[r], traj.coeffs[r], idx) for r in _row_blocks(traj.n_times))
+    _write_csv(path, traj.grid, idx, tables)
+
+
+def _binary_writer(fh, grid: FrequencyGrid, times: np.ndarray):
+    """Write traj.bin's header and times; return write(first, rows) of ascending rows from first."""
+    dt, count = float(times[1] - times[0]), times.size
+    fh.write(_HEADER.pack(_BINARY_MAGIC, _BINARY_VERSION, grid.n_modes, grid.box_length, dt, count))
+    np.ascontiguousarray(times, dtype="<f8").tofile(fh)
+    start = fh.tell()
+
+    def write(first: int, rows: np.ndarray) -> None:
+        fh.seek(start + 16 * grid.n_modes * first)  # a contiguous block is written uncopied
+        np.ascontiguousarray(rows, dtype="<c16").tofile(fh)
+
+    return write
+
+
 def export_trajectory_binary(traj: Trajectory, path) -> None:
     """Compact dump: fixed header, then times (f8) and coeffs (c16, C order)."""
-    header = _HEADER.pack(
-        _BINARY_MAGIC,
-        _BINARY_VERSION,
-        traj.grid.n_modes,
-        traj.grid.box_length,
-        traj.dt,
-        traj.n_times,
-    )
     with open(path, "wb") as fh:
-        fh.write(header)
-        # written straight from the arrays, with no bytes copy of the trajectory
-        np.ascontiguousarray(traj.times, dtype="<f8").tofile(fh)
-        np.ascontiguousarray(traj.coeffs, dtype="<c16").tofile(fh)
+        _binary_writer(fh, traj.grid, traj.times)(0, traj.coeffs)
 
 
 def load_trajectory_binary(path, alpha: float = float("nan")) -> Trajectory:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -24,10 +25,18 @@ from fbo_lab.cli import (
     load_config_file,
     main,
 )
+from fbo_lab.conservation import apriori_check, l2_drift
 from fbo_lab.estimates import estimate_ratio
-from fbo_lab.evolution import _check_dt, picard_solve, solve_reference
+from fbo_lab.evolution import (
+    _BLOCK_ROWS,
+    _check_dt,
+    export_trajectory_binary,
+    export_trajectory_csv,
+    picard_solve,
+    solve_reference,
+)
 from fbo_lab.spectral import FrequencyGrid, _l2_raw
-from fbo_lab.norms import EstimateParams
+from fbo_lab.norms import EstimateParams, admissible_omega
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -109,6 +118,40 @@ class TestExitCodes:
                 ]
             )
         assert rc == EXIT_NUMERICAL
+        # the march raised once traj.bin held its header and t=0 row, and the run removed it
+        assert os.listdir(tmp_path / "blow") == ["manifest.txt"]
+
+    @pytest.mark.parametrize("artifact", ["traj.bin", "traj.csv"])
+    def test_a_write_error_leaves_only_the_manifest(self, tmp_path, monkeypatch, capsys, artifact):
+        out = tmp_path / "sim"
+        if artifact == "traj.bin":
+            binary_writer = cli._binary_writer
+
+            def failing_binary_writer(fh, grid, times):
+                write, calls = binary_writer(fh, grid, times), []
+
+                def write_twice(first, rows):  # the t=0 row and the first forward block
+                    calls.append(first)
+                    if len(calls) == 3:
+                        assert (out / "traj.bin").exists()
+                        raise OSError("disk full")
+                    write(first, rows)
+
+                return write_twice
+
+            monkeypatch.setattr(cli, "_binary_writer", failing_binary_writer)
+        else:
+            write_csv = cli._write_csv
+
+            def failing_write_csv(path, grid, idx, tables):
+                write_csv(path, grid, idx, itertools.islice(tables, 1))  # a partial traj.csv
+                raise OSError("disk full")
+
+            monkeypatch.setattr(cli, "_write_csv", failing_write_csv)
+        argv = ["simulate", "--n-modes", "64", "--box-length", "16", "--t-span", "0.2", "--dt", "0.001"]
+        assert main(argv + ["--out", str(out)]) == EXIT_RUN
+        assert capsys.readouterr().err == "run error: OSError: disk full\n"
+        assert os.listdir(out) == ["manifest.txt"]
 
     def test_a_diverging_picard_iteration_exits_3_without_numpy_warnings(self, tmp_path, capsys):
         import warnings
@@ -213,8 +256,54 @@ class TestSimulate:
         assert (out / "traj.bin").exists()
         assert (out / "manifest.txt").exists()
 
-    def test_op_holds_one_trajectory(self, tmp_path):
-        # the trajectory is the one array that grows with the number of times
+    @pytest.mark.parametrize("n_modes", [16, 64])
+    @pytest.mark.parametrize("steps", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 129])
+    @settings(max_examples=4, deadline=None)
+    @given(
+        retained=st.sampled_from([0, 5, "N", "N+3"]),
+        zero_mean=st.booleans(),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(retained=0, zero_mean=False, amplitude=0.0, seed=0)
+    @example(retained="N+3", zero_mean=True, amplitude=0.5, seed=1)
+    def test_streamed_artifacts_match_the_trajectory_writers(
+        self, steps, n_modes, retained, zero_mean, amplitude, seed
+    ):
+        # the run writes, block by block, the bytes that solve_reference's trajectory gives
+        # through the public writers and diagnostics
+        retained = {"N": n_modes, "N+3": n_modes + 3}.get(retained, retained)
+        argv = ["simulate", "--n-modes", str(n_modes), "--box-length", "16",
+                "--t-span", repr(steps * 0.002), "--dt", "0.002", "--family", "random_bandlimited",
+                "--band", "2", "--amplitude", repr(amplitude), "--seed", str(seed),
+                "--retained-modes", str(retained), "--zero-mean" if zero_mean else "--no-zero-mean"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, ref = os.path.join(tmp, "run"), os.path.join(tmp, "ref")
+            assert main(argv + ["--out", out]) == EXIT_OK
+            config = build_config(argv)
+            (u0,) = cli._check_config(config)
+            traj = solve_reference(u0, config.t_span, config.dt, 1.5)
+            assert traj.n_times == 2 * steps + 1
+            os.mkdir(ref)
+            export_trajectory_binary(traj, os.path.join(ref, "traj.bin"))
+            export_trajectory_csv(traj, os.path.join(ref, "traj.csv"), retained)
+            omega = admissible_omega(1.5) if zero_mean else 0.0
+            report = apriori_check(traj, omega)
+            values = (1.5, omega, report.T, report.initial_norm, report.sup_norm,
+                      report.fitted_C, l2_drift(traj))
+            with open(os.path.join(ref, "conservation.csv"), "w") as fh:
+                fh.write("run_id,alpha,omega,T,initial_norm,sup_norm,fitted_C,l2_drift\n")
+                fh.write(",".join([f"simulate-seed{seed}"] + [repr(v) for v in values]) + "\n")
+            for name in ("traj.bin", "traj.csv", "conservation.csv"):
+                with open(os.path.join(out, name), "rb") as a, open(os.path.join(ref, name), "rb") as b:
+                    assert a.read() == b.read(), name
+
+    def test_op_holds_no_trajectory(self, tmp_path):
+        # the run streams the march to its artifacts: at 2001 times of 128 modes it holds
+        # the times, two norms and the CSV table of 16 modes, 288 bytes a time (0.58 MB),
+        # and the march's block, a block's temporaries and its CSV lines, under 128 bytes
+        # per mode and row of a 64-row block (1.05 MB, as _check_config prices them):
+        # 1.63 MB, under 0.4 of the 4.1 MB trajectory (1.15 MB measured)
         import tracemalloc
 
         argv = ["simulate", "--n-modes", "128", "--box-length", "32", "--zero-mean"]
@@ -228,7 +317,8 @@ class TestSimulate:
         assert rc == EXIT_OK
         trajectory = 2001 * 128 * 16
         assert os.path.getsize(tmp_path / "sim" / "traj.bin") == 36 + 2001 * (8 + 128 * 16)
-        assert peak < 1.25 * trajectory
+        assert 2001 * 288 + 128 * _BLOCK_ROWS * 128 < 0.4 * trajectory
+        assert peak < 0.4 * trajectory
 
     def test_manifest_reproduces_run(self, tmp_path):
         first = tmp_path / "a"
@@ -512,7 +602,7 @@ def reached(*args, **kwargs):
 #: Where each subcommand's compute starts, as the CLI and estimate_ratio call it.
 #: The initial field of simulate and picard is built by the config check.
 COMPUTE_ENTRY_POINTS = [
-    (cli, "solve_reference"), (cli, "picard_solve"), (cli, "pointwise_infimum"),
+    (cli, "_march"), (cli, "solve_reference"), (cli, "picard_solve"), (cli, "pointwise_infimum"),
     (estimates, "_draw_samples"),
 ]
 
@@ -651,7 +741,7 @@ class TestSubcommandKeys:
             (["sweep", "--epsilon", "nan"], "epsilon must be nonnegative, got nan"),
             (
                 ["simulate", "--n-modes", "64", "--box-length", "16", "--t-span", "1e9"],
-                "simulate's trajectory needs more than the machine's",
+                "simulate's CSV table and norms need more than the machine's",
             ),
             (["picard", "--t-span", "1e9"], "and n_modes=1024, the largest t_span that fits is"),
             (
@@ -708,7 +798,9 @@ class TestSubcommandKeys:
     def test_the_largest_t_span_named_fits(self, tmp_path, monkeypatch, capsys, subcommand):
         for module, name in COMPUTE_ENTRY_POINTS:
             monkeypatch.setattr(module, name, reached)
-        # a machine of 1 MiB: 4096 states of 16 modes
+        # a machine of 1 MiB: 4096 picard states of 16 modes; 3185 simulate times, as it
+        # holds 288 bytes a time beside 128 KiB for the march's block
+        capacity = {"simulate": (2**20 - 128 * _BLOCK_ROWS * 16) // 288, "picard": 4096}[subcommand]
         monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
         argv = [subcommand, "--n-modes", "16", "--box-length", "16", "--dt", "0.001"]
         assert main(argv + ["--t-span", "100", "--out", str(tmp_path / "a")]) == EXIT_CONFIG
@@ -717,7 +809,7 @@ class TestSubcommandKeys:
         n, dt_eff = _check_dt(largest, 0.001)
         if subcommand == "picard":
             n = math.ceil(2.0 * max(largest, 1.0) / dt_eff - 1e-9)
-        assert 4000 < 2 * n + 1 <= 4096
+        assert capacity - 96 < 2 * n + 1 <= capacity
         cli._check_config(build_config(argv + ["--t-span", repr(largest)]))
         with pytest.raises(cli.ConfigError, match="the largest t_span that fits is"):
             cli._check_config(build_config(argv + ["--t-span", repr(largest + 0.002)]))
@@ -726,6 +818,33 @@ class TestSubcommandKeys:
         monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": size}.get)
         with pytest.raises(cli.ConfigError, match="n_modes=16, no t_span fits"):
             cli._check_config(build_config(argv + ["--t-span", "1"]))
+
+    @pytest.mark.parametrize("n_modes, retained", [(16, 16), (64, 0), (64, 5), (64, 67)])
+    def test_simulate_is_bounded_by_what_it_holds(
+        self, tmp_path, monkeypatch, capsys, n_modes, retained
+    ):
+        for module, name in COMPUTE_ENTRY_POINTS:
+            monkeypatch.setattr(module, name, reached)
+        # simulate holds the times, two norms and the CSV table, 8 (4 + 2 min(retained, N))
+        # bytes a time, and 128 bytes per mode and row of a march block; a machine of exactly
+        # 2001 times fits 1000 steps
+        per_time, fixed = 8 * (4 + 2 * min(retained, n_modes)), 128 * _BLOCK_ROWS * n_modes
+        monkeypatch.setattr(cli, "_memory", lambda: fixed + 2001 * per_time)
+        argv = ["simulate", "--n-modes", str(n_modes), "--box-length", "16", "--dt", "0.001",
+                "--retained-modes", str(retained)]
+        assert main(argv + ["--t-span", "100", "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (f"simulate's CSV table and norms need more than the machine's "
+                f"{(fixed + 2001 * per_time) / 1e9:.4g} GB of memory: at dt=0.001, "
+                f"retained_modes={retained} and n_modes={n_modes}, the largest t_span that fits "
+                "is 1.0\n") in err
+        cli._check_config(build_config(argv + ["--t-span", "1.0"]))
+        with pytest.raises(Reached):  # the run gets past its checks
+            main(argv + ["--t-span", "1.0", "--out", str(tmp_path / "b")])
+        # one step more is rejected before anything is written
+        assert main(argv + ["--t-span", "1.001", "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+        assert "the largest t_span that fits is 1.0\n" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_unread_config_file_key_names_the_lines(self, tmp_path, monkeypatch, capsys):
         for module, name in COMPUTE_ENTRY_POINTS:
@@ -843,7 +962,8 @@ class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_command_passes_its_checks(self, tmp_path, monkeypatch, argv):
         config = build_config(argv)
-        for name in ("solve_reference", "picard_solve", "pointwise_infimum", "estimate_ratio"):
+        for name in ("_march", "solve_reference", "picard_solve", "pointwise_infimum",
+                     "estimate_ratio"):
             monkeypatch.setattr(cli, name, reached)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(Reached):

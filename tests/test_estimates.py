@@ -664,8 +664,9 @@ class TestEstimateRatio:
         # it, while 12^2.5 + 4 = 502.8 needs 8 T 502.8 / pi = 1280.4, so 1284
         ("band", 8.0, 800), ("band", 9.9227, 800), ("band", 12.0, 1284), ("band", 12.4, 1392),
         ("band", 12.468195843934492, 1408),
-        # from T = 0.0274 down, phi(8) + 4/T reaches the default count's Nyquist
-        ("T", 0.0275, 24), ("T", 0.0274, 24), ("T", 0.004, 16), ("T", 0.001, 12),
+        # from T = 0.0274 down, phi(8) + 4/T reaches the default count's Nyquist, and
+        # down to T = 0.001 the floor of 64 modes clears it (24, 24, 16 and 12 without it)
+        ("T", 0.0275, 64), ("T", 0.0274, 64), ("T", 0.004, 64), ("T", 0.001, 64),
     ])
     def test_a_strichartz_centre_past_the_default_tau_nyquist_gets_more_tau_modes(
         self, no_free_lifts, key, value, n_time
@@ -678,14 +679,14 @@ class TestEstimateRatio:
     @given(alpha=st.floats(1.05, 1.95), T=st.floats(1e-3, 4.0), data=st.data())
     def test_the_strichartz_tau_count_is_the_smallest_that_clears_the_centre(self, alpha, T, data):
         # the rule, checked against the centre-vs-Nyquist inequality itself:
-        # the default count n0 wherever the inequality holds at n0, else the
-        # smallest multiple of 4 at which it does
+        # the default count n0, floored at 64, wherever the inequality holds at
+        # n0, else the smallest multiple of 4 at which it does
         p = EstimateParams(alpha, 0.0, 0.0, 0.6, -0.25)  # only alpha is read
         coarsest = FrequencyGrid(256, 64.0)
         band = data.draw(st.floats(coarsest.spacing, coarsest.largest_band), label="band")
         _, resolutions = estimates._checked_inputs("strichartz", {"band": band, "T": T}, p)
         (n_time,) = {n for _, _, n in resolutions}
-        n0 = max(4 * round(2.0 * T / 0.01), 8)
+        n0 = max(4 * round(2.0 * T / 0.01), 64)
         centre = float(dispersion_symbol(band, alpha)) + 4.0 / T
 
         def clears(n):
@@ -708,6 +709,24 @@ class TestEstimateRatio:
         sups = []
         for count in (n_time, 2 * n_time):
             lhs, rhs = _strichartz_table(p, grids, inputs["T"], count, descs)
+            sups.append(np.max(lhs / rhs, axis=1))
+        np.testing.assert_allclose(sups[1], sups[0], rtol=5e-3)
+
+    @pytest.mark.parametrize("T", [0.004, 0.01])
+    def test_a_short_strichartz_cutoff_converges_in_tau(self, T):
+        # the floor of 64 tau modes puts 33 samples on the support [-2T, 2T];
+        # at 16 modes the sup read 0.12534 at T = 0.004 against 0.11917 at
+        # 64-256, and doubling the floored count moves it by under 0.5%
+        p = EstimateParams.default_admissible(1.5)
+        inputs, resolutions = estimates._checked_inputs("strichartz", {"T": T}, p)
+        n_time = resolutions[0][2]
+        assert n_time == 64
+        grids = [FrequencyGrid(n, inputs["box_length"]) for _, n, _ in resolutions]
+        n_band = grids[0].band_modes(inputs["band"])
+        descs = _draw_samples("strichartz", np.random.default_rng(7), 30, n_band, grids[0].spacing)
+        sups = []
+        for count in (n_time, 2 * n_time):
+            lhs, rhs = _strichartz_table(p, grids, T, count, descs)
             sups.append(np.max(lhs / rhs, axis=1))
         np.testing.assert_allclose(sups[1], sups[0], rtol=5e-3)
 
