@@ -330,7 +330,7 @@ def duhamel_apply(
     W(t-t') N(u)(t') dt' on the guess trajectory's own time grid, where
     N(u) = -(1/2) d/dx (u^2) and the time integral is trapezoidal with the
     exact propagator inside.  The free term's cutoff is 1 on |t| <= max(T, 1),
-    so on |t| <= T the fixed point is the flow.
+    so on |t| <= T the fixed point is the flow.  u0 is declared real, as in solve_reference.
     """
     if not (T > 0.0):
         raise ValueError(f"T must be positive, got {T}")
@@ -365,8 +365,10 @@ def duhamel_apply(
     np.subtract.accumulate(acc[i0::-1], axis=0, out=acc[i0::-1])
     psi_free = bump(t / max(T, 1.0))[:, None]
     psi_T = bump(t / T)[:, None]
-    # conj(W(-t)) (psi_free u0 + psi_T acc), written over h
-    np.add(np.multiply(psi_free, u0.coeffs, out=h), np.multiply(psi_T, acc, out=acc), out=h)
+    # conj(W(-t)) (psi_free u0 + psi_T acc), written over h, u0 the real field of its k >= 0 modes
+    data = np.array(u0.coeffs)
+    _mirror(data, grid.zero_index)
+    np.add(np.multiply(psi_free, data, out=h), np.multiply(psi_T, acc, out=acc), out=h)
     np.multiply(np.conjugate(back_phase, out=back_phase), h, out=h)
     # the unpaired mode N/2 as the real flow turns it, as solve_reference writes it
     h[:, -1] = h[:, -1].real
@@ -445,20 +447,42 @@ def _table_rows(times: np.ndarray, coeffs: np.ndarray, idx: np.ndarray, out=None
     return out
 
 
+def _column_strings(values: np.ndarray) -> list[str]:
+    """The reprs of a column of floats: a list of floats prints as their reprs joined by ", "."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 def _write_csv(path, grid: FrequencyGrid, idx: np.ndarray, tables) -> None:
-    """traj.csv: the header of the retained columns idx, then the lines of each table block."""
+    """traj.csv: the header of the retained columns idx, then the lines of each table block.  A
+    block's -xi column whose bits are its +xi modulus, or minus its +xi phase, as a real field's
+    are, takes the +xi strings, the phase's sign toggled, so every value prints as its repr."""
     xis = [float(f) for f in grid.frequencies[idx]]
     header = ["t"] + [f"{part}[xi={f!r}]" for f in xis for part in ("abs", "phase")]
+    col = {f: 1 + 2 * j for j, f in enumerate(xis)}
+    # each mirrored -xi column and its +xi column: odd ones hold moduli, even ones phases
+    mates = {col[f] + p: col[-f] + p for f in xis if f < 0 and -f in col for p in (0, 1)}
+    dst, src = np.array(list(mates.items()), int).reshape(-1, 2).T
+    sign = np.where(dst % 2, 1.0, -1.0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for table in tables:
-            # a list of floats prints as their reprs joined by ", "
-            fh.writelines(repr(row)[1:-1].replace(", ", ",") + "\n" for row in table.tolist())
+            same = (table[:, dst].view(np.int64) == (sign * table[:, src]).view(np.int64)).all(0)
+            cols = [None if j in mates else _column_strings(c) for j, c in enumerate(table.T)]
+            for d, s, ok in zip(dst.tolist(), src.tolist(), same.tolist()):
+                if not ok:
+                    cols[d] = _column_strings(table[:, d])
+                elif d % 2:
+                    cols[d] = cols[s]
+                else:  # minus each phase; nan prints as nan whatever its sign
+                    cols[d] = [v[1:] if v[0] == "-" else v if v == "nan" else "-" + v
+                               for v in cols[s]]
+            fh.writelines(",".join(line) + "\n" for line in zip(*cols))
 
 
 def export_trajectory_csv(traj: Trajectory, path, max_modes: int | None = None) -> None:
     """CSV columns: t, then |coeff| and phase per retained mode, xi ascending; the lines are
-    written a block of _BLOCK_ROWS times at a time."""
+    written a block of _BLOCK_ROWS times at a time, a real trajectory's -xi columns from the
+    +xi strings (_write_csv), and every value is its repr."""
     idx = retained_mode_indices(traj.grid, max_modes)
     tables = (_table_rows(traj.times[r], traj.coeffs[r], idx) for r in _row_blocks(traj.n_times))
     _write_csv(path, traj.grid, idx, tables)

@@ -484,6 +484,15 @@ class TestPicardCommand:
         assert rows[0] == "t,l2_gap_vs_reference"
         assert len(rows) > 10
 
+    def test_readme_command_has_no_gap_at_t_zero(self, tmp_path):
+        # both solvers start from the real field of u0's k >= 0 modes, which
+        # make_test_field's gaussian gives conjugate-symmetric only to roundoff
+        (argv,) = [argv for argv in readme_commands() if argv[0] == "picard"]
+        argv = argv[: argv.index("--out")] + ["--out", str(tmp_path / "pic")]
+        assert main(argv) == EXIT_OK
+        rows = read(tmp_path / "pic" / "picard_vs_reference.csv").strip().split("\n")
+        assert "0.0,0.0" in rows
+
 
     PICARD_ARGV = ["picard", "--n-modes", "32", "--box-length", "16", "--amplitude", "0.1"]
 
@@ -530,17 +539,18 @@ class TestPicardCommand:
     #: was stepped by 2 max(t_span, 1) / round(2 max(t_span, 1) / dt).  The
     #: t_span > 1 history is that grid's with the free term cut by
     #: bump(t / max(T, 1)), as duhamel_apply cuts it.  The digits are those
-    #: of the nonlinearity kernel whose constants sit in two weights.
+    #: of the nonlinearity kernel whose constants sit in two weights, with
+    #: duhamel_apply's free term built from u0's k >= 0 modes and their mirror.
     EARLIER_HISTORIES = {
         ("0.5", "0.005"): (
-            "0.11195151379152732", "0.002199473342832827", "4.5054669871098606e-05",
-            "7.869024433213076e-07", "1.3134356145352867e-08", "2.0036646682751957e-10",
-            "1.7767723729538948e-07",
+            "0.11195151379152732", "0.002199473342832827", "4.505466987109896e-05",
+            "7.869024433214056e-07", "1.313435614536488e-08", "2.0036646634284818e-10",
+            "1.776772372951135e-07",
         ),
         ("1.5", "0.01"): (
-            "0.11195151379152732", "0.003401478500841086", "9.782324395866114e-05",
-            "2.726426020722428e-06", "6.391727520052636e-08", "1.4766597736216632e-09",
-            "7.109329808507841e-07",
+            "0.11195151379152732", "0.003401478500841086", "9.782324395866184e-05",
+            "2.7264260207218476e-06", "6.391727520148814e-08", "1.4766597736216632e-09",
+            "7.109329808507975e-07",
         ),
     }
 

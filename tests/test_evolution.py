@@ -479,8 +479,8 @@ def _complex_and_real(n_modes):
 
 
 class TestDeclaredReal:
-    """Real is declared: the solver and the nonlinearity read a field's k >= 0
-    modes only, so a complex field gives, byte for byte, what the real field
+    """Real is declared: the solver, the Duhamel operator's free term and the
+    nonlinearity read a field's k >= 0 modes only, so a complex field gives, byte for byte, what the real field
     of those modes and their mirror gives."""
 
     @pytest.mark.parametrize("scheme", ["split_step", "exponential_integrator"])
@@ -490,6 +490,17 @@ class TestDeclaredReal:
         got = solve_reference(u0, 0.2, 0.01, 1.5, scheme).coeffs
         assert got.tobytes() == solve_reference(real, 0.2, 0.01, 1.5, scheme).coeffs.tobytes()
         assert got[got.shape[0] // 2].tobytes() == real.coeffs.tobytes()  # t = 0
+
+    @pytest.mark.parametrize("T", [0.5, 1.5])
+    def test_duhamel_apply_of_the_real_field(self, T):
+        u0, real = _complex_and_real(64)
+        t = np.arange(-400, 401) * 0.01
+        rng = np.random.default_rng(7)
+        noisy = 0.05 * (rng.standard_normal((t.size, 64)) + 1j * rng.standard_normal((t.size, 64)))
+        guess = Trajectory(u0.grid, t, noisy, 1.5)
+        got = duhamel_apply(guess, u0, T, 1.5).coeffs
+        assert got.tobytes() == duhamel_apply(guess, real, T, 1.5).coeffs.tobytes()
+        assert np.array_equal(got[400], real.coeffs)  # t = 0, up to the sign of a zero
 
     @pytest.mark.parametrize("n_modes", [32, 64])
     def test_nonlinearity_of_the_real_field(self, n_modes):
@@ -656,7 +667,9 @@ class TestDuhamel:
         for i in range(229, -1, -1):
             acc[i] = acc[i + 1] - (0.5 * dt) * (h[i] + h[i + 1])
         psi_1, psi_T = bump(t)[:, None], bump(t / T)[:, None]
-        expected = np.conj(back_phase) * (psi_1 * u0.coeffs[None, :] + psi_T * acc)
+        z, data = g.zero_index, u0.coeffs.copy()  # the real field of u0's k >= 0 modes
+        data[:z], data[-1] = np.conj(data[2 * z : z : -1]), data[-1].real
+        expected = np.conj(back_phase) * (psi_1 * data[None, :] + psi_T * acc)
         expected[:, -1] = expected[:, -1].real
         assert out.coeffs.tobytes() == expected.tobytes()
 
@@ -909,6 +922,25 @@ def _random_trajectory(n_times, n_modes, seed):
     return Trajectory(make_grid(n_modes, 8.0), times, coeffs, 1.5)
 
 
+def _mirrored_trajectory(n_times, n_modes, seed, rows):
+    """_random_trajectory with its k < 0 modes the conjugates of its k > 0
+    modes, as a real field's are.  At the four given rows (k = 1, 2, 3) it
+    holds a real negative coefficient, whose phases are +-pi, -0.0 and 0j,
+    a subnormal, inf and nan, and a positive real whose mirror is nudged by
+    an ulp, so that one -xi column is no mirror of its +xi column."""
+    traj = _random_trajectory(n_times, n_modes, seed)
+    c, z = np.array(traj.coeffs), traj.grid.zero_index
+    special = [(-2.5 + 0j, complex(-0.0, 0.0), complex(5e-324, -1e-310)),
+               (0j, complex(-0.0, -0.0), complex(np.inf, np.nan)),
+               (complex(np.nan, 1.0), complex(-np.inf, 2.0), complex(np.nan, np.inf)),
+               (1.0, 3.0, -1e-308)]
+    for r, values in zip(rows, special):
+        c[r, z + 1 : z + 4] = values
+    c[:, :z] = np.conj(c[:, 2 * z : z : -1])
+    c[rows[3], z - 2] = np.nextafter(3.0, np.inf)
+    return Trajectory(traj.grid, traj.times, c, 1.5)
+
+
 def _whole_table_csv(traj, max_modes):
     """The CSV bytes from one table of every time, as one join."""
     idx = retained_mode_indices(traj.grid, max_modes)
@@ -955,6 +987,55 @@ class TestRowBlocks:
         export_trajectory_csv(traj, path, max_modes)
         assert path.read_bytes() == _whole_table_csv(traj, max_modes)
         assert repr(l2_drift(traj)) == repr(_whole_array_drift(traj))
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        n_times=st.builds(
+            lambda blocks, offset: max(2, blocks * _BLOCK_ROWS + offset),
+            st.integers(0, 3),
+            st.integers(-2, 2),
+        ),
+        n_modes=st.sampled_from([16, 32, 48]),
+        max_modes=st.sampled_from([0, 1, 16, "N"]),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.lists(st.integers(0, 4 * _BLOCK_ROWS), min_size=4, max_size=4),
+    )
+    def test_mirrored_bytes_match_the_whole_array_form(
+        self, tmp_path, n_times, n_modes, max_modes, seed, rows
+    ):
+        # the -xi columns of a real field's rows reuse the +xi strings
+        traj = _mirrored_trajectory(n_times, n_modes, seed, [r % n_times for r in rows])
+        max_modes = n_modes if max_modes == "N" else max_modes
+        path = tmp_path / "traj.csv"
+        export_trajectory_csv(traj, path, max_modes)
+        assert path.read_bytes() == _whole_table_csv(traj, max_modes)
+
+    def test_a_real_trajectory_formats_its_xi_ge_0_columns_only(self, tmp_path, monkeypatch):
+        # at 16 retained modes, xi = -7..8 dxi, a block formats t and the
+        # modulus and phase of xi = 0..8 dxi: 1 + 2 * 9 = 19 of its 33 columns
+        g = make_grid(64, 16.0)
+        u0 = make_test_field(g, "random_bandlimited", seed=5, band=6.0, amplitude=0.3)
+        real = solve_reference(u0, 2.0, 0.01, 1.5)  # 401 times, 7 blocks
+        # 2.0 at xi = 3 dxi and, an ulp up, its mirror: block 1 formats that modulus too
+        nudged, z = np.array(real.coeffs), g.zero_index
+        nudged[100, z + 3], nudged[100, z - 3] = 2.0, complex(np.nextafter(2.0, 3.0), -0.0)
+        cases = [(real, 7 * 19), (Trajectory(g, real.times, nudged, 1.5), 7 * 19 + 1),
+                 (_random_trajectory(401, 64, 0), 7 * 33)]
+        formatted = []
+        column_strings = evolution._column_strings
+
+        def counted(values):
+            formatted.append(values.size)
+            return column_strings(values)
+
+        monkeypatch.setattr(evolution, "_column_strings", counted)
+        for traj, calls in cases:
+            formatted.clear()
+            export_trajectory_csv(traj, tmp_path / "traj.csv", 16)
+            assert len(formatted) == calls
+            assert (tmp_path / "traj.csv").read_bytes() == _whole_table_csv(traj, 16)
 
     def test_working_set_is_a_block(self, tmp_path):
         # 1025 times of 512 modes hold 8.4 MB; a block of 64 is 0.5 MB
